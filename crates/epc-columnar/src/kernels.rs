@@ -194,7 +194,7 @@ mod tests {
         let got = num_range(&col, Some(10.0), Some(20.0), &mut stats);
         let want: Vec<bool> = slots
             .iter()
-            .map(|s| s.map_or(false, |v| v >= 10.0 && v <= 20.0))
+            .map(|s| s.is_some_and(|v| (10.0..=20.0).contains(&v)))
             .collect();
         assert_eq!(got.to_bools(), want);
         assert_eq!(

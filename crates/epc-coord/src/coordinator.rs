@@ -204,6 +204,9 @@ pub struct FleetResult {
     pub journal_hits: Vec<String>,
     /// Cities executed (or re-executed) by this call, plan order.
     pub replayed: Vec<String>,
+    /// `true` when the resumed fleet journal ended in a torn line (a
+    /// crash during an append) that was dropped.
+    pub recovered_torn_tail: bool,
 }
 
 fn io_err(e: std::io::Error) -> CoordError {
@@ -315,8 +318,11 @@ pub fn run_fleet(
 
     // Resume: validate committed groups, drop everything else.
     let mut hits: BTreeMap<String, JournalHit> = BTreeMap::new();
+    let mut recovered_torn_tail = false;
     if opts.resume {
-        let mut groups = group_events(journal.load().map_err(io_err)?);
+        let loaded = journal.load().map_err(io_err)?;
+        recovered_torn_tail = loaded.recovered_torn_tail;
+        let mut groups = group_events(loaded.entries);
         for city in cities {
             if let Some(events) = groups.remove(city) {
                 if let Some(report) = validate_group(city, &events, &opts.fingerprint, &opts.dir) {
@@ -516,6 +522,7 @@ pub fn run_fleet(
         shards,
         journal_hits,
         replayed,
+        recovered_torn_tail,
     })
 }
 
@@ -621,7 +628,7 @@ mod tests {
         let b = &result.shards[1];
         assert_eq!(b.attempts, 2);
         assert_eq!(b.backoff_ms.len(), 1);
-        let events = FleetJournal::at(&dir).load().unwrap();
+        let events = FleetJournal::at(&dir).load().unwrap().entries;
         assert!(events.iter().any(|e| e.city == "b" && e.kind == "retried"));
         fs::remove_dir_all(&dir).unwrap();
     }

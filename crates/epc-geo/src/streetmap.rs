@@ -253,6 +253,12 @@ impl StreetMap {
             let lon: f64 = lon_s
                 .parse()
                 .map_err(|e| format!("line {}: bad longitude: {e}", i + 2))?;
+            if !((-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon)) {
+                return Err(format!(
+                    "line {}: coordinates ({lat}, {lon}) out of range",
+                    i + 2
+                ));
+            }
             map.insert(StreetEntry {
                 street: (*street).to_owned(),
                 house_number: (*house_number).to_owned(),
@@ -422,6 +428,10 @@ mod tests {
             "street;house_number;zip;lat;lon;district;neighbourhood\nVia Roma;1;10121;abc;7.6;D;N\n"
         )
         .is_err());
+        let out_of_range = StreetMap::from_text(
+            "street;house_number;zip;lat;lon;district;neighbourhood\nVia Roma;1;10121;945.0;7.6;D;N\n",
+        );
+        assert!(out_of_range.unwrap_err().contains("line 2"));
     }
 
     #[test]

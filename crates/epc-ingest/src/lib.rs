@@ -35,4 +35,4 @@ pub use generation::{
     gen_dir, gen_dir_name, validate_chain, GenerationEntry, GenerationOutcome, CURRENT_DIR,
     GENESIS, GENS_DIR,
 };
-pub use manifest::{write_delta, GenerationManifest, LoadedGenerations, GENERATIONS_FILE};
+pub use manifest::{write_delta, GenerationManifest, GENERATIONS_FILE};

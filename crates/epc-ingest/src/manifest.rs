@@ -1,124 +1,45 @@
-//! The append-only generation manifest (`generations.manifest.jsonl`).
-//!
-//! Same commit-point discipline as `epc-journal`'s run manifest: one JSON
-//! line per sealed generation, appended and fsync'd *after* the
-//! generation's checkpoint deltas and the rebuilt `current/` artifacts are
-//! durable. Loading tolerates a torn tail and reports it instead of
-//! swallowing it.
+//! The generation manifest (`generations.manifest.jsonl`): the shared
+//! `epc-journal` [`Log`] over [`GenerationEntry`] lines — one per sealed
+//! generation, appended after its deltas and `current/` are durable —
+//! plus the hash-chain check of [`GenerationManifest::load_validated`].
 
 use crate::generation::{validate_chain, GenerationEntry};
-use epc_journal::{write_atomic, write_atomic_path};
-use std::fs::OpenOptions;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use epc_journal::{write_atomic_path, JournalEntry, Loaded, Log};
+use std::io;
+use std::ops::Deref;
+use std::path::Path;
 
 /// File name of the generation manifest inside an ingest run directory.
 pub const GENERATIONS_FILE: &str = "generations.manifest.jsonl";
 
-/// What [`GenerationManifest::load`] recovered.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadedGenerations {
-    /// The valid entry prefix (up to the first unparsable line).
-    pub entries: Vec<GenerationEntry>,
-    /// `true` when trailing bytes failed to parse — a torn append was
-    /// discarded to recover `entries`.
-    pub recovered_torn_tail: bool,
+impl JournalEntry for GenerationEntry {
+    const FILE: &'static str = GENERATIONS_FILE;
 }
 
-/// Handle to an ingest run directory's generation manifest.
+/// Handle to an ingest run directory's generation manifest: the plain
+/// [`Log`] (`load` / `append` / `rewrite`) plus the hash-chain check.
 #[derive(Debug, Clone)]
-pub struct GenerationManifest {
-    dir: PathBuf,
+pub struct GenerationManifest(Log<GenerationEntry>);
+
+impl Deref for GenerationManifest {
+    type Target = Log<GenerationEntry>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl GenerationManifest {
     /// The manifest of `run_dir` (the file itself may not exist yet).
     pub fn at(run_dir: &Path) -> Self {
-        GenerationManifest {
-            dir: run_dir.to_path_buf(),
-        }
-    }
-
-    /// Full path of the manifest file.
-    pub fn path(&self) -> PathBuf {
-        self.dir.join(GENERATIONS_FILE)
-    }
-
-    /// Loads all parsable entries. A missing file is an empty manifest;
-    /// the first unparsable line truncates the result (torn tail) and
-    /// sets [`LoadedGenerations::recovered_torn_tail`].
-    pub fn load(&self) -> io::Result<LoadedGenerations> {
-        let text = match std::fs::read_to_string(self.path()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok(LoadedGenerations {
-                    entries: Vec::new(),
-                    recovered_torn_tail: false,
-                })
-            }
-            Err(e) => return Err(e),
-        };
-        let mut entries = Vec::new();
-        let mut recovered_torn_tail = false;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<GenerationEntry>(line) {
-                Ok(entry) => entries.push(entry),
-                Err(_) => {
-                    recovered_torn_tail = true;
-                    break;
-                }
-            }
-        }
-        Ok(LoadedGenerations {
-            entries,
-            recovered_torn_tail,
-        })
-    }
-
-    /// Appends one entry (one JSON line) and fsyncs — the generation's
-    /// commit point. The entry's checkpoints and the rebuilt cumulative
-    /// artifacts must already be durable when this is called.
-    pub fn append(&self, entry: &GenerationEntry) -> io::Result<()> {
-        let line = serde_json::to_string(entry)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path())?;
-        f.write_all(line.as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_all()?;
-        drop(f);
-        // Durably record the file's existence in its directory (first
-        // append creates it). write_atomic_path's parent-sync helper is
-        // private, so sync the directory by opening it directly.
-        let d = std::fs::File::open(&self.dir)?;
-        d.sync_all()
-    }
-
-    /// Atomically replaces the manifest with exactly `entries` — used
-    /// when resume validation rejects a suffix and the ingest re-seals
-    /// from there.
-    pub fn rewrite(&self, entries: &[GenerationEntry]) -> io::Result<()> {
-        let mut text = String::new();
-        for entry in entries {
-            let line = serde_json::to_string(entry)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            text.push_str(&line);
-            text.push('\n');
-        }
-        write_atomic(&self.dir, GENERATIONS_FILE, text.as_bytes())?;
-        Ok(())
+        GenerationManifest(Log::at(run_dir))
     }
 
     /// Loads the manifest and validates the sealed prefix's hash chain,
     /// returning the entries plus the chain tip the next generation must
     /// record as its parent. Chain violations are `InvalidData` errors —
     /// a tampered manifest must never be silently folded.
-    pub fn load_validated(&self) -> io::Result<(LoadedGenerations, String)> {
+    pub fn load_validated(&self) -> io::Result<(Loaded<GenerationEntry>, String)> {
         let loaded = self.load()?;
         let tip = validate_chain(&loaded.entries)
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?;
@@ -141,6 +62,7 @@ mod tests {
     use crate::generation::{GenerationOutcome, GENESIS};
     use std::collections::BTreeMap;
     use std::fs;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -190,33 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn append_then_load_round_trips() {
-        let dir = temp_dir();
-        let m = GenerationManifest::at(&dir);
-        let loaded = m.load().unwrap();
-        assert!(loaded.entries.is_empty());
-        assert!(!loaded.recovered_torn_tail);
-        let sealed = seal(&m, 2);
-        let loaded = m.load().unwrap();
-        assert_eq!(loaded.entries, sealed);
-        assert!(!loaded.recovered_torn_tail);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_tail_is_discarded_and_reported() {
-        let dir = temp_dir();
-        let m = GenerationManifest::at(&dir);
-        let sealed = seal(&m, 2);
-        let text = fs::read_to_string(m.path()).unwrap();
-        fs::write(m.path(), &text[..text.len() - 25]).unwrap();
-        let loaded = m.load().unwrap();
-        assert_eq!(loaded.entries, sealed[..1]);
-        assert!(loaded.recovered_torn_tail);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn load_validated_returns_the_chain_tip() {
         let dir = temp_dir();
         let m = GenerationManifest::at(&dir);
@@ -241,26 +136,6 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("hash chain"));
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn rewrite_truncates_to_prefix_and_manifest_bytes_are_deterministic() {
-        let dir_a = temp_dir();
-        let dir_b = temp_dir();
-        let ma = GenerationManifest::at(&dir_a);
-        let mb = GenerationManifest::at(&dir_b);
-        let sealed = seal(&ma, 3);
-        seal(&mb, 3);
-        ma.rewrite(&sealed[..2]).unwrap();
-        mb.rewrite(&sealed[..2]).unwrap();
-        assert_eq!(
-            fs::read(ma.path()).unwrap(),
-            fs::read(mb.path()).unwrap(),
-            "resumed and uninterrupted manifests are byte-identical"
-        );
-        assert_eq!(ma.load().unwrap().entries, sealed[..2]);
-        fs::remove_dir_all(&dir_a).unwrap();
-        fs::remove_dir_all(&dir_b).unwrap();
     }
 
     #[test]

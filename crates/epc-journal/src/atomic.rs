@@ -92,13 +92,19 @@ pub fn write_atomic_path(path: &Path, contents: &[u8]) -> io::Result<ArtifactRec
     write_atomic(&parent, &name, contents)
 }
 
-/// Fsyncs a directory so a completed rename survives power loss. On
-/// platforms where directories cannot be opened for sync this is a no-op.
+/// Fsyncs a directory so a completed rename or a newly created file
+/// survives power loss; errors name the directory. Only unix can open a
+/// directory for sync, so elsewhere this is a no-op.
 pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
-    match fs::File::open(dir) {
-        Ok(d) => d.sync_all(),
-        Err(_) => Ok(()),
+    if !cfg!(unix) {
+        return Ok(());
     }
+    fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| {
+        io::Error::new(
+            e.kind(),
+            format!("syncing directory {}: {e}", dir.display()),
+        )
+    })
 }
 
 #[cfg(test)]

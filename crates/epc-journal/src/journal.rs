@@ -1,25 +1,171 @@
-//! The append-only run journal (`run.manifest.jsonl`).
+//! The append-only JSONL journal behind the durable run ([`Journal`]),
+//! the fleet coordinator and incremental ingest. Each line is a commit,
+//! appended and fsync'd after everything it references is durable.
 //!
-//! One JSON line per committed pipeline stage, appended *after* the
-//! stage's checkpoint files are durably on disk — the journal line is the
-//! commit point. Loading tolerates a torn tail: a final line that does
-//! not parse (the classic crash-during-append artifact) is discarded
-//! along with everything after the first unparsable line, and the run
-//! simply replays from there.
+//! The one recovery rule: a missing file is an empty journal; a final line
+//! without its newline is a torn append — dropped even if it parses,
+//! reported, and cut off before the next append; any other unparsable
+//! line is an `InvalidData` error naming the file and 1-based line; every
+//! I/O error names the path.
 //!
-//! Entries are pure functions of the run's inputs and configuration — no
-//! timestamps, no host names, no durations — so the journal of a resumed
+//! Entries carry no timestamps or host state, so the journal of a resumed
 //! run is byte-identical to the journal of an uninterrupted run.
 
 use crate::atomic::{sync_dir, write_atomic, ArtifactRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs::OpenOptions;
-use std::io::{self, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
-/// File name of the journal inside a run directory.
+/// File name of the run journal inside a run directory.
 pub const MANIFEST_FILE: &str = "run.manifest.jsonl";
+
+/// An entry type with a journal of its own. The file name belongs to the
+/// type, so a handle can never read one journal's lines as another's.
+pub trait JournalEntry: Serialize + Deserialize {
+    /// File name of this entry type's journal inside its directory.
+    const FILE: &'static str;
+}
+
+/// What [`Log::load`] recovered. A dropped torn tail is sound recovery,
+/// but callers surface it (CLI warning, recovery counter) so a clean
+/// resume stays distinguishable from one that lost a half-written line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Loaded<E> {
+    /// Every complete line, in commit order.
+    pub entries: Vec<E>,
+    /// `true` when the file ended in a line without its newline — a torn
+    /// append that was dropped.
+    pub recovered_torn_tail: bool,
+}
+
+/// Handle to the `E` journal of a directory (the file may not exist yet).
+#[derive(Debug, Clone)]
+pub struct Log<E> {
+    dir: PathBuf,
+    entry: PhantomData<fn() -> E>,
+}
+
+/// The durable run's stage journal.
+pub type Journal = Log<StageEntry>;
+
+impl<E: JournalEntry> Log<E> {
+    /// The journal of `dir`.
+    pub fn at(dir: &Path) -> Self {
+        Log {
+            dir: dir.to_path_buf(),
+            entry: PhantomData,
+        }
+    }
+
+    /// Full path of the journal file.
+    pub fn path(&self) -> PathBuf {
+        self.dir.join(E::FILE)
+    }
+
+    /// Loads every committed entry under the module's recovery rule.
+    pub fn load(&self) -> io::Result<Loaded<E>> {
+        let path = self.path();
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(named("reading", &path, e)),
+        };
+        let (complete, torn) = split_torn_tail(&bytes);
+        let entries = complete
+            .split(|&b| b == b'\n')
+            .enumerate()
+            .filter(|(_, line)| !line.iter().all(u8::is_ascii_whitespace))
+            .map(|(i, line)| {
+                std::str::from_utf8(line)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+                    .map_err(|msg| {
+                        let at = format!("{}: line {}", path.display(), i + 1);
+                        io::Error::new(io::ErrorKind::InvalidData, format!("{at}: {msg}"))
+                    })
+            })
+            .collect::<io::Result<Vec<E>>>()?;
+        Ok(Loaded {
+            entries,
+            recovered_torn_tail: !torn.is_empty(),
+        })
+    }
+
+    /// Appends one entry and fsyncs — the commit point. Everything the
+    /// entry references must already be durable. A torn tail left by an
+    /// earlier crash is cut off first.
+    pub fn append(&self, entry: &E) -> io::Result<()> {
+        let line = encode_lines(std::slice::from_ref(entry))?;
+        let path = self.path();
+        let commit = || -> io::Result<()> {
+            let mut f = OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create(true)
+                .open(&path)?;
+            cut_torn_tail(&mut f)?;
+            f.write_all(line.as_bytes())?;
+            f.sync_all()
+        };
+        commit().map_err(|e| named("appending to", &path, e))?;
+        sync_dir(&self.dir)
+    }
+
+    /// Atomically replaces the journal with exactly `entries` — used when
+    /// a resume drops rejected entries or canonicalizes their order.
+    pub fn rewrite(&self, entries: &[E]) -> io::Result<()> {
+        let text = encode_lines(entries)?;
+        write_atomic(&self.dir, E::FILE, text.as_bytes())
+            .map(drop)
+            .map_err(|e| named("rewriting", &self.path(), e))
+    }
+}
+
+/// The journal encoding of `entries`: one `serde_json` line each, every
+/// line ending in `\n`.
+pub fn encode_lines<E: Serialize>(entries: &[E]) -> io::Result<String> {
+    entries
+        .iter()
+        .map(|entry| match serde_json::to_string(entry) {
+            Ok(line) => Ok(line + "\n"),
+            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+        })
+        .collect()
+}
+
+/// Splits journal bytes at the last newline: the complete lines before
+/// it (without that newline) and the torn append after it.
+fn split_torn_tail(bytes: &[u8]) -> (&[u8], &[u8]) {
+    let mut parts = bytes.rsplitn(2, |&b| b == b'\n');
+    let torn = parts.next().unwrap_or_default();
+    (parts.next().unwrap_or_default(), torn)
+}
+
+/// Truncates `f` to its newline-terminated prefix, so the next append
+/// starts a fresh line instead of extending a torn fragment.
+fn cut_torn_tail(f: &mut File) -> io::Result<()> {
+    let mut last = [b'\n'];
+    let len = f.metadata()?.len();
+    if len > 0 {
+        f.seek(SeekFrom::Start(len - 1))?;
+        f.read_exact(&mut last)?;
+    }
+    if last != [b'\n'] {
+        let mut bytes = Vec::new();
+        f.seek(SeekFrom::Start(0))?;
+        f.read_to_end(&mut bytes)?;
+        let (_, torn) = split_torn_tail(&bytes);
+        f.set_len((bytes.len() - torn.len()) as u64)?;
+    }
+    Ok(())
+}
+
+fn named(what: &str, path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()))
+}
 
 /// One committed stage: everything a resuming run needs to decide whether
 /// the stage can be skipped and, if so, to rehydrate its product.
@@ -53,108 +199,8 @@ pub struct StageEntry {
     pub checkpoints: Vec<ArtifactRecord>,
 }
 
-/// What [`Journal::load`] recovered: the parsable prefix plus a flag
-/// telling the caller whether anything was silently lost getting there.
-///
-/// A torn tail is the *expected* crash-during-append artifact and the
-/// recovery is sound — but it must be surfaced, not swallowed: the CLI
-/// warns, the observability layer counts it, and operators can tell a
-/// clean resume from one that discarded a half-written commit line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadedJournal {
-    /// The valid entry prefix (everything up to the first unparsable
-    /// line).
-    pub entries: Vec<StageEntry>,
-    /// `true` when the file held trailing bytes that did not parse as an
-    /// entry — a torn append (or interior corruption) was discarded to
-    /// recover `entries`.
-    pub recovered_torn_tail: bool,
-}
-
-/// Handle to a run directory's journal file.
-#[derive(Debug, Clone)]
-pub struct Journal {
-    dir: PathBuf,
-}
-
-impl Journal {
-    /// The journal of `run_dir` (the file itself may not exist yet).
-    pub fn at(run_dir: &Path) -> Self {
-        Journal {
-            dir: run_dir.to_path_buf(),
-        }
-    }
-
-    /// Full path of the manifest file.
-    pub fn path(&self) -> PathBuf {
-        self.dir.join(MANIFEST_FILE)
-    }
-
-    /// Loads all parsable entries. A missing file is an empty journal;
-    /// the first unparsable line truncates the result (torn tail) and
-    /// sets [`LoadedJournal::recovered_torn_tail`] so the recovery is
-    /// visible to the caller instead of silently discarded.
-    pub fn load(&self) -> io::Result<LoadedJournal> {
-        let text = match std::fs::read_to_string(self.path()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok(LoadedJournal {
-                    entries: Vec::new(),
-                    recovered_torn_tail: false,
-                })
-            }
-            Err(e) => return Err(e),
-        };
-        let mut entries = Vec::new();
-        let mut recovered_torn_tail = false;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<StageEntry>(line) {
-                Ok(entry) => entries.push(entry),
-                Err(_) => {
-                    recovered_torn_tail = true;
-                    break;
-                }
-            }
-        }
-        Ok(LoadedJournal {
-            entries,
-            recovered_torn_tail,
-        })
-    }
-
-    /// Appends one entry (one JSON line) and fsyncs — the stage's commit
-    /// point. Checkpoint files must already be durable when this is
-    /// called.
-    pub fn append(&self, entry: &StageEntry) -> io::Result<()> {
-        let line = serde_json::to_string(entry)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path())?;
-        f.write_all(line.as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_all()?;
-        drop(f);
-        sync_dir(&self.dir)
-    }
-
-    /// Atomically replaces the journal with exactly `entries` — used when
-    /// resume validation rejects a suffix and the run replays from there.
-    pub fn rewrite(&self, entries: &[StageEntry]) -> io::Result<()> {
-        let mut text = String::new();
-        for entry in entries {
-            let line = serde_json::to_string(entry)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            text.push_str(&line);
-            text.push('\n');
-        }
-        write_atomic(&self.dir, MANIFEST_FILE, text.as_bytes())?;
-        Ok(())
-    }
+impl JournalEntry for StageEntry {
+    const FILE: &'static str = MANIFEST_FILE;
 }
 
 #[cfg(test)]
@@ -232,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn garbage_interior_line_truncates_from_there() {
+    fn garbage_interior_line_is_rejected_with_its_line_number() {
         let dir = temp_dir();
         let j = Journal::at(&dir);
         j.append(&entry(0, "preprocess")).unwrap();
@@ -240,10 +286,45 @@ mod tests {
         text.push_str("{not json}\n");
         fs::write(j.path(), &text).unwrap();
         j.append(&entry(2, "dashboard")).unwrap();
-        // The entry after the garbage line is unreachable.
+        // Dropping line 2 would silently lose the commit on line 3.
+        let err = j.load().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains(MANIFEST_FILE) && msg.contains("line 2"),
+            "{msg}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_tail_is_cut_before_the_next_append() {
+        let dir = temp_dir();
+        let j = Journal::at(&dir);
+        j.append(&entry(0, "preprocess")).unwrap();
+        j.append(&entry(1, "analytics")).unwrap();
+        let clean = fs::read(j.path()).unwrap();
+        fs::write(j.path(), &clean[..clean.len() - 40]).unwrap();
         let loaded = j.load().unwrap();
-        assert_eq!(loaded.entries.len(), 1);
-        assert!(loaded.recovered_torn_tail, "interior garbage is a tear too");
+        assert!(loaded.recovered_torn_tail);
+        j.append(&entry(1, "analytics")).unwrap();
+        let healed = j.load().unwrap();
+        assert_eq!(
+            healed.entries,
+            vec![entry(0, "preprocess"), entry(1, "analytics")]
+        );
+        assert!(!healed.recovered_torn_tail);
+        assert_eq!(fs::read(j.path()).unwrap(), clean);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_error_names_journal_path() {
+        let dir = temp_dir();
+        // A directory in the journal's place cannot be read as a file.
+        fs::create_dir_all(dir.join(MANIFEST_FILE)).unwrap();
+        let err = Journal::at(&dir).load().unwrap_err();
+        assert!(err.to_string().contains(MANIFEST_FILE), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

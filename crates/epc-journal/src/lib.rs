@@ -14,12 +14,16 @@
 //!   carrying the content's SHA-256, so readers can *detect* corruption
 //!   that slipped past the rename protocol (disk faults, manual edits,
 //!   injected torn writes).
-//! * **The run journal** — [`Journal`] is an append-only
-//!   `run.manifest.jsonl` recording one [`StageEntry`] per committed
-//!   pipeline stage: config fingerprint, input hash, and the checkpoint
-//!   files (with hashes) that capture the stage's product. A resuming run
-//!   replays the journal, skips every stage whose entry validates, and
-//!   re-executes from the first invalid entry onward.
+//! * **The journal** — [`Log<E>`] is an append-only JSONL file of
+//!   [`JournalEntry`] lines with one recovery rule (torn tail dropped and
+//!   reported, any other bad line rejected with its line number). The
+//!   durable run's [`Journal`] is `Log<StageEntry>`: `run.manifest.jsonl`,
+//!   one [`StageEntry`] per committed pipeline stage with config
+//!   fingerprint, input hash, and the checkpoint files (with hashes) that
+//!   capture the stage's product. A resuming run replays the journal,
+//!   skips every stage whose entry validates, and re-executes from the
+//!   first invalid entry onward. The fleet and ingest journals are the
+//!   same `Log` over their own entry types.
 //!
 //! Entries deliberately contain no timestamps or host state: the journal
 //! of a resumed run is byte-identical to the journal of an uninterrupted
@@ -30,5 +34,5 @@ mod journal;
 mod sha256;
 
 pub use atomic::{write_atomic, write_atomic_path, ArtifactRecord};
-pub use journal::{Journal, LoadedJournal, StageEntry, MANIFEST_FILE};
+pub use journal::{encode_lines, Journal, JournalEntry, Loaded, Log, StageEntry, MANIFEST_FILE};
 pub use sha256::hash_hex;

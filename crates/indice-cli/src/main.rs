@@ -655,6 +655,12 @@ fn fleet(
     };
 
     let result = &output.result;
+    if result.recovered_torn_tail {
+        eprintln!(
+            "warning: fleet journal in {out_dir}/ had a torn trailing line (crash during \
+             append); it was discarded and the affected city replayed"
+        );
+    }
     if !result.journal_hits.is_empty() {
         println!(
             "resumed from fleet journal: {} city(ies) validated and skipped ({}), {} replayed",

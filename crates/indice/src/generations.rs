@@ -43,7 +43,7 @@ use epc_ingest::{
     gen_dir_name, write_delta, GenerationEntry, GenerationManifest, GenerationOutcome, CURRENT_DIR,
     GENESIS, GENS_DIR,
 };
-use epc_journal::{hash_hex, ArtifactRecord, StageEntry, MANIFEST_FILE};
+use epc_journal::{encode_lines, hash_hex, ArtifactRecord, StageEntry, MANIFEST_FILE};
 use epc_model::csv::to_csv;
 use epc_model::wellknown as wk;
 use epc_model::Dataset;
@@ -718,13 +718,13 @@ pub fn ingest(
 
                 // The cumulative journal: byte-identical to the one a
                 // one-shot durable run would have appended.
-                let mut journal_text = String::new();
+                let mut journal = Vec::with_capacity(stages.len());
                 for (si, ((stage, _), ckpts)) in stages.iter().zip(&stage_ckpts).enumerate() {
                     let name = stage.name();
                     let sr = report.stages.get(si).ok_or_else(|| {
                         IndiceError::Internal("stage executed without a report entry".into())
                     })?;
-                    let entry = StageEntry {
+                    journal.push(StageEntry {
                         seq: si,
                         stage: name.to_owned(),
                         config_fingerprint: config_fp.clone(),
@@ -736,13 +736,11 @@ pub fn ingest(
                         quarantined: sr.quarantined,
                         faults: sr.faults.clone(),
                         checkpoints: ckpts.clone(),
-                    };
-                    let line = serde_json::to_string(&entry).map_err(|e| {
-                        IndiceError::Durability(format!("serializing journal entry: {e}"))
-                    })?;
-                    journal_text.push_str(&line);
-                    journal_text.push('\n');
+                    });
                 }
+                let journal_text = encode_lines(&journal).map_err(|e| {
+                    IndiceError::Durability(format!("serializing journal entries: {e}"))
+                })?;
                 files.push((MANIFEST_FILE.to_owned(), journal_text));
 
                 // Write changed files, carry the rest; drop leftovers so

@@ -44,7 +44,7 @@ fn collection(n_records: usize, seed: u64) -> SyntheticCollection {
     apply_noise(
         &mut c,
         &NoiseConfig {
-            seed: seed ^ 0xC0FF_EE,
+            seed: seed ^ 0x00C0_FFEE,
             ..NoiseConfig::default()
         },
     );

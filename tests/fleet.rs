@@ -11,7 +11,7 @@
 // Test/demo code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_coord::{CoordCrash, FleetOutcome, RetryPolicy, ShardStatus};
+use epc_coord::{CoordCrash, FleetOutcome, RetryPolicy, ShardStatus, FLEET_MANIFEST_FILE};
 use epc_faults::{CityFaultSpec, FleetFaults, StageKillSpec};
 use epc_runtime::{ManualClock, RuntimeConfig};
 use epc_synth::FleetConfig;
@@ -297,6 +297,34 @@ fn coordinator_crash_between_shard_commits_resumes_byte_identically() {
 #[test]
 fn coordinator_crash_before_last_city_resumes_byte_identically() {
     assert_crash_resume("crash-before2", CoordCrash::BeforeCity(2), &[0, 1], 2);
+}
+
+#[test]
+fn torn_fleet_journal_tail_is_reported_and_healed_on_resume() {
+    let (base_dir, base) = baseline("torn-base", 2);
+    assert!(!base.result.recovered_torn_tail);
+    let dir = fleet_dir("torn");
+    run_with(&dir, 2, false, None, Some(CoordCrash::AfterCommit(0)), 2)
+        .expect_err("injected coordinator crash must surface as an error");
+    // A crash mid-append leaves half of the next city's first line.
+    let journal = dir.join(FLEET_MANIFEST_FILE);
+    let mut torn = fs::read(&journal).unwrap();
+    let full = fs::read(base_dir.join(FLEET_MANIFEST_FILE)).unwrap();
+    let next_line = full[torn.len()..].split(|&b| b == b'\n').next().unwrap();
+    torn.extend_from_slice(&next_line[..next_line.len() / 2]);
+    fs::write(&journal, torn).unwrap();
+
+    let out = run_with(&dir, 2, true, None, None, 2).expect("resume");
+    assert!(
+        out.result.recovered_torn_tail,
+        "the dropped tail is reported"
+    );
+    assert_eq!(out.result.journal_hits, vec![city_id(0)]);
+    assert_eq!(
+        tree(&dir),
+        tree(&base_dir),
+        "fleet.metrics.json and every other file match an uninterrupted fleet"
+    );
 }
 
 #[test]
