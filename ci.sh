@@ -70,6 +70,12 @@ if want tier1; then
 
   echo "== tier-1: tests =="
   cargo test -q --offline
+
+  # The shims are not default members, so the root `cargo test` never
+  # runs their own unit tests.
+  echo "== tier-1: shim tests (serde, serde_json) =="
+  cargo test -q --offline --manifest-path shims/serde/Cargo.toml
+  cargo test -q --offline --manifest-path shims/serde_json/Cargo.toml
 fi
 
 if want chaos; then

@@ -2,7 +2,8 @@
 //!
 //! 1. k-means++ vs random initialization (SSE quality and convergence);
 //! 2. Levenshtein-only cleaning vs + geocoder fallback (coverage);
-//! 3. bounded vs unbounded Levenshtein in the street scan (speed);
+//! 3. unbounded DP vs bounded DP vs bit-parallel Levenshtein in the
+//!    street scan (speed);
 //! 4. marker-clustering cell-size sweep (aggregation behaviour);
 //! 5. K-means vs agglomerative clustering (silhouette quality — the
 //!    future-work comparison of §4).
@@ -10,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epc_geo::cleaning::{clean_addresses, AddressQuery, CleaningConfig};
 use epc_geo::geocode::{QuotaGeocoder, SimulatedGeocoder};
-use epc_geo::levenshtein::{levenshtein, levenshtein_bounded};
+use epc_geo::levenshtein::{levenshtein, levenshtein_bounded, BitPattern};
 use epc_mining::kmeans::{KMeans, KMeansConfig, KMeansInit};
 use epc_mining::matrix::Matrix;
 use epc_mining::normalize::MinMaxScaler;
@@ -104,7 +105,7 @@ fn bench_ablations(c: &mut Criterion) {
     };
     let (_, without) = clean_addresses(&queries, &noisy.city.street_map, None, &strict);
     let geocoder = QuotaGeocoder::new(
-        SimulatedGeocoder::new(noisy.city.street_map.clone(), 0.55, 0.02),
+        SimulatedGeocoder::new(&noisy.city.street_map, 0.55, 0.02),
         100_000,
     );
     let (_, with) = clean_addresses(&queries, &noisy.city.street_map, Some(&geocoder), &strict);
@@ -194,6 +195,23 @@ fn bench_ablations(c: &mut Criterion) {
     });
     group.bench_function("levenshtein_bounded_3", |bch| {
         bch.iter(|| levenshtein_bounded(std::hint::black_box(a), std::hint::black_box(b), 3))
+    });
+    // The street scan compiles the query once and reuses it for every name.
+    let pattern = BitPattern::new(a).unwrap();
+    let b_len = b.chars().count();
+    group.bench_function("bit_pattern_bounded_3", |bch| {
+        bch.iter(|| {
+            std::hint::black_box(&pattern).distance_within(std::hint::black_box(b), b_len, 3)
+        })
+    });
+    group.bench_function("bit_pattern_unbounded", |bch| {
+        bch.iter(|| {
+            std::hint::black_box(&pattern).distance_within(
+                std::hint::black_box(b),
+                b_len,
+                usize::MAX,
+            )
+        })
     });
     group.sample_size(10);
     group.bench_with_input(

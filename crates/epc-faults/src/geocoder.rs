@@ -94,17 +94,19 @@ mod tests {
 
     #[test]
     fn no_faults_is_transparent() {
+        let map = truth();
         let inj = NoFaults;
-        let faulty = FaultyGeocoder::new(SimulatedGeocoder::new(truth(), 0.6, 0.0), &inj);
-        let plain = SimulatedGeocoder::new(truth(), 0.6, 0.0);
+        let faulty = FaultyGeocoder::new(SimulatedGeocoder::new(&map, 0.6, 0.0), &inj);
+        let plain = SimulatedGeocoder::new(&map, 0.6, 0.0);
         assert_eq!(faulty.try_geocode(&query()), plain.try_geocode(&query()));
         assert_eq!(faulty.injected_failures(), 0);
     }
 
     #[test]
     fn injected_failures_are_transient_and_counted() {
+        let map = truth();
         let inj = DeterministicInjector::new(3).with_geocode_rate(1.0);
-        let faulty = FaultyGeocoder::new(SimulatedGeocoder::new(truth(), 0.6, 0.0), &inj);
+        let faulty = FaultyGeocoder::new(SimulatedGeocoder::new(&map, 0.6, 0.0), &inj);
         let res = faulty.try_geocode(&query());
         assert!(matches!(res, Err(GeocodeFailure::Transient(_))));
         assert_eq!(faulty.injected_failures(), 1);
@@ -114,6 +116,7 @@ mod tests {
 
     #[test]
     fn retry_over_faulty_geocoder_recovers() {
+        let map = truth();
         // Find a seed/rate where attempt 0 fails but a retry within budget
         // succeeds, then prove the retry wrapper recovers the result.
         let key = epc_geo::geocode::query_hash(&query());
@@ -125,7 +128,7 @@ mod tests {
             })
             .expect("some seed yields fail-then-recover for this key");
         let retry = RetryGeocoder::new(
-            FaultyGeocoder::new(SimulatedGeocoder::new(truth(), 0.6, 0.0), &inj),
+            FaultyGeocoder::new(SimulatedGeocoder::new(&map, 0.6, 0.0), &inj),
             3,
             Backoff::default(),
         );

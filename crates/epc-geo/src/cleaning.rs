@@ -609,7 +609,7 @@ mod tests {
         // Ground truth contains a street missing from the local reference.
         let mut truth = reference();
         truth.insert(entry("Via Garibaldi", "7", "10122", 45.0730, 7.6820));
-        let geocoder = QuotaGeocoder::new(SimulatedGeocoder::new(truth, 0.6, 0.0), 10);
+        let geocoder = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 10);
         let q = AddressQuery {
             id: 9,
             address: Address::new("via garibaldi", Some("7"), None),
@@ -646,7 +646,7 @@ mod tests {
             t.insert(entry("Via Garibaldi", "7", "10122", 45.0730, 7.6820));
             t
         };
-        let geocoder = QuotaGeocoder::new(SimulatedGeocoder::new(truth, 0.6, 0.0), 1);
+        let geocoder = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 1);
         let queries: Vec<AddressQuery> = (0..3)
             .map(|i| AddressQuery {
                 id: i,
@@ -716,10 +716,10 @@ mod tests {
             .collect();
         // Quota smaller than the geocoder-needing queries, so consumption
         // order is observable in the outcomes.
-        let seq_geo = QuotaGeocoder::new(SimulatedGeocoder::new(truth.clone(), 0.6, 0.0), 9);
+        let seq_geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
         let (seq, seq_report) = clean_addresses(&queries, &reference(), Some(&seq_geo), &cfg());
         for threads in [2usize, 8] {
-            let par_geo = QuotaGeocoder::new(SimulatedGeocoder::new(truth.clone(), 0.6, 0.0), 9);
+            let par_geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
             let (par, par_report) = clean_addresses_with_runtime(
                 &queries,
                 &reference(),
@@ -750,7 +750,7 @@ mod tests {
                 point: None,
             })
             .collect();
-        let row_geo = QuotaGeocoder::new(SimulatedGeocoder::new(truth.clone(), 0.6, 0.0), 9);
+        let row_geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
         let (row, row_report) = clean_addresses_degradable(
             &queries,
             &reference(),
@@ -760,7 +760,7 @@ mod tests {
             None,
         );
         for threads in [1usize, 2, 8] {
-            let col_geo = QuotaGeocoder::new(SimulatedGeocoder::new(truth.clone(), 0.6, 0.0), 9);
+            let col_geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
             let (col, col_report, stats) = clean_addresses_columnar(
                 &queries,
                 &reference(),
@@ -893,7 +893,7 @@ mod tests {
         // RetryGeocoder over a permanently-missing street performs no
         // retries (NotFound is permanent); the report records zero.
         let retry = RetryGeocoder::new(
-            SimulatedGeocoder::new(truth, 0.6, 0.0),
+            SimulatedGeocoder::new(&truth, 0.6, 0.0),
             3,
             crate::geocode::Backoff::default(),
         );

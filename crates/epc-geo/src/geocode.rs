@@ -355,9 +355,10 @@ impl<G: Geocoder> Geocoder for RetryGeocoder<G> {
 /// It resolves addresses the way a production geocoder would — tolerant
 /// fuzzy matching against its own (complete) reference data — but with a
 /// configurable failure rate driven by a hash of the query, so runs are
-/// reproducible without an RNG.
-pub struct SimulatedGeocoder {
-    truth: StreetMap,
+/// reproducible without an RNG. It borrows the map, so sharing one map
+/// between the cleaning pass and the fallback copies nothing.
+pub struct SimulatedGeocoder<'a> {
+    truth: &'a StreetMap,
     /// Minimum similarity the simulator accepts (it is *more* tolerant
     /// than the local reference-map step, like a production service).
     min_similarity: f64,
@@ -366,9 +367,9 @@ pub struct SimulatedGeocoder {
     requests: Cell<usize>,
 }
 
-impl SimulatedGeocoder {
+impl<'a> SimulatedGeocoder<'a> {
     /// Creates a simulator over ground-truth data.
-    pub fn new(truth: StreetMap, min_similarity: f64, failure_rate: f64) -> Self {
+    pub fn new(truth: &'a StreetMap, min_similarity: f64, failure_rate: f64) -> Self {
         SimulatedGeocoder {
             truth,
             min_similarity,
@@ -378,7 +379,7 @@ impl SimulatedGeocoder {
     }
 }
 
-impl Geocoder for SimulatedGeocoder {
+impl Geocoder for SimulatedGeocoder<'_> {
     fn geocode(&self, query: &Address) -> Option<GeocodeResult> {
         self.requests.set(self.requests.get() + 1);
         // Deterministic spurious failure.
@@ -463,7 +464,8 @@ mod tests {
 
     #[test]
     fn simulator_resolves_noisy_addresses() {
-        let g = SimulatedGeocoder::new(truth(), 0.6, 0.0);
+        let map = truth();
+        let g = SimulatedGeocoder::new(&map, 0.6, 0.0);
         let res = g
             .geocode(&Address::new("via rooma", Some("10"), None))
             .expect("should resolve");
@@ -475,15 +477,17 @@ mod tests {
 
     #[test]
     fn simulator_fails_on_garbage() {
-        let g = SimulatedGeocoder::new(truth(), 0.6, 0.0);
+        let map = truth();
+        let g = SimulatedGeocoder::new(&map, 0.6, 0.0);
         assert!(g.geocode(&Address::new("qwertyuiop", None, None)).is_none());
         assert_eq!(g.requests_made(), 1, "failed requests still count");
     }
 
     #[test]
     fn simulator_failure_rate_is_deterministic() {
-        let g1 = SimulatedGeocoder::new(truth(), 0.6, 0.5);
-        let g2 = SimulatedGeocoder::new(truth(), 0.6, 0.5);
+        let map = truth();
+        let g1 = SimulatedGeocoder::new(&map, 0.6, 0.5);
+        let g2 = SimulatedGeocoder::new(&map, 0.6, 0.5);
         let queries: Vec<Address> = (0..30)
             .map(|i| Address::new(&format!("via roma {i}"), Some("10"), None))
             .collect();
@@ -495,7 +499,8 @@ mod tests {
 
     #[test]
     fn quota_blocks_after_budget() {
-        let g = QuotaGeocoder::new(SimulatedGeocoder::new(truth(), 0.6, 0.0), 2);
+        let map = truth();
+        let g = QuotaGeocoder::new(SimulatedGeocoder::new(&map, 0.6, 0.0), 2);
         let q = Address::new("via roma", Some("10"), None);
         assert!(g.geocode(&q).is_some());
         assert!(g.geocode(&q).is_some());
@@ -506,7 +511,8 @@ mod tests {
 
     #[test]
     fn quota_remaining_counts_down() {
-        let g = QuotaGeocoder::new(SimulatedGeocoder::new(truth(), 0.6, 0.0), 3);
+        let map = truth();
+        let g = QuotaGeocoder::new(SimulatedGeocoder::new(&map, 0.6, 0.0), 3);
         assert_eq!(g.remaining(), 3);
         let _ = g.geocode(&Address::new("via roma", None, None));
         assert_eq!(g.remaining(), 2);
@@ -514,14 +520,16 @@ mod tests {
 
     #[test]
     fn zero_quota_never_calls_inner() {
-        let g = QuotaGeocoder::new(SimulatedGeocoder::new(truth(), 0.6, 0.0), 0);
+        let map = truth();
+        let g = QuotaGeocoder::new(SimulatedGeocoder::new(&map, 0.6, 0.0), 0);
         assert!(g.geocode(&Address::new("via roma", None, None)).is_none());
         assert_eq!(g.requests_made(), 0);
     }
 
     #[test]
     fn try_geocode_distinguishes_miss_from_quota() {
-        let g = QuotaGeocoder::new(SimulatedGeocoder::new(truth(), 0.6, 0.0), 1);
+        let map = truth();
+        let g = QuotaGeocoder::new(SimulatedGeocoder::new(&map, 0.6, 0.0), 1);
         // Permanent miss: the street does not exist.
         assert_eq!(
             g.try_geocode(&Address::new("qwertyuiop", None, None)),
@@ -537,8 +545,9 @@ mod tests {
 
     #[test]
     fn retry_recovers_from_transient_failures() {
+        let map = truth();
         let flaky = FlakyGeocoder {
-            inner: SimulatedGeocoder::new(truth(), 0.6, 0.0),
+            inner: SimulatedGeocoder::new(&map, 0.6, 0.0),
             transient_failures: 2,
             kind: TransientKind::Timeout,
             calls: Cell::new(0),
@@ -553,8 +562,9 @@ mod tests {
 
     #[test]
     fn retry_budget_exhaustion_surfaces_the_transient_failure() {
+        let map = truth();
         let flaky = FlakyGeocoder {
-            inner: SimulatedGeocoder::new(truth(), 0.6, 0.0),
+            inner: SimulatedGeocoder::new(&map, 0.6, 0.0),
             transient_failures: 100,
             kind: TransientKind::Quota,
             calls: Cell::new(0),
@@ -569,8 +579,9 @@ mod tests {
 
     #[test]
     fn retry_does_not_waste_attempts_on_permanent_misses() {
+        let map = truth();
         let g = RetryGeocoder::new(
-            SimulatedGeocoder::new(truth(), 0.6, 0.0),
+            SimulatedGeocoder::new(&map, 0.6, 0.0),
             5,
             Backoff::default(),
         );

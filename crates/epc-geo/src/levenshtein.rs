@@ -82,6 +82,109 @@ pub fn levenshtein_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
     (d <= bound).then_some(d)
 }
 
+/// A pattern of at most 64 chars compiled for Myers' bit-parallel edit
+/// distance (J. ACM 1999), in Hyyrö's global-distance form (2001): the DP
+/// column of the pattern is one machine word, updated with a few word
+/// operations per text char.
+///
+/// Compile the query once, then run [`BitPattern::distance_within`] against
+/// many texts. The text side is streamed char by char, so nothing is
+/// allocated per pair.
+#[derive(Debug, Clone)]
+pub struct BitPattern {
+    /// Pattern length in chars, at most 64.
+    len: usize,
+    /// `ascii[c]` has bit `i` set iff the pattern's `i`-th char is `c`.
+    ascii: [u64; 128],
+    /// The same masks for the pattern's non-ASCII chars, sorted by char.
+    other: Vec<(char, u64)>,
+}
+
+impl BitPattern {
+    /// Compiles `pattern`, or `None` when it is longer than 64 chars (use
+    /// [`levenshtein_bounded`] for those).
+    pub fn new(pattern: &str) -> Option<BitPattern> {
+        let mut ascii = [0u64; 128];
+        let mut other: Vec<(char, u64)> = Vec::new();
+        let mut len = 0;
+        for c in pattern.chars() {
+            if len == 64 {
+                return None;
+            }
+            let bit = 1u64 << len;
+            if c.is_ascii() {
+                ascii[c as usize] |= bit;
+            } else {
+                match other.binary_search_by_key(&c, |&(k, _)| k) {
+                    Ok(i) => other[i].1 |= bit,
+                    Err(i) => other.insert(i, (c, bit)),
+                }
+            }
+            len += 1;
+        }
+        Some(BitPattern { len, ascii, other })
+    }
+
+    /// The positions of `c` in the pattern, as a bit mask.
+    fn mask(&self, c: char) -> u64 {
+        if c.is_ascii() {
+            self.ascii[c as usize]
+        } else {
+            self.other
+                .binary_search_by_key(&c, |&(k, _)| k)
+                .map_or(0, |i| self.other[i].1)
+        }
+    }
+
+    /// The Levenshtein distance between the pattern and `text` when it is at
+    /// most `bound`, else `None` — the same answer as
+    /// [`levenshtein_bounded`]. `text_len` must be `text.chars().count()`;
+    /// callers that scan the same texts repeatedly keep it alongside them.
+    ///
+    /// The scan stops early once the distance provably exceeds `bound`:
+    /// after `j` of `n` text chars the last DP cell is `D[m][j]`, and each
+    /// remaining char can lower it by at most one.
+    pub fn distance_within(&self, text: &str, text_len: usize, bound: usize) -> Option<usize> {
+        debug_assert_eq!(text.chars().count(), text_len);
+        if self.len.abs_diff(text_len) > bound {
+            return None;
+        }
+        if self.len == 0 {
+            return Some(text_len);
+        }
+        let last = 1u64 << (self.len - 1);
+        // Vertical deltas of the current column: D[i][j] − D[i−1][j] is
+        // +1 where `vp` is set, −1 where `vn` is, 0 elsewhere.
+        let mut vp = !0u64;
+        let mut vn = 0u64;
+        let mut score = self.len;
+        // The largest `score` that can still end at or below `bound`.
+        let mut slack = bound.saturating_add(text_len);
+        for c in text.chars() {
+            let x = self.mask(c) | vn;
+            let d0 = ((x & vp).wrapping_add(vp) ^ vp) | x;
+            let hp = vn | !(d0 | vp);
+            let hn = vp & d0;
+            if hp & last != 0 {
+                score += 1;
+            } else if hn & last != 0 {
+                score -= 1;
+            }
+            // Global distance: row 0 is D[0][j] = j, so a +1 horizontal
+            // delta enters at the top of every column.
+            let hp = (hp << 1) | 1;
+            let hn = hn << 1;
+            vp = hn | !(d0 | hp);
+            vn = hp & d0;
+            slack = slack.saturating_sub(1);
+            if score > slack {
+                return None;
+            }
+        }
+        (score <= bound).then_some(score)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +255,43 @@ mod tests {
         assert_eq!(levenshtein_bounded("ab", "abcdefghij", 3), None);
         assert_eq!(levenshtein_bounded("abc", "", 2), None);
         assert_eq!(levenshtein_bounded("abc", "", 3), Some(3));
+    }
+
+    #[test]
+    fn bit_pattern_matches_the_dp() {
+        let words = [
+            "",
+            "a",
+            "kitten",
+            "sitting",
+            "via roma",
+            "via rома",
+            "città",
+            "citta",
+            "corso vittorio emanuele ii",
+            "via madonna di campagna",
+        ];
+        for a in words {
+            let p = BitPattern::new(a).unwrap();
+            for b in words {
+                let n = b.chars().count();
+                let d = levenshtein(a, b);
+                assert_eq!(p.distance_within(b, n, d), Some(d), "{a:?} {b:?}");
+                assert_eq!(p.distance_within(b, n, usize::MAX), Some(d));
+                if d > 0 {
+                    assert_eq!(p.distance_within(b, n, d - 1), None, "{a:?} {b:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bit_pattern_spans_a_full_word() {
+        let a = "ab".repeat(32);
+        let b = "ba".repeat(40);
+        let p = BitPattern::new(&a).unwrap();
+        assert_eq!(p.distance_within(&b, 80, 80), Some(levenshtein(&a, &b)));
+        assert!(BitPattern::new(&"x".repeat(65)).is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! latitude and longitude.
 
 use crate::address::{normalize_house_number, normalize_street};
-use crate::levenshtein::{levenshtein_bounded, similarity};
+use crate::levenshtein::{levenshtein_bounded, similarity, BitPattern};
 use crate::point::GeoPoint;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -35,8 +35,11 @@ pub struct StreetMap {
     entries: Vec<StreetEntry>,
     /// normalized street name → indices into `entries`
     by_street: HashMap<String, Vec<usize>>,
-    /// distinct normalized street names (kept for fuzzy scans)
-    street_names: Vec<String>,
+    /// distinct normalized street names with their char counts, in
+    /// insertion order (the order fuzzy scans visit them in)
+    street_names: Vec<(String, usize)>,
+    /// the largest char count in `street_names`
+    longest_name: usize,
 }
 
 /// A fuzzy street-name match.
@@ -72,7 +75,9 @@ impl StreetMap {
             Some(v) => v.push(idx),
             None => {
                 self.by_street.insert(key.clone(), vec![idx]);
-                self.street_names.push(key);
+                let n_len = key.chars().count();
+                self.longest_name = self.longest_name.max(n_len);
+                self.street_names.push((key, n_len));
             }
         }
     }
@@ -103,9 +108,17 @@ impl StreetMap {
     }
 
     /// The best fuzzy match for a (raw) street name, or `None` when no
-    /// street reaches `min_similarity`. Exact normalized matches short-
-    /// circuit; otherwise every distinct street name is scanned with a
-    /// bounded Levenshtein (the bound derived from `min_similarity`).
+    /// street reaches `min_similarity`.
+    ///
+    /// An exact normalized match short-circuits. Otherwise the distinct
+    /// street names are visited in map order and the first one with the
+    /// highest similarity wins. A name is skipped when its length gap alone
+    /// puts it out of reach of the current acceptance test; once a hit
+    /// exists, that test becomes "strictly better than the hit". The
+    /// survivors go to a bounded bit-parallel Levenshtein
+    /// ([`BitPattern`]) for queries of at most 64 chars, and to
+    /// [`levenshtein_bounded`] for longer ones. The result equals a full
+    /// scan with the plain distance (see DESIGN.md, "Street matching").
     pub fn best_match(&self, raw_street: &str, min_similarity: f64) -> Option<StreetMatch> {
         let query = normalize_street(raw_street);
         if query.is_empty() {
@@ -118,30 +131,32 @@ impl StreetMap {
             });
         }
         let q_len = query.chars().count();
-        let mut best: Option<StreetMatch> = None;
-        for name in &self.street_names {
-            let n_len = name.chars().count();
-            let max_len = q_len.max(n_len);
-            // similarity ≥ s  ⇔  distance ≤ (1 − s)·max_len
-            let bound = ((1.0 - min_similarity) * max_len as f64).floor() as usize;
-            if let Some(d) = levenshtein_bounded(&query, name, bound) {
-                let sim = 1.0 - d as f64 / max_len as f64;
-                let better = best
-                    .as_ref()
-                    .map(|b| sim > b.similarity)
-                    .unwrap_or(sim >= min_similarity);
-                if better && sim >= min_similarity {
-                    best = Some(StreetMatch {
-                        street_key: name.clone(),
-                        similarity: sim,
-                    });
-                    if sim == 1.0 {
-                        break;
-                    }
-                }
+        let pattern = BitPattern::new(&query);
+        let mut threshold = Threshold::AtLeast(min_similarity);
+        let mut bounds = DistanceBounds::new(q_len, self.longest_name, threshold);
+        let mut best: Option<(&str, f64)> = None;
+        for (name, n_len) in &self.street_names {
+            let Some(bound) = bounds.bound(*n_len) else {
+                continue;
+            };
+            let distance = match &pattern {
+                Some(p) => p.distance_within(name, *n_len, bound),
+                None => levenshtein_bounded(&query, name, bound),
+            };
+            let Some(d) = distance else {
+                continue;
+            };
+            let sim = 1.0 - d as f64 / q_len.max(*n_len) as f64;
+            if threshold.passes(sim) {
+                best = Some((name, sim));
+                threshold = Threshold::Above(sim);
+                bounds = DistanceBounds::new(q_len, self.longest_name, threshold);
             }
         }
-        best
+        best.map(|(name, sim)| StreetMatch {
+            street_key: name.to_owned(),
+            similarity: sim,
+        })
     }
 
     /// Looks up the entry for `(street_key, house_number)`; when the exact
@@ -184,7 +199,7 @@ impl StreetMap {
         let mut v: Vec<(String, f64)> = self
             .street_names
             .iter()
-            .map(|n| (n.clone(), similarity(&query, n)))
+            .map(|(n, _)| (n.clone(), similarity(&query, n)))
             .collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1));
         v
@@ -272,6 +287,80 @@ impl StreetMap {
     }
 }
 
+/// The similarity test a name must pass to become the new best match.
+#[derive(Debug, Clone, Copy)]
+enum Threshold {
+    /// No hit yet: similarity must reach φ.
+    AtLeast(f64),
+    /// A hit exists: only a strictly higher similarity replaces it, so the
+    /// first of several equal maxima in map order wins. The hit reached φ,
+    /// so anything above it does too.
+    Above(f64),
+}
+
+impl Threshold {
+    fn passes(self, sim: f64) -> bool {
+        match self {
+            Threshold::AtLeast(phi) => sim >= phi,
+            Threshold::Above(hit) => sim > hit,
+        }
+    }
+
+    /// The largest distance `d ≤ max_len` whose similarity
+    /// `1 − d/max_len` passes, or `None` when not even `d = 0` does. It
+    /// runs the same f64 operations as the acceptance check, so the bound
+    /// is exact; both operations are monotone, so the passing distances are
+    /// a prefix of `0..=max_len` and a binary search finds its end.
+    fn max_distance(self, max_len: usize) -> Option<usize> {
+        let passes = |d: usize| self.passes(1.0 - d as f64 / max_len as f64);
+        if !passes(0) {
+            return None;
+        }
+        let (mut lo, mut hi) = (0, max_len);
+        while lo < hi {
+            let mid = hi - (hi - lo) / 2;
+            if passes(mid) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        Some(lo)
+    }
+}
+
+/// The per-query length filter of [`StreetMap::best_match`]: for every
+/// name length still in reach, the largest distance that can pass the
+/// current [`Threshold`].
+struct DistanceBounds {
+    q_len: usize,
+    /// `by_max_len[i]` is the bound for names whose longer side
+    /// (`max(q_len, n_len)`) is `q_len + i`; longer names are out of reach.
+    by_max_len: Vec<usize>,
+}
+
+impl DistanceBounds {
+    fn new(q_len: usize, longest_name: usize, threshold: Threshold) -> Self {
+        let mut by_max_len = Vec::new();
+        for max_len in q_len..=longest_name.max(q_len) {
+            match threshold.max_distance(max_len) {
+                // The length gap grows by one per char while the bound grows
+                // by at most one, so the first length out of reach ends it.
+                Some(bound) if max_len - q_len <= bound => by_max_len.push(bound),
+                _ => break,
+            }
+        }
+        DistanceBounds { q_len, by_max_len }
+    }
+
+    /// The distance bound for a name of `n_len` chars, or `None` when the
+    /// length gap alone exceeds it.
+    fn bound(&self, n_len: usize) -> Option<usize> {
+        let bound = *self.by_max_len.get(n_len.saturating_sub(self.q_len))?;
+        (self.q_len.abs_diff(n_len) <= bound).then_some(bound)
+    }
+}
+
 /// Extracts the leading integer of a house number (`"12/B"` → 12).
 fn leading_number(s: &str) -> Option<u64> {
     let digits: String = s.chars().take_while(|c| c.is_ascii_digit()).collect();
@@ -351,6 +440,32 @@ mod tests {
         // "via romaa" (1 edit from "via roma", 2 from "via romita")
         let hit = m.best_match("via romaa", 0.7).unwrap();
         assert_eq!(hit.street_key, "via roma");
+    }
+
+    #[test]
+    fn similarity_exactly_phi_is_accepted() {
+        // 1 − 1/10 is 0.9 in f64, but (1 − 0.9)·10 is 0.999…98, so a bound
+        // computed as floor((1 − φ)·max_len) would be 0 and miss the hit.
+        let m = StreetMap::from_entries(vec![entry("Via Romana", "1", "10121", 45.0, 7.6)]);
+        let hit = m.best_match("via romanx", 0.9).unwrap();
+        assert_eq!(hit.street_key, "via romana");
+        assert_eq!(hit.similarity, 0.9);
+        // φ = 0.8: two edits in ten chars.
+        let hit = m.best_match("via romaxx", 0.8).unwrap();
+        assert_eq!(hit.similarity, 1.0 - 2.0 / 10.0);
+        assert!(m.best_match("via romxxx", 0.8).is_none());
+    }
+
+    #[test]
+    fn equal_similarities_keep_the_first_name_in_map_order() {
+        let m = StreetMap::from_entries(vec![
+            entry("Via Rosa", "1", "1", 45.0, 7.6),
+            entry("Via Roma", "1", "1", 45.0, 7.6),
+            entry("Via Rota", "1", "1", 45.0, 7.6),
+        ]);
+        let hit = m.best_match("via rona", 0.8).unwrap();
+        assert_eq!(hit.street_key, "via rosa");
+        assert_eq!(hit.similarity, 1.0 - 1.0 / 8.0);
     }
 
     #[test]

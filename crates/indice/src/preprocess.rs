@@ -631,10 +631,7 @@ fn clean_geospatial(
     // The geocoder fallback: more tolerant than the local φ match, but
     // quota-limited (§2.1.1). Ground truth is the referenced map itself —
     // what a production geocoder effectively holds.
-    let geocoder = QuotaGeocoder::new(
-        SimulatedGeocoder::new(street_map.clone(), 0.55, 0.02),
-        quota,
-    );
+    let geocoder = QuotaGeocoder::new(SimulatedGeocoder::new(street_map, 0.55, 0.02), quota);
     // Engine dispatch: the columnar path deduplicates the Levenshtein
     // scan per distinct street string; its output is bitwise identical
     // (gated by tests/columnar.rs), so the choice never leaks downstream.

@@ -95,8 +95,7 @@ fn main() {
     );
     for quota in [0usize, 100, 500, 2_000, 10_000] {
         let cfg = CleaningConfig::default();
-        let geocoder =
-            QuotaGeocoder::new(SimulatedGeocoder::new(reference.clone(), 0.55, 0.02), quota);
+        let geocoder = QuotaGeocoder::new(SimulatedGeocoder::new(reference, 0.55, 0.02), quota);
         let geo: Option<&dyn epc_geo::geocode::Geocoder> =
             if quota > 0 { Some(&geocoder) } else { None };
         let (cleaned, report) = clean_addresses(&queries, reference, geo, &cfg);

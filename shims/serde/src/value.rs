@@ -525,12 +525,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance by whole UTF-8 characters.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or backslash
+                    // at once. Both are ASCII, so the run ends on a char
+                    // boundary and is validated on its own, not together
+                    // with the rest of the document.
+                    let rest = &self.bytes[self.pos..];
+                    let run_len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..run_len])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += run_len;
                 }
             }
         }
@@ -643,5 +650,41 @@ mod tests {
     fn unicode_survives() {
         let v = Value::Str("Torino è bella — città".to_string());
         assert_eq!(parse_str(&v.to_compact_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_chars_next_to_escapes_and_the_closing_quote() {
+        for s in [
+            "è\"à",
+            "\\città\\",
+            "é\n",
+            "\tü",
+            "—",
+            "ü\"",
+            "\"ü",
+            "日本\\語",
+        ] {
+            let v = Value::Str(s.to_string());
+            assert_eq!(parse_str(&v.to_compact_string()).unwrap(), v, "{s:?}");
+        }
+        let v = parse_str(r#"["città","èè","ü\\"]"#).unwrap();
+        assert_eq!(v[0], "città");
+        assert_eq!(v[1], "èè");
+        assert_eq!(v[2], "ü\\");
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        let s: String = "via roma è \"lunga\"\\ ".repeat(60_000);
+        assert!(s.len() >= 1 << 20);
+        let v = Value::Str(s);
+        assert_eq!(parse_str(&v.to_compact_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn truncated_strings_are_errors() {
+        for text in [r#""abc"#, r#""città"#, r#""ab\"#, r#"{"k":"v"#, r#""\u00e"#] {
+            assert!(parse_str(text).is_err(), "{text:?}");
+        }
     }
 }

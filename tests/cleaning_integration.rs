@@ -151,7 +151,7 @@ fn geocoder_quota_rescues_unresolved_addresses() {
     );
 
     let geocoder = QuotaGeocoder::new(
-        SimulatedGeocoder::new(c.city.street_map.clone(), 0.55, 0.0),
+        SimulatedGeocoder::new(&c.city.street_map, 0.55, 0.0),
         10_000,
     );
     let (_, with) = clean_addresses(&queries, &c.city.street_map, Some(&geocoder), &cfg);

@@ -276,14 +276,10 @@ mod components_25k {
         for threads in [1, 2, 8] {
             let runtime = RuntimeConfig::new(threads);
             // Fresh geocoders per engine: the quota counter is stateful.
-            let geo_row = QuotaGeocoder::new(
-                SimulatedGeocoder::new(c.city.street_map.clone(), 0.55, 0.0),
-                500,
-            );
-            let geo_col = QuotaGeocoder::new(
-                SimulatedGeocoder::new(c.city.street_map.clone(), 0.55, 0.0),
-                500,
-            );
+            let geo_row =
+                QuotaGeocoder::new(SimulatedGeocoder::new(&c.city.street_map, 0.55, 0.0), 500);
+            let geo_col =
+                QuotaGeocoder::new(SimulatedGeocoder::new(&c.city.street_map, 0.55, 0.0), 500);
             let (row_cleaned, row_report) = clean_addresses_degradable(
                 &queries,
                 &c.city.street_map,
