@@ -5,7 +5,7 @@
 #
 # Usage: ./ci.sh [stage]
 #   stage: lint | fmt | clippy | tier1 | chaos | crash | obs | fleet |
-#          ingest | columnar
+#          ingest | columnar | bench
 #   (default: all, in order)
 #   lint = the two-phase epc-lint audit: per-line rules D1-D6, then the
 #   call-graph taint rules D7-D9 (transitive panic / wall-clock / entropy
@@ -16,9 +16,9 @@ cd "$(dirname "$0")"
 
 stage="${1:-all}"
 case "$stage" in
-  all|lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|columnar) ;;
+  all|lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|columnar|bench) ;;
   *)
-    echo "usage: $0 [lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|columnar]" >&2
+    echo "usage: $0 [lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|columnar|bench]" >&2
     exit 2
     ;;
 esac
@@ -408,6 +408,14 @@ if want columnar; then
     echo "FAIL: bench snapshot does not record matching engines" >&2
     exit 1
   }
+fi
+
+if want bench; then
+  echo "== bench: perfbench builds against the workspace and passes its checks =="
+  # perfbench/ is a standalone package with path deps on the repo crates,
+  # so no other stage compiles it. Its test runs all three workloads at
+  # 1/50 scale, untraced and traced, with every check.
+  cargo test -q --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "CI OK ($stage)"

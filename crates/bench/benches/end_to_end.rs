@@ -25,13 +25,15 @@ fn bench_end_to_end(c: &mut Criterion) {
     // wall time goes per block.
     let mut big = engine(25_000);
     big.set_runtime(RuntimeConfig::sequential());
-    let (out, serial_report) = big
-        .run_detailed(Stakeholder::PublicAdministration)
+    let out = big
+        .run(Stakeholder::PublicAdministration)
         .expect("pipeline");
+    let serial_report = &out.report;
     big.set_runtime(RuntimeConfig::new(4));
-    let (_, parallel_report) = big
-        .run_detailed(Stakeholder::PublicAdministration)
-        .expect("pipeline");
+    let parallel_report = big
+        .run(Stakeholder::PublicAdministration)
+        .expect("pipeline")
+        .report;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("\n== End-to-end (25 000 EPCs, PA stakeholder) ==");
     eprintln!("-- threads = 1 --\n{serial_report}");

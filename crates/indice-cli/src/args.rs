@@ -3,6 +3,7 @@
 use epc_faults::{BatchScope, CrashSpec, IngestCrash};
 use epc_query::Stakeholder;
 use indice::generations::RecomputeMode;
+use indice::pipeline::Stage;
 use std::collections::HashMap;
 
 /// Environment variable holding the per-stage deadline budget (ms).
@@ -372,6 +373,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 .get("crash-at")
                 .map(|raw| CrashSpec::parse(raw).map_err(|e| format!("--crash-at: {e}")))
                 .transpose()?;
+            if let Some(spec) = &crash_at {
+                check_stage("--crash-at", spec.stage())?;
+            }
             Ok(Command::Run {
                 data: get("data")?.clone(),
                 streets: get("streets")?.clone(),
@@ -577,14 +581,7 @@ fn parse_fleet(args: &[String]) -> Result<Command, String> {
         .get("kill-stage")
         .cloned()
         .unwrap_or_else(|| "preprocess".to_owned());
-    if !matches!(
-        kill_stage.as_str(),
-        "preprocess" | "analytics" | "dashboard"
-    ) {
-        return Err(format!(
-            "--kill-stage must be preprocess, analytics, or dashboard, got {kill_stage:?}"
-        ));
-    }
+    check_stage("--kill-stage", &kill_stage)?;
     let kill_attempt = match flags.get("kill-attempt").map(String::as_str) {
         None | Some("all") => None,
         Some(raw) => Some(raw.parse().map_err(|e| format!("--kill-attempt: {e}"))?),
@@ -677,6 +674,19 @@ pub fn parse_stage_deadline_ms(raw: Option<&str>) -> Result<Option<u64>, String>
             "{STAGE_DEADLINE_ENV_VAR} must be a positive integer (milliseconds), got {raw:?}"
         )),
     }
+}
+
+/// Checks a stage name given to `flag` against the pipeline's stage
+/// table; an unknown name is rejected with the list of valid ones.
+fn check_stage(flag: &str, stage: &str) -> Result<(), String> {
+    if Stage::from_name(stage).is_some() {
+        return Ok(());
+    }
+    let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
+    Err(format!(
+        "{flag}: unknown stage {stage:?} (expected one of: {})",
+        names.join(", ")
+    ))
 }
 
 /// Parses an optional `[0, 1]` rate flag, defaulting to `0.0`.
@@ -1055,6 +1065,32 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("--crash-at"), "{err}");
         assert!(err.contains("invalid crash spec"), "{err}");
+    }
+
+    #[test]
+    fn crash_at_rejects_a_stage_outside_the_stage_table() {
+        // A misspelled stage would otherwise never fire, and a crash loop
+        // built on it would test nothing.
+        let err = parse_args(&run_args(&[
+            "--out-dir",
+            "o",
+            "--crash-at",
+            "analytcs:before",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--crash-at"), "{err}");
+        assert!(err.contains("\"analytcs\""), "{err}");
+        assert!(
+            err.contains("preprocess, analytics, dashboard"),
+            "the error lists the valid stages: {err}"
+        );
+        for stage in ["preprocess", "analytics", "dashboard"] {
+            let spec = format!("{stage}:before");
+            assert!(
+                parse_args(&run_args(&["--out-dir", "o", "--crash-at", &spec])).is_ok(),
+                "{spec}"
+            );
+        }
     }
 
     #[test]

@@ -168,12 +168,17 @@ fn execute(command: Command) -> Result<ExitCode, String> {
             let street_text =
                 fs::read_to_string(&streets).map_err(|e| format!("reading {streets}: {e}"))?;
             let street_map = StreetMap::from_text(&street_text)?;
-            let result = indice::preprocess::preprocess_with_runtime(
+            let config = IndiceConfig::default();
+            let (result, quarantine) = indice::preprocess::clean_phase(
                 dataset,
                 &street_map,
-                &IndiceConfig::default(),
+                &config,
                 &runtime,
+                None,
+                None,
+                config.geocoder_quota,
             )
+            .and_then(|clean| indice::preprocess::outlier_phase(clean, &config, &runtime, None))
             .map_err(|e| format!("cleaning failed: {e}"))?;
             write_atomic_path(
                 Path::new(&out),
@@ -190,6 +195,7 @@ removed {} outliers; wrote {} rows to {out}",
                 result.removed_rows.len(),
                 result.dataset.n_rows(),
             );
+            println!("{quarantine}");
             Ok(ExitCode::SUCCESS)
         }
         Command::SuggestConfig { data } => {
@@ -743,7 +749,11 @@ fn bench_one(records: usize, seed: u64, engine: epc_runtime::Engine) -> Result<B
     let indice = Indice::from_collection(collection, IndiceConfig::default()).with_runtime(runtime);
     let clock = epc_runtime::WallClock::new();
     let obs = epc_obs::Obs::new(&clock);
-    let output = indice.run_observed(epc_query::Stakeholder::PublicAdministration, &obs);
+    let output = indice.run_supervised(
+        epc_query::Stakeholder::PublicAdministration,
+        None,
+        Some(&obs),
+    );
 
     let total_ms = output.report.total_wall().as_millis() as u64;
     let per_sec = |n: usize, ms: u64| {

@@ -251,6 +251,59 @@ fn corrupt_street_map_is_rejected() {
     cleanup(&dir);
 }
 
+#[test]
+fn clean_quarantines_non_finite_records_like_run() {
+    let dir = tmp_dir("clean-nan");
+    let o = run_cli(&[
+        "generate",
+        "--records",
+        "800",
+        "--seed",
+        "3",
+        "--out-dir",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "generate failed: {}", stderr(&o));
+
+    // Plant one non-finite value: EPC-000004's heated volume.
+    let csv = dir.join("epcs.csv");
+    let text = std::fs::read_to_string(&csv).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let col = lines[0]
+        .split(',')
+        .position(|h| h == "heated_volume")
+        .expect("heated_volume column");
+    let row = lines
+        .iter()
+        .position(|l| l.starts_with("EPC-000004,"))
+        .expect("EPC-000004 row");
+    let mut fields: Vec<&str> = lines[row].split(',').collect();
+    fields[col] = "NaN";
+    lines[row] = fields.join(",");
+    std::fs::write(&csv, lines.join("\n") + "\n").unwrap();
+
+    let cleaned = dir.join("cleaned.csv");
+    let o = run_cli(&[
+        "clean",
+        "--data",
+        csv.to_str().unwrap(),
+        "--streets",
+        dir.join("street_map.txt").to_str().unwrap(),
+        "--out",
+        cleaned.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "clean failed: {}", stderr(&o));
+    let out = std::fs::read_to_string(&cleaned).unwrap();
+    assert!(!out.contains("NaN"), "the non-finite record leaked");
+    assert!(!out.contains("EPC-000004,"), "EPC-000004 was kept");
+    assert!(
+        stdout(&o).contains("quarantine: 1 records (non_finite: 1)"),
+        "{}",
+        stdout(&o)
+    );
+    cleanup(&dir);
+}
+
 fn cleanup(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir);
 }

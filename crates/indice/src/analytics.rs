@@ -70,27 +70,23 @@ impl AnalyticsOutput {
 
 /// Runs the analytics stage over a (cleaned) dataset.
 pub fn analyze(dataset: &Dataset, config: &IndiceConfig) -> Result<AnalyticsOutput, IndiceError> {
-    analyze_with_runtime(dataset, config, &epc_runtime::RuntimeConfig::sequential())
+    analyze_observed(
+        dataset,
+        config,
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
+    )
 }
 
-/// [`analyze`] with an explicit execution runtime: the K-means assignment
-/// loops (elbow sweep and final fit) and the Apriori support counting run
-/// data-parallel under `runtime`, with outputs bitwise identical to the
-/// sequential run.
-pub fn analyze_with_runtime(
-    dataset: &Dataset,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-) -> Result<AnalyticsOutput, IndiceError> {
-    analyze_observed(dataset, config, runtime, None)
-}
-
-/// [`analyze_with_runtime`] with an optional observability bundle:
-/// per-round K-means inertia, the elbow SSE curve, and per-level Apriori
+/// [`analyze`] under an explicit execution runtime, with an optional
+/// observability bundle. The K-means assignment loops (elbow sweep and
+/// final fit) and the Apriori support counting run data-parallel under
+/// `runtime`, with outputs bitwise identical to the sequential run.
+/// Per-round K-means inertia, the elbow SSE curve, and per-level Apriori
 /// candidate/pruned/frequent counts are recorded as trace points and
-/// counters. The analytical output is exactly what the unobserved call
-/// produces; all emission happens orchestrator-side, after the kernels
-/// return.
+/// counters; all emission happens orchestrator-side, after the kernels
+/// return, so the analytical output is exactly what the unobserved call
+/// produces.
 pub fn analyze_observed(
     dataset: &Dataset,
     config: &IndiceConfig,
@@ -111,7 +107,7 @@ pub fn analyze_observed(
 /// one (same basin on stable data), not bitwise identical. Passing `None`
 /// — the ingest `exact` recompute mode — reproduces [`analyze_observed`]
 /// byte for byte.
-pub fn analyze_observed_from(
+pub(crate) fn analyze_observed_from(
     dataset: &Dataset,
     config: &IndiceConfig,
     runtime: &epc_runtime::RuntimeConfig,
@@ -341,29 +337,11 @@ pub fn analyze_observed_from(
 /// The discretizers of a *global* analytics run are reused, so the items
 /// are comparable across regions. Returns `region name → rules`, skipping
 /// regions with fewer than `min_region_size` certificates (tiny regions
-/// yield statistically meaningless supports).
+/// yield statistically meaningless supports). Each region is one coarse
+/// parallel task under `runtime` (regions mine independently; the output
+/// map is reassembled in region-name order, so results never depend on the
+/// thread budget).
 pub fn rules_by_region(
-    dataset: &Dataset,
-    analytics: &AnalyticsOutput,
-    config: &IndiceConfig,
-    level: epc_model::Granularity,
-    min_region_size: usize,
-) -> Result<std::collections::BTreeMap<String, Vec<AssociationRule>>, IndiceError> {
-    rules_by_region_with_runtime(
-        dataset,
-        analytics,
-        config,
-        level,
-        min_region_size,
-        &epc_runtime::RuntimeConfig::sequential(),
-    )
-}
-
-/// [`rules_by_region`] with an explicit execution runtime: each region is
-/// one coarse parallel task (regions mine independently; the output map is
-/// reassembled in region-name order, so results never depend on the thread
-/// budget).
-pub fn rules_by_region_with_runtime(
     dataset: &Dataset,
     analytics: &AnalyticsOutput,
     config: &IndiceConfig,
@@ -676,6 +654,7 @@ mod tests {
             &IndiceConfig::default(),
             epc_model::Granularity::District,
             50,
+            &epc_runtime::RuntimeConfig::sequential(),
         )
         .unwrap();
         assert!(by_district.len() >= 2, "several districts expected");
@@ -710,6 +689,7 @@ mod tests {
             &IndiceConfig::default(),
             epc_model::Granularity::HousingUnit,
             10,
+            &epc_runtime::RuntimeConfig::sequential(),
         )
         .unwrap_err();
         assert!(matches!(err, IndiceError::Config(_)));
@@ -725,6 +705,7 @@ mod tests {
             &IndiceConfig::default(),
             epc_model::Granularity::District,
             usize::MAX,
+            &epc_runtime::RuntimeConfig::sequential(),
         )
         .unwrap();
         assert!(by_district.is_empty());

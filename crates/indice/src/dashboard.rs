@@ -100,48 +100,6 @@ pub fn build_dashboard_with_spec(
     )
 }
 
-/// Builds a *degraded* dashboard when the analytics stage is unavailable:
-/// the map and distribution panels (which need only the cleaned dataset)
-/// still render, and an "Analytics unavailable" panel explains why the
-/// clustering/rules/correlation panels are missing.
-pub fn build_dashboard_degraded(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    stakeholder: Stakeholder,
-    top_k_rules: usize,
-    reasons: &[String],
-) -> Result<DashboardOutput, IndiceError> {
-    build_dashboard_degraded_with_engine(
-        dataset,
-        hierarchy,
-        stakeholder,
-        top_k_rules,
-        reasons,
-        Engine::Row,
-    )
-}
-
-/// [`build_dashboard_degraded`] with an explicit execution engine.
-pub fn build_dashboard_degraded_with_engine(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    stakeholder: Stakeholder,
-    top_k_rules: usize,
-    reasons: &[String],
-    engine: Engine,
-) -> Result<DashboardOutput, IndiceError> {
-    let spec = default_report_spec(stakeholder);
-    build_dashboard_spec_core(
-        dataset,
-        hierarchy,
-        None,
-        &spec,
-        top_k_rules,
-        reasons,
-        engine,
-    )
-}
-
 /// Mean of `value_attr` grouped by `group_attr`, through whichever engine
 /// is selected. Row and columnar results are identical (gated by
 /// `tests/columnar.rs`); the store, when given, must be built from
@@ -160,10 +118,12 @@ fn mean_by_group(
 }
 
 /// The shared dashboard builder. With `analytics = Some(..)` this is the
-/// full §2.3 dashboard; with `None`, analytics-dependent panels are
-/// replaced by one "Analytics unavailable" notice.
+/// full §2.3 dashboard; with `None` it is the *degraded* dashboard: the
+/// map and distribution panels (which need only the cleaned dataset)
+/// still render, and one "Analytics unavailable" panel lists
+/// `degradation_reasons` in place of the analytics-dependent panels.
 #[allow(clippy::too_many_arguments)]
-fn build_dashboard_spec_core(
+pub(crate) fn build_dashboard_spec_core(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,
     analytics: Option<&AnalyticsOutput>,
@@ -400,35 +360,13 @@ pub fn drilldown_series(
     stakeholder: Stakeholder,
     top_k_rules: usize,
 ) -> Result<BTreeMap<String, String>, IndiceError> {
-    drilldown_series_with_runtime(
-        dataset,
-        hierarchy,
-        analytics,
-        stakeholder,
-        top_k_rules,
-        &epc_runtime::RuntimeConfig::sequential(),
-    )
-}
-
-/// [`drilldown_series`] with an explicit execution runtime: each zoom
-/// level renders as one coarse parallel task (the four dashboards share no
-/// state, and the page map is keyed by level name, so the output never
-/// depends on the thread budget).
-pub fn drilldown_series_with_runtime(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    analytics: &AnalyticsOutput,
-    stakeholder: Stakeholder,
-    top_k_rules: usize,
-    runtime: &epc_runtime::RuntimeConfig,
-) -> Result<BTreeMap<String, String>, IndiceError> {
     Ok(drilldown_series_detailed_with_runtime(
         dataset,
         hierarchy,
         analytics,
         stakeholder,
         top_k_rules,
-        runtime,
+        &epc_runtime::RuntimeConfig::sequential(),
     )?
     .into_iter()
     .map(|page| (page.file, page.html))
@@ -448,9 +386,11 @@ pub struct ZoomPage {
     pub markers: usize,
 }
 
-/// [`drilldown_series_with_runtime`], additionally reporting the per-zoom
-/// marker counts for observability. Pages come back in the fixed
-/// [`Granularity::ALL`] order, independent of the thread budget.
+/// The drill-down series under an explicit execution runtime, with the
+/// per-zoom marker counts for observability: each zoom level renders as
+/// one coarse parallel task (the four dashboards share no state), and
+/// pages come back in the fixed [`Granularity::ALL`] order, so the output
+/// never depends on the thread budget.
 pub fn drilldown_series_detailed_with_runtime(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,
@@ -536,24 +476,12 @@ pub fn figure2_maps(
     hierarchy: &RegionHierarchy,
     attribute: &str,
 ) -> Result<BTreeMap<String, String>, IndiceError> {
-    figure2_maps_with_engine(dataset, hierarchy, attribute, Engine::Row)
-}
-
-/// [`figure2_maps`] with an explicit execution engine; the rendered SVGs
-/// are byte-identical either way.
-pub fn figure2_maps_with_engine(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    attribute: &str,
-    engine: Engine,
-) -> Result<BTreeMap<String, String>, IndiceError> {
-    let store = (engine == Engine::Columnar).then(|| dataset.to_columns());
     let mut artifacts = BTreeMap::new();
     let label = response_axis_label(dataset, attribute);
     let points = certificate_points(dataset, attribute)?;
 
     // Upper row: choropleth (neighbourhood) + scatter (single certificate).
-    let rows = mean_by_group(dataset, store.as_ref(), wk::NEIGHBOURHOOD, attribute)?;
+    let rows = mean_by_group(dataset, None, wk::NEIGHBOURHOOD, attribute)?;
     let means: BTreeMap<&str, f64> = rows
         .iter()
         .filter_map(|r| r.values[0].map(|v| (r.group.as_str(), v)))
@@ -789,12 +717,14 @@ mod tests {
     #[test]
     fn degraded_dashboard_keeps_maps_and_explains_the_gap() {
         let (ds, hier, _) = setup();
-        let out = build_dashboard_degraded(
+        let out = build_dashboard_spec_core(
             &ds,
             &hier,
-            Stakeholder::PublicAdministration,
+            None,
+            &default_report_spec(Stakeholder::PublicAdministration),
             10,
             &["stage 'analytics' panicked: injected fault".to_owned()],
+            Engine::Row,
         )
         .unwrap();
         let titles: Vec<&str> = out

@@ -23,18 +23,19 @@ use crate::checkpoint;
 use crate::config::IndiceConfig;
 use crate::error::IndiceError;
 use crate::pipeline::{
-    execute_stage_supervised, finish_outcome, supervised_stages, PipelineContext, RunOutcome,
-    StageDeadline, StageExec,
+    execute_stage_supervised, finish_outcome, PipelineContext, RunOutcome, Stage, StageDeadline,
+    StageExec,
 };
 use crate::preprocess::PreprocessOutput;
 use epc_faults::{CrashSpec, FaultInjector};
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
-use epc_journal::{hash_hex, write_atomic, ArtifactRecord, Journal, StageEntry};
-use epc_model::{csv::to_csv, Dataset, Quarantine};
+use epc_journal::{hash_hex, write_atomic_path, ArtifactRecord, Journal, StageEntry};
+use epc_model::{csv::to_csv, Quarantine};
 use epc_query::stakeholder::Stakeholder;
-use epc_runtime::{PipelineReport, RuntimeConfig, StageReport};
+use epc_runtime::{PipelineReport, StageReport};
 use epc_viz::dashboard::Dashboard;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -142,16 +143,6 @@ pub struct DurableOutput {
     pub recovered_torn_tail: bool,
 }
 
-/// Borrowed engine state a durable run needs ([`crate::engine::Indice`]
-/// fields are private to the engine module).
-pub(crate) struct DurableInputs<'a> {
-    pub dataset: &'a Dataset,
-    pub street_map: &'a StreetMap,
-    pub hierarchy: &'a RegionHierarchy,
-    pub config: IndiceConfig,
-    pub runtime: RuntimeConfig,
-}
-
 fn dur<T>(r: std::io::Result<T>, what: &str) -> Result<T, IndiceError> {
     r.map_err(|e| IndiceError::Durability(format!("{what}: {e}")))
 }
@@ -182,7 +173,6 @@ pub(crate) fn config_fingerprint(
 /// undebuggable when the message only says *why*, not *where*.
 fn validate_prefix(
     entries: &[StageEntry],
-    expected: &[&str],
     config_fp: &str,
     input_hash: &str,
     run_dir: &Path,
@@ -199,15 +189,15 @@ fn validate_prefix(
         )
     };
     for (i, entry) in entries.iter().enumerate() {
-        if i >= expected.len() || entry.seq != i {
+        let Some(expected) = Stage::ALL.get(i).filter(|_| entry.seq == i) else {
             return reject(
                 i,
                 entry,
-                format!("expected seq {i} of {} stages", expected.len()),
+                format!("expected seq {i} of {} stages", Stage::ALL.len()),
             );
-        }
-        if entry.stage != expected[i] {
-            return reject(i, entry, format!("expected stage '{}'", expected[i]));
+        };
+        if entry.stage != expected.name() {
+            return reject(i, entry, format!("expected stage '{}'", expected.name()));
         }
         if entry.config_fingerprint != config_fp {
             return reject(i, entry, "stale config fingerprint".to_owned());
@@ -224,63 +214,71 @@ fn validate_prefix(
     (entries.len(), None)
 }
 
-/// Writes the checkpoints capturing a stage's product, if the product is
-/// present in the context. File paths in the returned records are relative
-/// to the run directory.
-fn commit_checkpoints(
-    name: &str,
-    ctx: &PipelineContext<'_>,
-    run_dir: &Path,
-) -> Result<Option<Vec<ArtifactRecord>>, IndiceError> {
-    let ckpt_dir = run_dir.join(CHECKPOINT_DIR);
-    let under_ckpt = |rec: ArtifactRecord| ArtifactRecord {
-        file: format!("{CHECKPOINT_DIR}/{}", rec.file),
-        ..rec
-    };
-    match name {
-        "preprocess" => {
-            let Some(p) = ctx.preprocess.as_ref() else {
-                return Ok(None);
-            };
-            let text = checkpoint::encode_preprocess(p, &ctx.quarantine);
-            let rec = dur(
-                write_atomic(&ckpt_dir, "preprocess.ckpt.json", text.as_bytes()),
-                "writing preprocess checkpoint",
-            )?;
-            Ok(Some(vec![under_ckpt(rec)]))
-        }
-        "analytics" => {
-            let Some(a) = ctx.analytics.as_ref() else {
-                return Ok(None);
-            };
-            let text = checkpoint::encode_analytics(a);
-            let rec = dur(
-                write_atomic(&ckpt_dir, "analytics.ckpt.json", text.as_bytes()),
-                "writing analytics checkpoint",
-            )?;
-            Ok(Some(vec![under_ckpt(rec)]))
-        }
-        "dashboard" => {
-            let Some(d) = ctx.dashboard.as_ref() else {
-                return Ok(None);
-            };
-            let mut records = Vec::with_capacity(ctx.artifacts.len() + 1);
-            records.push(dur(
-                write_atomic(run_dir, DASHBOARD_FILE, d.render_html().as_bytes()),
-                "writing dashboard.html",
-            )?);
-            for (file, content) in &ctx.artifacts {
-                records.push(dur(
-                    write_atomic(run_dir, file, content.as_bytes()),
-                    "writing artifact",
-                )?);
-            }
-            Ok(Some(records))
-        }
-        other => Err(IndiceError::Internal(format!(
-            "no checkpoint codec for stage '{other}'"
-        ))),
+/// The files a stage's product occupies in a run directory — path
+/// relative to the run directory and content, in journal order — or
+/// `None` when the context holds no product for the stage (a degraded
+/// stage commits no files). The durable runner writes this list; ingest
+/// carries or writes the same list into `current/`. Artifact contents are
+/// borrowed from the context, not copied.
+pub(crate) fn stage_files<'c>(
+    stage: Stage,
+    ctx: &'c PipelineContext<'_>,
+) -> Option<Vec<(String, Cow<'c, str>)>> {
+    let in_ckpt_dir =
+        |name: &str, text: String| vec![(format!("{CHECKPOINT_DIR}/{name}"), text.into())];
+    match stage {
+        Stage::Preprocess => ctx.preprocess.as_ref().map(|p| {
+            in_ckpt_dir(
+                "preprocess.ckpt.json",
+                checkpoint::encode_preprocess(p, &ctx.quarantine),
+            )
+        }),
+        Stage::Analytics => ctx
+            .analytics
+            .as_ref()
+            .map(|a| in_ckpt_dir("analytics.ckpt.json", checkpoint::encode_analytics(a))),
+        Stage::Dashboard => ctx.dashboard.as_ref().map(|d| {
+            let mut files = Vec::with_capacity(ctx.artifacts.len() + 1);
+            files.push((DASHBOARD_FILE.to_owned(), d.render_html().into()));
+            files.extend(
+                ctx.artifacts
+                    .iter()
+                    .map(|(file, content)| (file.clone(), content.as_str().into())),
+            );
+            files
+        }),
     }
+}
+
+/// The journal entry committing stage `seq` of a run: its report counts,
+/// the reasons it degraded the run, and the records of the files holding
+/// its product (`None`: no product — the entry is marked degraded).
+pub(crate) fn stage_entry(
+    seq: usize,
+    stage: Stage,
+    config_fp: &str,
+    input_hash: &str,
+    reasons: Vec<String>,
+    report: &PipelineReport,
+    checkpoints: Option<Vec<ArtifactRecord>>,
+) -> Result<StageEntry, IndiceError> {
+    let sr = report
+        .stages
+        .get(seq)
+        .ok_or_else(|| IndiceError::Internal("stage executed without a report entry".into()))?;
+    Ok(StageEntry {
+        seq,
+        stage: stage.name().to_owned(),
+        config_fingerprint: config_fp.to_owned(),
+        input_hash: input_hash.to_owned(),
+        degraded: checkpoints.is_none(),
+        reasons,
+        records_in: sr.records_in,
+        records_out: sr.records_out,
+        quarantined: sr.quarantined,
+        faults: sr.faults.clone(),
+        checkpoints: checkpoints.unwrap_or_default(),
+    })
 }
 
 /// Truncates a committed checkpoint to half its recorded length — the torn
@@ -299,6 +297,7 @@ pub(crate) fn tear_checkpoint(run_dir: &Path, rec: &ArtifactRecord) -> Result<()
 
 /// Rehydrates a journal-hit stage's product into the context.
 fn rehydrate(
+    stage: Stage,
     entry: &StageEntry,
     ctx: &mut PipelineContext<'_>,
     run_dir: &Path,
@@ -312,59 +311,57 @@ fn rehydrate(
         String::from_utf8(bytes)
             .map_err(|e| IndiceError::Durability(format!("checkpoint for {where_} not UTF-8: {e}")))
     };
+    let first = || {
+        entry.checkpoints.first().ok_or_else(|| {
+            IndiceError::Durability(format!("{} journal entry has no checkpoint", entry.stage))
+        })
+    };
     let decode_err = |e: serde::Error| {
         IndiceError::Durability(format!(
             "decoding {} checkpoint at {where_}: {e}",
             entry.stage
         ))
     };
-    match entry.stage.as_str() {
-        "preprocess" => {
-            let rec = entry.checkpoints.first().ok_or_else(|| {
-                IndiceError::Durability("preprocess journal entry has no checkpoint".into())
-            })?;
+    match stage {
+        Stage::Preprocess => {
             let (out, quarantine) =
-                checkpoint::decode_preprocess(&read(rec)?).map_err(decode_err)?;
+                checkpoint::decode_preprocess(&read(first()?)?).map_err(decode_err)?;
             ctx.preprocess = Some(out);
             ctx.quarantine = quarantine;
         }
-        "analytics" => {
-            let rec = entry.checkpoints.first().ok_or_else(|| {
-                IndiceError::Durability("analytics journal entry has no checkpoint".into())
-            })?;
-            ctx.analytics = Some(checkpoint::decode_analytics(&read(rec)?).map_err(decode_err)?);
+        Stage::Analytics => {
+            ctx.analytics =
+                Some(checkpoint::decode_analytics(&read(first()?)?).map_err(decode_err)?);
         }
-        "dashboard" => {
+        Stage::Dashboard => {
             for rec in &entry.checkpoints {
                 if rec.file != DASHBOARD_FILE {
                     ctx.artifacts.insert(rec.file.clone(), read(rec)?);
                 }
             }
         }
-        other => {
-            return Err(IndiceError::Durability(format!(
-                "journal names unknown stage '{other}'"
-            )))
-        }
     }
     Ok(())
 }
 
-/// Whether the stage's product is present in the context (used to decide
-/// between a checkpointed and a product-less degraded journal entry).
-pub(crate) fn product_present(ctx: &PipelineContext<'_>, name: &str) -> bool {
-    match name {
-        "preprocess" => ctx.preprocess.is_some(),
-        "analytics" => ctx.analytics.is_some(),
-        "dashboard" => ctx.dashboard.is_some(),
-        _ => false,
-    }
+/// Atomically writes one file of a run directory (`rel` is relative to
+/// `run_dir`) and records it under that relative path.
+fn write_run_file(run_dir: &Path, rel: &str, content: &str) -> Result<ArtifactRecord, IndiceError> {
+    let rec = dur(
+        write_atomic_path(&run_dir.join(rel), content.as_bytes()),
+        &format!("writing {rel}"),
+    )?;
+    Ok(ArtifactRecord {
+        file: rel.to_owned(),
+        ..rec
+    })
 }
 
-pub(crate) fn run_durable_inner(
-    inputs: DurableInputs<'_>,
-    stakeholder: Stakeholder,
-    opts: &DurableOptions<'_>,
+/// Runs the stages over `ctx` durably into `opts.run_dir` (see the module
+/// docs); `ctx` carries the engine's inputs and effective configuration.
+pub(crate) fn run_durable_inner<'a>(
+    mut ctx: PipelineContext<'a>,
+    opts: &DurableOptions<'a>,
 ) -> Result<DurableOutput, IndiceError> {
     let run_dir = opts.run_dir.as_path();
     dur(
@@ -372,16 +369,9 @@ pub(crate) fn run_durable_inner(
         "creating run directory",
     )?;
 
-    let config_fp = config_fingerprint(
-        &inputs.config,
-        stakeholder,
-        inputs.street_map,
-        inputs.hierarchy,
-    )?;
-    let input_hash = hash_hex(to_csv(inputs.dataset).as_bytes());
-
-    let stages = supervised_stages();
-    let expected: Vec<&str> = stages.iter().map(|(s, _)| s.name()).collect();
+    let config_fp =
+        config_fingerprint(&ctx.config, ctx.stakeholder, ctx.street_map, ctx.hierarchy)?;
+    let input_hash = hash_hex(to_csv(ctx.dataset).as_bytes());
 
     let journal = Journal::at(run_dir);
     let loaded = dur(
@@ -396,7 +386,7 @@ pub(crate) fn run_durable_inner(
         }
     }
     let (valid, resume_rejection) = if opts.resume {
-        validate_prefix(&entries, &expected, &config_fp, &input_hash, run_dir)
+        validate_prefix(&entries, &config_fp, &input_hash, run_dir)
     } else {
         (0, None)
     };
@@ -410,17 +400,7 @@ pub(crate) fn run_durable_inner(
         )?;
     }
 
-    let mut ctx = PipelineContext::new(
-        inputs.dataset,
-        inputs.street_map,
-        inputs.hierarchy,
-        inputs.config,
-        stakeholder,
-        inputs.runtime,
-    );
-    if let Some(injector) = opts.injector {
-        ctx = ctx.with_injector(injector);
-    }
+    ctx.injector = opts.injector;
     if let Some(obs) = opts.obs {
         ctx = ctx.with_obs(obs);
     }
@@ -428,15 +408,16 @@ pub(crate) fn run_durable_inner(
     let mut reasons: Vec<String> = Vec::new();
     let mut journal_hits = Vec::new();
     let mut replayed = Vec::new();
+    let mut failure = None;
 
-    for (i, (stage, policy)) in stages.iter().enumerate() {
+    for (i, stage) in Stage::ALL.into_iter().enumerate() {
         let name = stage.name();
         if let Some(entry) = entries[..valid].get(i) {
             // Journal hit: the stage's commit is on disk and validated.
             if entry.degraded {
                 ctx.degraded_stages.push(name.to_owned());
             } else {
-                rehydrate(entry, &mut ctx, run_dir)?;
+                rehydrate(stage, entry, &mut ctx, run_dir)?;
             }
             reasons.extend(entry.reasons.iter().cloned());
             if let Some(obs) = ctx.obs {
@@ -462,16 +443,17 @@ pub(crate) fn run_durable_inner(
         }
 
         let crash_here = opts.crash.filter(|spec| spec.stage() == name);
+        let crashed = |spec: &CrashSpec| IndiceError::CrashInjected {
+            stage: name.to_owned(),
+            point: spec.point().to_owned(),
+        };
         if let Some(spec @ CrashSpec::Before { .. }) = crash_here {
-            return Err(IndiceError::CrashInjected {
-                stage: name.to_owned(),
-                point: spec.point().to_owned(),
-            });
+            return Err(crashed(spec));
         }
 
         let exec = execute_stage_supervised(
-            *stage,
-            *policy,
+            stage,
+            stage.policy(),
             &mut ctx,
             &mut report,
             opts.deadline.as_ref(),
@@ -480,50 +462,36 @@ pub(crate) fn run_durable_inner(
         if let Some(obs) = ctx.obs {
             obs.metrics().inc("resume_replayed", 1);
         }
-        let stage_reasons = match &exec {
+        let stage_reasons = match exec {
             StageExec::Succeeded => Vec::new(),
-            StageExec::Degraded(reason) => vec![reason.clone()],
+            StageExec::Degraded(reason) => vec![reason],
             StageExec::Failed(e) => {
-                // A failed required stage commits nothing; the journal keeps
-                // the prefix so a rerun replays from here.
-                let outcome = RunOutcome::Failed(e.clone());
-                return Ok(DurableOutput {
-                    outcome,
-                    report,
-                    preprocess: ctx.preprocess,
-                    analytics: ctx.analytics,
-                    dashboard: ctx.dashboard,
-                    artifacts: ctx.artifacts,
-                    quarantine: ctx.quarantine,
-                    degraded_stages: ctx.degraded_stages,
-                    journal_hits,
-                    replayed,
-                    resume_rejection: resume_rejection.clone(),
-                    recovered_torn_tail,
-                });
+                // A failed required stage commits nothing; the journal
+                // keeps the prefix so a rerun replays from here.
+                failure = Some(e);
+                break;
             }
         };
         reasons.extend(stage_reasons.iter().cloned());
 
         // Commit: checkpoint files first, then the journal line.
-        let checkpoints = commit_checkpoints(name, &ctx, run_dir)?;
-        let sr = report
-            .stages
-            .last()
-            .ok_or_else(|| IndiceError::Internal("stage executed without a report entry".into()))?;
-        let entry = StageEntry {
-            seq: i,
-            stage: name.to_owned(),
-            config_fingerprint: config_fp.clone(),
-            input_hash: input_hash.clone(),
-            degraded: !product_present(&ctx, name),
-            reasons: stage_reasons,
-            records_in: sr.records_in,
-            records_out: sr.records_out,
-            quarantined: sr.quarantined,
-            faults: sr.faults.clone(),
-            checkpoints: checkpoints.unwrap_or_default(),
-        };
+        let checkpoints = stage_files(stage, &ctx)
+            .map(|files| {
+                files
+                    .iter()
+                    .map(|(rel, content)| write_run_file(run_dir, rel, content))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .transpose()?;
+        let entry = stage_entry(
+            i,
+            stage,
+            &config_fp,
+            &input_hash,
+            stage_reasons,
+            &report,
+            checkpoints,
+        )?;
         if let Some(obs) = ctx.obs {
             let bytes: u64 = entry.checkpoints.iter().map(|r| r.bytes).sum();
             obs.point(
@@ -543,21 +511,18 @@ pub(crate) fn run_durable_inner(
                 tear_checkpoint(run_dir, first)?;
             }
             dur(journal.append(&entry), "appending journal entry")?;
-            return Err(IndiceError::CrashInjected {
-                stage: name.to_owned(),
-                point: spec.point().to_owned(),
-            });
+            return Err(crashed(spec));
         }
         dur(journal.append(&entry), "appending journal entry")?;
         if let Some(spec @ CrashSpec::After { .. }) = crash_here {
-            return Err(IndiceError::CrashInjected {
-                stage: name.to_owned(),
-                point: spec.point().to_owned(),
-            });
+            return Err(crashed(spec));
         }
     }
 
-    let outcome = finish_outcome(&ctx, reasons);
+    let outcome = match failure {
+        Some(e) => RunOutcome::Failed(e),
+        None => finish_outcome(&ctx, reasons),
+    };
     Ok(DurableOutput {
         outcome,
         report,

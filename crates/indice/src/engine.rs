@@ -5,15 +5,13 @@ use crate::analytics::AnalyticsOutput;
 use crate::config::IndiceConfig;
 use crate::error::IndiceError;
 use crate::outliers::UnivariateMethod;
-use crate::pipeline::{
-    run_pipeline, run_pipeline_supervised, standard_stages, supervised_stages, PipelineContext,
-    RunOutcome,
-};
+use crate::pipeline::{run_pipeline_supervised, PipelineContext, RunOutcome, Stage, StagePolicy};
 use crate::preprocess::PreprocessOutput;
 use epc_faults::FaultInjector;
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
 use epc_model::{Dataset, Quarantine};
+use epc_obs::Obs;
 use epc_query::config_store::ExpertConfigStore;
 use epc_query::stakeholder::Stakeholder;
 use epc_runtime::{PipelineReport, RuntimeConfig};
@@ -32,6 +30,9 @@ pub struct IndiceOutput {
     pub dashboard: Dashboard,
     /// Standalone artifacts (SVG/GeoJSON/text), file name → content.
     pub artifacts: BTreeMap<String, String>,
+    /// Per-stage instrumentation (wall time, record counts, and
+    /// quarantine accounting per block).
+    pub report: PipelineReport,
 }
 
 /// The result of one supervised (fault-tolerant) pipeline run. Unlike
@@ -162,92 +163,65 @@ impl Indice {
         cfg
     }
 
-    /// Runs the full pipeline for a stakeholder: category selection →
-    /// pre-processing → analytics → dashboard.
-    pub fn run(&self, stakeholder: Stakeholder) -> Result<IndiceOutput, IndiceError> {
-        self.run_detailed(stakeholder).map(|(output, _)| output)
-    }
-
-    /// Like [`Indice::run`], additionally returning the per-stage
-    /// instrumentation report (wall time and record counts per block).
-    pub fn run_detailed(
-        &self,
-        stakeholder: Stakeholder,
-    ) -> Result<(IndiceOutput, PipelineReport), IndiceError> {
-        let config = self.config_with_suggestions();
-        let mut ctx = PipelineContext::new(
+    /// A fresh pipeline context over the engine's inputs and effective
+    /// configuration.
+    fn context(&self, stakeholder: Stakeholder) -> PipelineContext<'_> {
+        PipelineContext::new(
             &self.dataset,
             &self.street_map,
             &self.hierarchy,
-            config,
+            self.config_with_suggestions(),
             stakeholder,
             self.runtime,
-        );
-        let report = run_pipeline(&standard_stages(), &mut ctx)?;
+        )
+    }
+
+    /// Runs the full pipeline for a stakeholder: category selection →
+    /// pre-processing → analytics → dashboard. Every stage is required:
+    /// the first stage error (or panic, as [`IndiceError::StagePanicked`])
+    /// is returned.
+    pub fn run(&self, stakeholder: Stakeholder) -> Result<IndiceOutput, IndiceError> {
+        let mut ctx = self.context(stakeholder);
+        let strict = Stage::ALL.map(|s| (s, StagePolicy::Required));
+        let (outcome, report) = run_pipeline_supervised(&strict, &mut ctx, None);
+        if let RunOutcome::Failed(e) = outcome {
+            return Err(e);
+        }
         let missing = |what: &str| {
             IndiceError::Internal(format!("pipeline ran but produced no {what} output"))
         };
-        let output = IndiceOutput {
+        Ok(IndiceOutput {
             preprocess: ctx.preprocess.ok_or_else(|| missing("preprocess"))?,
             analytics: ctx.analytics.ok_or_else(|| missing("analytics"))?,
             dashboard: ctx.dashboard.ok_or_else(|| missing("dashboard"))?,
             artifacts: ctx.artifacts,
-        };
-        Ok((output, report))
+            report,
+        })
     }
 
-    /// Runs the pipeline under the stage supervisor: stage panics are
-    /// caught, analytics failures degrade the dashboard instead of
-    /// aborting, and quarantined records are accounted for. Never returns
-    /// `Err` — failure is [`RunOutcome::Failed`] inside the output.
-    pub fn run_supervised(&self, stakeholder: Stakeholder) -> SupervisedOutput {
-        self.run_supervised_inner(stakeholder, None, None)
-    }
-
-    /// Like [`Indice::run_supervised`], with a fault injector attached —
-    /// the chaos-testing entry point.
-    pub fn run_supervised_with_faults(
-        &self,
-        stakeholder: Stakeholder,
-        injector: &dyn FaultInjector,
-    ) -> SupervisedOutput {
-        self.run_supervised_inner(stakeholder, Some(injector), None)
-    }
-
-    /// Like [`Indice::run_supervised`], with an observability bundle
-    /// attached: stage spans, kernel trace points, and metrics land in
-    /// `obs`, and stage timers read the bundle's clock. The pipeline
-    /// products are exactly what [`Indice::run_supervised`] produces.
-    pub fn run_observed<'a>(
-        &'a self,
-        stakeholder: Stakeholder,
-        obs: &'a epc_obs::Obs<'a>,
-    ) -> SupervisedOutput {
-        self.run_supervised_inner(stakeholder, None, Some(obs))
-    }
-
-    fn run_supervised_inner<'a>(
+    /// Runs the pipeline under the stage supervisor with each stage's
+    /// [`Stage::policy`]: stage panics are caught, analytics failures
+    /// degrade the dashboard instead of aborting, and quarantined records
+    /// are accounted for. Never returns `Err` — failure is
+    /// [`RunOutcome::Failed`] inside the output.
+    ///
+    /// `injector` attaches deterministic faults (chaos testing); `obs`
+    /// records stage spans, kernel trace points, and metrics, and stage
+    /// timers then read the bundle's clock. Neither changes the products
+    /// of a fault-free run.
+    pub fn run_supervised<'a>(
         &'a self,
         stakeholder: Stakeholder,
         injector: Option<&'a dyn FaultInjector>,
-        obs: Option<&'a epc_obs::Obs<'a>>,
+        obs: Option<&'a Obs<'a>>,
     ) -> SupervisedOutput {
-        let config = self.config_with_suggestions();
-        let mut ctx = PipelineContext::new(
-            &self.dataset,
-            &self.street_map,
-            &self.hierarchy,
-            config,
-            stakeholder,
-            self.runtime,
-        );
-        if let Some(injector) = injector {
-            ctx = ctx.with_injector(injector);
-        }
+        let mut ctx = self.context(stakeholder);
+        ctx.injector = injector;
         if let Some(obs) = obs {
             ctx = ctx.with_obs(obs);
         }
-        let (outcome, report) = run_pipeline_supervised(&supervised_stages(), &mut ctx);
+        let policies = Stage::ALL.map(|s| (s, s.policy()));
+        let (outcome, report) = run_pipeline_supervised(&policies, &mut ctx, None);
         SupervisedOutput {
             outcome,
             report,
@@ -272,17 +246,7 @@ impl Indice {
         stakeholder: Stakeholder,
         opts: &crate::durable::DurableOptions<'_>,
     ) -> Result<crate::durable::DurableOutput, IndiceError> {
-        crate::durable::run_durable_inner(
-            crate::durable::DurableInputs {
-                dataset: &self.dataset,
-                street_map: &self.street_map,
-                hierarchy: &self.hierarchy,
-                config: self.config_with_suggestions(),
-                runtime: self.runtime,
-            },
-            stakeholder,
-            opts,
-        )
+        crate::durable::run_durable_inner(self.context(stakeholder), opts)
     }
 }
 
@@ -326,11 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn run_detailed_reports_the_three_stages() {
+    fn run_reports_the_three_stages() {
         let engine = engine();
-        let (out, report) = engine
-            .run_detailed(Stakeholder::PublicAdministration)
-            .unwrap();
+        let out = engine.run(Stakeholder::PublicAdministration).unwrap();
+        let report = &out.report;
         let names: Vec<&str> = report.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["preprocess", "analytics", "dashboard"]);
         // Counts line up with the pipeline products.

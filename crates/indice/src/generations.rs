@@ -28,11 +28,11 @@
 use crate::checkpoint;
 use crate::config::IndiceConfig;
 use crate::durable::{
-    config_fingerprint, product_present, tear_checkpoint, CHECKPOINT_DIR, DASHBOARD_FILE,
+    config_fingerprint, stage_entry, stage_files, tear_checkpoint, CHECKPOINT_DIR,
 };
 use crate::error::IndiceError;
 use crate::pipeline::{
-    execute_stage_supervised, finish_outcome, supervised_stages, PipelineContext, RunOutcome,
+    execute_stage_supervised, finish_outcome, select_category, PipelineContext, RunOutcome, Stage,
     StageExec,
 };
 use crate::preprocess::{clean_phase, merge_clean_phases, outlier_phase, CleanPhase};
@@ -43,12 +43,9 @@ use epc_ingest::{
     gen_dir_name, write_delta, GenerationEntry, GenerationManifest, GenerationOutcome, CURRENT_DIR,
     GENESIS, GENS_DIR,
 };
-use epc_journal::{encode_lines, hash_hex, ArtifactRecord, StageEntry, MANIFEST_FILE};
+use epc_journal::{encode_lines, hash_hex, ArtifactRecord, MANIFEST_FILE};
 use epc_model::csv::to_csv;
-use epc_model::wellknown as wk;
 use epc_model::Dataset;
-use epc_query::predicate::Predicate;
-use epc_query::query::Query;
 use epc_query::stakeholder::Stakeholder;
 use epc_runtime::{PipelineReport, RuntimeConfig, StageReport};
 use std::collections::{BTreeMap, BTreeSet};
@@ -263,16 +260,6 @@ fn record_for(file: &str, contents: &str) -> ArtifactRecord {
         file: file.to_owned(),
         sha256: hash_hex(contents.as_bytes()),
         bytes: contents.len() as u64,
-    }
-}
-
-/// Category selection, mirroring `PreprocessStage` exactly (the ingest
-/// equivalence depends on selection commuting with concatenation, which
-/// holds because it is a row-wise filter).
-fn select_category(dataset: &Dataset, config: &IndiceConfig) -> Result<Dataset, IndiceError> {
-    match &config.building_category {
-        Some(cat) => Ok(Query::filtered(Predicate::eq(wk::BUILDING_CATEGORY, cat)).run(dataset)?),
-        None => Ok(dataset.clone()),
     }
 }
 
@@ -516,8 +503,9 @@ pub fn ingest(
 
         // Per-batch clean phase. A batch nothing survives is abandoned:
         // its generation records the reason, and neither the cumulative
-        // state nor `current/` changes.
-        let selected = select_category(&batch.dataset, &inputs.config)?;
+        // state nor `current/` changes. Per-batch selection records no
+        // store metrics.
+        let selected = select_category(&batch.dataset, &inputs.config, &inputs.runtime, None)?;
         let quota = inputs.config.geocoder_quota.saturating_sub(quota_used);
         let cleaned = if selected.is_empty() {
             Err(format!(
@@ -622,9 +610,7 @@ pub fn ingest(
                     stakeholder,
                     inputs.runtime,
                 );
-                if let Some(inj) = injector {
-                    ctx = ctx.with_injector(inj);
-                }
+                ctx.injector = injector;
                 if let Some(obs) = opts.obs {
                     ctx = ctx.with_obs(obs);
                 }
@@ -638,7 +624,7 @@ pub fn ingest(
                 // one-shot run over the concatenated input records.
                 let mut report = PipelineReport::new(inputs.runtime.threads);
                 report.push(StageReport {
-                    name: "preprocess".to_owned(),
+                    name: Stage::Preprocess.name().to_owned(),
                     wall: Duration::ZERO,
                     records_in: merged_input_rows,
                     records_out: ctx
@@ -652,11 +638,16 @@ pub fn ingest(
 
                 // Analytics + dashboard over the cumulative data, under
                 // the same supervisor policies as a one-shot run.
-                let stages = supervised_stages();
                 let mut stage_reasons: Vec<Vec<String>> = vec![Vec::new()];
                 let mut stage_failed = None;
-                for (stage, policy) in &stages[1..] {
-                    match execute_stage_supervised(*stage, *policy, &mut ctx, &mut report, None) {
+                for stage in [Stage::Analytics, Stage::Dashboard] {
+                    match execute_stage_supervised(
+                        stage,
+                        stage.policy(),
+                        &mut ctx,
+                        &mut report,
+                        None,
+                    ) {
                         StageExec::Succeeded => stage_reasons.push(Vec::new()),
                         StageExec::Degraded(reason) => stage_reasons.push(vec![reason]),
                         StageExec::Failed(e) => {
@@ -679,69 +670,36 @@ pub fn ingest(
                     warm_centroids = ctx.analytics.as_ref().map(|a| a.kmeans.centroids.clone());
                 }
 
-                // Compose the full `current/` file set (content-first so
-                // unchanged files can be carried without rewriting).
-                let mut files: Vec<(String, String)> = Vec::new();
-                let mut stage_ckpts: Vec<Vec<ArtifactRecord>> = Vec::new();
+                // The full `current/` file set of a one-shot run directory
+                // (content-first so unchanged files can be carried without
+                // rewriting), plus the cumulative journal: byte-identical
+                // to the one a one-shot durable run would have appended.
+                let mut files = Vec::new();
+                let mut journal = Vec::with_capacity(Stage::ALL.len());
+                for ((seq, stage), reasons) in
+                    Stage::ALL.into_iter().enumerate().zip(stage_reasons.iter())
                 {
-                    let pre_ref = ctx.preprocess.as_ref().ok_or_else(|| {
-                        IndiceError::Internal("preprocess product missing".into())
-                    })?;
-                    let path = format!("{CHECKPOINT_DIR}/preprocess.ckpt.json");
-                    let text = checkpoint::encode_preprocess(pre_ref, &ctx.quarantine);
-                    stage_ckpts.push(vec![record_for(&path, &text)]);
-                    files.push((path, text));
-                }
-                match ctx.analytics.as_ref() {
-                    Some(a) => {
-                        let path = format!("{CHECKPOINT_DIR}/analytics.ckpt.json");
-                        let text = checkpoint::encode_analytics(a);
-                        stage_ckpts.push(vec![record_for(&path, &text)]);
-                        files.push((path, text));
-                    }
-                    None => stage_ckpts.push(Vec::new()),
-                }
-                match ctx.dashboard.as_ref() {
-                    Some(d) => {
-                        let mut recs = Vec::with_capacity(ctx.artifacts.len() + 1);
-                        let html = d.render_html();
-                        recs.push(record_for(DASHBOARD_FILE, &html));
-                        files.push((DASHBOARD_FILE.to_owned(), html));
-                        for (file, content) in &ctx.artifacts {
-                            recs.push(record_for(file, content));
-                            files.push((file.clone(), content.clone()));
-                        }
-                        stage_ckpts.push(recs);
-                    }
-                    None => stage_ckpts.push(Vec::new()),
-                }
-
-                // The cumulative journal: byte-identical to the one a
-                // one-shot durable run would have appended.
-                let mut journal = Vec::with_capacity(stages.len());
-                for (si, ((stage, _), ckpts)) in stages.iter().zip(&stage_ckpts).enumerate() {
-                    let name = stage.name();
-                    let sr = report.stages.get(si).ok_or_else(|| {
-                        IndiceError::Internal("stage executed without a report entry".into())
-                    })?;
-                    journal.push(StageEntry {
-                        seq: si,
-                        stage: name.to_owned(),
-                        config_fingerprint: config_fp.clone(),
-                        input_hash: cumulative_input_hash.clone(),
-                        degraded: !product_present(&ctx, name),
-                        reasons: stage_reasons.get(si).cloned().unwrap_or_default(),
-                        records_in: sr.records_in,
-                        records_out: sr.records_out,
-                        quarantined: sr.quarantined,
-                        faults: sr.faults.clone(),
-                        checkpoints: ckpts.clone(),
+                    let product = stage_files(stage, &ctx);
+                    let checkpoints = product.as_ref().map(|fs| {
+                        fs.iter()
+                            .map(|(file, content)| record_for(file, content))
+                            .collect()
                     });
+                    journal.push(stage_entry(
+                        seq,
+                        stage,
+                        &config_fp,
+                        &cumulative_input_hash,
+                        reasons.clone(),
+                        &report,
+                        checkpoints,
+                    )?);
+                    files.extend(product.into_iter().flatten());
                 }
                 let journal_text = encode_lines(&journal).map_err(|e| {
                     IndiceError::Durability(format!("serializing journal entries: {e}"))
                 })?;
-                files.push((MANIFEST_FILE.to_owned(), journal_text));
+                files.push((MANIFEST_FILE.to_owned(), journal_text.into()));
 
                 // Write changed files, carry the rest; drop leftovers so
                 // `current/` stays tree-identical to a one-shot run dir.

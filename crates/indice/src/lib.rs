@@ -21,23 +21,27 @@
 //!    frequency distributions, rule tables and correlation matrices,
 //!    assembled into self-contained HTML + GeoJSON artifacts (§2.3).
 //!
-//! The stages are first-class [`pipeline::Stage`] values executed over a
-//! shared [`pipeline::PipelineContext`] by a staged executor that times
-//! every block and runs each block's hot loops data-parallel through
-//! [`epc_runtime`] — deterministically: outputs are bitwise identical for
-//! any thread budget (set it with `INDICE_THREADS` or
-//! [`engine::Indice::with_runtime`]).
+//! The stages are the variants of [`pipeline::Stage`], executed over a
+//! shared [`pipeline::PipelineContext`] by one supervised executor that
+//! every run mode shares — in-memory, durable/resumable, multi-city fleet,
+//! and incremental ingest. It times every block and runs each block's hot
+//! loops data-parallel through [`epc_runtime`] — deterministically:
+//! outputs are bitwise identical for any thread budget (set it with
+//! `INDICE_THREADS` or [`engine::Indice::with_runtime`]).
 //!
 //! The pipeline is fault-tolerant: malformed records are diverted into a
 //! typed [`epc_model::Quarantine`] instead of panicking, transient
 //! geocoder failures are retried with deterministic backoff (falling back
 //! to district centroids once the budget is exhausted), and
-//! [`engine::Indice::run_supervised`] wraps the stages in a supervisor
-//! that converts stage failures into graceful degradation — an analytics
-//! failure still yields a dashboard with maps and distributions plus an
-//! "analytics unavailable" panel, and the [`pipeline::RunOutcome`] says
-//! whether the run was complete, degraded, or failed. The companion
-//! `epc-faults` crate injects deterministic faults for chaos testing.
+//! [`engine::Indice::run_supervised`] applies each stage's
+//! [`pipeline::StagePolicy`], converting stage failures into graceful
+//! degradation — an analytics failure still yields a dashboard with maps
+//! and distributions plus an "analytics unavailable" panel, and the
+//! [`pipeline::RunOutcome`] says whether the run was complete, degraded,
+//! or failed. [`engine::Indice::run`] is the strict variant (every stage
+//! required), and [`engine::Indice::run_durable`] checkpoints each stage
+//! into a resumable run directory. The companion `epc-faults` crate
+//! injects deterministic faults for chaos testing.
 //!
 //! The [`engine::Indice`] type ties the stages together:
 //!
@@ -92,7 +96,6 @@ pub use generations::{
 };
 pub use outliers::UnivariateMethod;
 pub use pipeline::{
-    run_pipeline, run_pipeline_supervised, run_pipeline_supervised_with, supervised_stages,
-    AnalyticsStage, DashboardStage, PipelineContext, PreprocessStage, RunOutcome, Stage,
-    StageDeadline, StagePolicy, StageStats,
+    run_pipeline_supervised, PipelineContext, RunOutcome, Stage, StageDeadline, StagePolicy,
+    StageStats,
 };

@@ -1,33 +1,35 @@
-//! The staged pipeline executor behind [`crate::engine::Indice`].
+//! The staged pipeline executor behind every INDICE run mode.
 //!
 //! The paper's Figure-1 architecture is three sequential blocks. This
-//! module makes each block a first-class [`Stage`] over a shared
-//! [`PipelineContext`], so stages can be instrumented, re-run with a
-//! changed configuration, or skipped when their inputs are already cached
-//! in the context — without re-running the whole pipeline.
+//! module makes each block a [`Stage`] over a shared [`PipelineContext`],
+//! so stages can be instrumented, re-run with a changed configuration, or
+//! skipped when their inputs are already cached in the context — without
+//! re-running the whole pipeline.
 //!
-//! [`run_pipeline`] executes a stage sequence, timing each stage with
-//! [`epc_runtime::StageTimer`] and collecting a per-stage
+//! [`Stage`] is the one stage table: its exhaustive matches say what each
+//! block runs, which [`StagePolicy`] the supervisor applies to it, and
+//! which context product it owns. `execute_stage_supervised` is the one
+//! executor: every run mode — [`crate::engine::Indice::run`], the
+//! supervised run, the durable run (and through it the fleet), and
+//! incremental ingest — executes its stages through it, which times each
+//! stage with [`epc_runtime::StageTimer`] into a per-stage
 //! [`epc_runtime::PipelineReport`]. All intra-stage data-parallelism goes
 //! through [`epc_runtime`]'s deterministic primitives, so a pipeline run
 //! produces bitwise-identical outputs for any thread budget.
 
 use crate::analytics::AnalyticsOutput;
 use crate::config::IndiceConfig;
-use crate::dashboard::{
-    build_dashboard_degraded_with_engine, build_dashboard_with_engine,
-    drilldown_series_detailed_with_runtime,
-};
+use crate::dashboard::{build_dashboard_spec_core, drilldown_series_detailed_with_runtime};
 use crate::error::IndiceError;
-use crate::preprocess::{preprocess_observed, PreprocessOutput};
+use crate::preprocess::{clean_phase, outlier_phase, PreprocessOutput};
 use epc_faults::FaultInjector;
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
 use epc_model::{wellknown as wk, Dataset, Quarantine};
-use epc_obs::{Obs, SpanGuard};
+use epc_obs::Obs;
 use epc_query::predicate::Predicate;
 use epc_query::query::Query;
-use epc_query::stakeholder::Stakeholder;
+use epc_query::stakeholder::{default_report_spec, Stakeholder};
 use epc_runtime::{Clock, PipelineReport, RuntimeConfig, StageTimer};
 use epc_viz::dashboard::Dashboard;
 use std::collections::BTreeMap;
@@ -112,13 +114,6 @@ impl<'a> PipelineContext<'a> {
         }
     }
 
-    /// Attaches a fault injector; stages consult it at record, geocode,
-    /// and stage boundaries.
-    pub fn with_injector(mut self, injector: &'a dyn FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
     /// Swaps the clock stage timers read (deterministic timing under
     /// [`epc_runtime::ManualClock`]).
     pub fn with_clock(mut self, clock: &'a dyn Clock) -> Self {
@@ -154,168 +149,188 @@ pub struct StageStats {
     pub records_out: usize,
 }
 
-/// One pipeline block: reads its inputs from the context, writes its
-/// product back, and reports record counts.
-pub trait Stage {
-    /// The stage name shown in [`PipelineReport`]s.
-    fn name(&self) -> &'static str;
+/// One pipeline block. The variants, in [`Stage::ALL`] order, are the
+/// standard three-block sequence of Figure 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Stage 1 — category selection (§2.2.1) followed by geospatial
+    /// cleaning and outlier removal (§2.1). Fills
+    /// [`PipelineContext::preprocess`].
+    Preprocess,
+    /// Stage 2 — correlation screening, clustering, discretization, and
+    /// rule mining (§2.2). Fills [`PipelineContext::analytics`].
+    Analytics,
+    /// Stage 3 — the stakeholder dashboard plus the per-zoom drill-down
+    /// pages and standalone artifacts (§2.3). Fills
+    /// [`PipelineContext::dashboard`] and [`PipelineContext::artifacts`].
+    Dashboard,
+}
+
+impl Stage {
+    /// Every stage, in execution order.
+    pub const ALL: [Stage; 3] = [Stage::Preprocess, Stage::Analytics, Stage::Dashboard];
+
+    /// The stage name shown in reports, journals, spans, and metrics.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Preprocess => "preprocess",
+            Stage::Analytics => "analytics",
+            Stage::Dashboard => "dashboard",
+        }
+    }
+
+    /// The stage called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<Stage> {
+        Stage::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    /// The supervisor's failure policy: preprocessing and the dashboard
+    /// are load-bearing, analytics can be skipped (the dashboard then
+    /// renders maps and distributions without cluster panels).
+    pub fn policy(self) -> StagePolicy {
+        match self {
+            Stage::Preprocess | Stage::Dashboard => StagePolicy::Required,
+            Stage::Analytics => StagePolicy::Degradable,
+        }
+    }
 
     /// Executes the stage over `ctx`.
-    fn run(&self, ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError>;
-}
-
-/// Stage 1 — category selection (§2.2.1) followed by geospatial cleaning
-/// and outlier removal (§2.1). Fills [`PipelineContext::preprocess`].
-pub struct PreprocessStage;
-
-impl Stage for PreprocessStage {
-    fn name(&self) -> &'static str {
-        "preprocess"
+    pub fn run(self, ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
+        match self {
+            Stage::Preprocess => run_preprocess(ctx),
+            Stage::Analytics => run_analytics(ctx),
+            Stage::Dashboard => run_dashboard(ctx),
+        }
     }
 
-    fn run(&self, ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
-        // Data selection: the case study filters on E.1.1. Under the
-        // columnar engine the predicate runs as a selection-bitmap scan
-        // with zone-map block skipping; matching rows are identical.
-        let selected = match &ctx.config.building_category {
-            Some(cat) => {
-                let query = Query::filtered(Predicate::eq(wk::BUILDING_CATEGORY, cat));
-                match ctx.runtime.engine {
-                    epc_runtime::Engine::Row => query.run(ctx.dataset)?,
-                    epc_runtime::Engine::Columnar => {
-                        let store = epc_columnar::DatasetColumnarExt::to_columns(ctx.dataset);
-                        let mut scan = epc_columnar::ScanStats::default();
-                        let rows =
-                            epc_query::columnar::matching_rows_columnar(&query, &store, &mut scan)?;
-                        if let Some(obs) = ctx.obs {
-                            crate::columnar::record_store_stats(obs, &store.stats());
-                            crate::columnar::record_scan_stats(obs, &scan);
-                        }
-                        ctx.dataset.select_rows(&rows)?
-                    }
-                }
-            }
-            None => ctx.dataset.clone(),
-        };
-        if selected.is_empty() {
-            return Err(IndiceError::EmptyCollection("category selection"));
-        }
-        let records_in = selected.n_rows();
-        let quarantined_before = ctx.quarantine.len();
-        let (out, quarantine) = preprocess_observed(
-            selected,
-            ctx.street_map,
-            &ctx.config,
-            &ctx.runtime,
-            ctx.injector,
-            ctx.obs,
-        )?;
-        let records_out = out.dataset.n_rows();
-        ctx.preprocess = Some(out);
-        ctx.quarantine.merge(quarantine);
-        if let Some(obs) = ctx.obs {
-            // Per-rule quarantine counters (kind → count this invocation).
-            for (kind, n) in ctx.quarantine.histogram_from(quarantined_before) {
-                obs.metrics().inc(&format!("quarantine_{kind}"), n as u64);
+    /// Drops the product the stage wrote into the context, so downstream
+    /// stages (and resumed runs) behave exactly as if it had failed
+    /// outright.
+    fn discard_product(self, ctx: &mut PipelineContext<'_>) {
+        match self {
+            Stage::Preprocess => ctx.preprocess = None,
+            Stage::Analytics => ctx.analytics = None,
+            Stage::Dashboard => {
+                ctx.dashboard = None;
+                ctx.artifacts.clear();
             }
         }
-        Ok(StageStats {
-            records_in,
-            records_out,
-        })
     }
 }
 
-/// Stage 2 — correlation screening, clustering, discretization, and rule
-/// mining (§2.2). Fills [`PipelineContext::analytics`].
-pub struct AnalyticsStage;
-
-impl Stage for AnalyticsStage {
-    fn name(&self) -> &'static str {
-        "analytics"
-    }
-
-    fn run(&self, ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
-        let cleaned = ctx.cleaned_dataset()?;
-        let records_in = cleaned.n_rows();
-        let warm = ctx.warm_centroids.as_ref();
-        let out = crate::analytics::analyze_observed_from(
-            cleaned,
-            &ctx.config,
-            &ctx.runtime,
-            ctx.obs,
-            warm,
-        )?;
-        let records_out = out.feature_rows.len();
-        ctx.analytics = Some(out);
-        Ok(StageStats {
-            records_in,
-            records_out,
-        })
+/// Data selection (§2.2.1): the rows of the configured building category
+/// (the case study filters on E.1.1), or every row when none is set. Under
+/// the columnar engine the predicate runs as a selection-bitmap scan with
+/// zone-map block skipping; matching rows are identical. Selection is a
+/// row-wise filter, so it commutes with concatenation — which lets ingest
+/// select per batch.
+pub(crate) fn select_category(
+    dataset: &Dataset,
+    config: &IndiceConfig,
+    runtime: &RuntimeConfig,
+    obs: Option<&Obs<'_>>,
+) -> Result<Dataset, IndiceError> {
+    let Some(cat) = &config.building_category else {
+        return Ok(dataset.clone());
+    };
+    let query = Query::filtered(Predicate::eq(wk::BUILDING_CATEGORY, cat));
+    match runtime.engine {
+        epc_runtime::Engine::Row => Ok(query.run(dataset)?),
+        epc_runtime::Engine::Columnar => {
+            let store = epc_columnar::DatasetColumnarExt::to_columns(dataset);
+            let mut scan = epc_columnar::ScanStats::default();
+            let rows = epc_query::columnar::matching_rows_columnar(&query, &store, &mut scan)?;
+            if let Some(obs) = obs {
+                crate::columnar::record_store_stats(obs, &store.stats());
+                crate::columnar::record_scan_stats(obs, &scan);
+            }
+            Ok(dataset.select_rows(&rows)?)
+        }
     }
 }
 
-/// Stage 3 — the stakeholder dashboard plus the per-zoom drill-down pages
-/// and standalone artifacts (§2.3). Fills [`PipelineContext::dashboard`]
-/// and [`PipelineContext::artifacts`].
-pub struct DashboardStage;
-
-impl Stage for DashboardStage {
-    fn name(&self) -> &'static str {
-        "dashboard"
+fn run_preprocess(ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
+    let selected = select_category(ctx.dataset, &ctx.config, &ctx.runtime, ctx.obs)?;
+    if selected.is_empty() {
+        return Err(IndiceError::EmptyCollection("category selection"));
     }
-
-    fn run(&self, ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
-        let cleaned = ctx.cleaned_dataset()?;
-        let records_in = cleaned.n_rows();
-        let Some(analytics) = ctx.analytics.as_ref() else {
-            // A missing analytics product is an ordering error — unless the
-            // supervisor degraded that stage, in which case the dashboard
-            // still renders its analytics-free panels.
-            if ctx.degraded_stages.is_empty() {
-                return Err(IndiceError::EmptyCollection("analytics stage not run"));
-            }
-            let reasons: Vec<String> = ctx
-                .degraded_stages
-                .iter()
-                .map(|s| format!("stage '{s}' failed and was skipped"))
-                .collect();
-            let out = build_dashboard_degraded_with_engine(
-                cleaned,
-                ctx.hierarchy,
-                ctx.stakeholder,
-                ctx.config.rule_stage.top_k,
-                &reasons,
-                ctx.runtime.engine,
-            )?;
-            if let Some(obs) = ctx.obs {
-                obs.point("dashboard:main", &[("markers", out.n_markers.into())]);
-                obs.metrics()
-                    .inc("dashboard_markers_main", out.n_markers as u64);
-            }
-            let records_out = out.artifacts.len();
-            ctx.artifacts = out.artifacts;
-            ctx.dashboard = Some(out.dashboard);
-            return Ok(StageStats {
-                records_in,
-                records_out,
-            });
-        };
-        let out = build_dashboard_with_engine(
-            cleaned,
-            ctx.hierarchy,
-            analytics,
-            ctx.stakeholder,
-            ctx.config.rule_stage.top_k,
-            ctx.runtime.engine,
-        )?;
-        if let Some(obs) = ctx.obs {
-            obs.point("dashboard:main", &[("markers", out.n_markers.into())]);
-            obs.metrics()
-                .inc("dashboard_markers_main", out.n_markers as u64);
+    let records_in = selected.n_rows();
+    let quarantined_before = ctx.quarantine.len();
+    // Stage 1 is the composition of its two phases; incremental ingest runs
+    // the clean phase per batch and the outlier phase over the merged
+    // cumulative data, which is what makes batched == one-shot.
+    let clean = clean_phase(
+        selected,
+        ctx.street_map,
+        &ctx.config,
+        &ctx.runtime,
+        ctx.injector,
+        ctx.obs,
+        ctx.config.geocoder_quota,
+    )?;
+    let (out, quarantine) = outlier_phase(clean, &ctx.config, &ctx.runtime, ctx.obs)?;
+    let records_out = out.dataset.n_rows();
+    ctx.preprocess = Some(out);
+    ctx.quarantine.merge(quarantine);
+    if let Some(obs) = ctx.obs {
+        // Per-rule quarantine counters (kind → count this invocation).
+        for (kind, n) in ctx.quarantine.histogram_from(quarantined_before) {
+            obs.metrics().inc(&format!("quarantine_{kind}"), n as u64);
         }
-        let mut artifacts = out.artifacts;
-        // The drill-down zoom series (one coarse task per level).
+    }
+    Ok(StageStats {
+        records_in,
+        records_out,
+    })
+}
+
+fn run_analytics(ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
+    let cleaned = ctx.cleaned_dataset()?;
+    let records_in = cleaned.n_rows();
+    let warm = ctx.warm_centroids.as_ref();
+    let out =
+        crate::analytics::analyze_observed_from(cleaned, &ctx.config, &ctx.runtime, ctx.obs, warm)?;
+    let records_out = out.feature_rows.len();
+    ctx.analytics = Some(out);
+    Ok(StageStats {
+        records_in,
+        records_out,
+    })
+}
+
+fn run_dashboard(ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
+    let cleaned = ctx.cleaned_dataset()?;
+    let records_in = cleaned.n_rows();
+    let analytics = ctx.analytics.as_ref();
+    // A missing analytics product is an ordering error — unless the
+    // supervisor degraded that stage, in which case the dashboard still
+    // renders its analytics-free panels and explains the gap.
+    if analytics.is_none() && ctx.degraded_stages.is_empty() {
+        return Err(IndiceError::EmptyCollection("analytics stage not run"));
+    }
+    let reasons: Vec<String> = ctx
+        .degraded_stages
+        .iter()
+        .map(|s| format!("stage '{s}' failed and was skipped"))
+        .collect();
+    let out = build_dashboard_spec_core(
+        cleaned,
+        ctx.hierarchy,
+        analytics,
+        &default_report_spec(ctx.stakeholder),
+        ctx.config.rule_stage.top_k,
+        &reasons,
+        ctx.runtime.engine,
+    )?;
+    if let Some(obs) = ctx.obs {
+        obs.point("dashboard:main", &[("markers", out.n_markers.into())]);
+        obs.metrics()
+            .inc("dashboard_markers_main", out.n_markers as u64);
+    }
+    let mut artifacts = out.artifacts;
+    // The drill-down zoom series (one coarse task per level) needs the
+    // cluster panels, so a degraded dashboard renders without it.
+    if let Some(analytics) = analytics {
         let pages = drilldown_series_detailed_with_runtime(
             cleaned,
             ctx.hierarchy,
@@ -338,80 +353,14 @@ impl Stage for DashboardStage {
             }
             artifacts.insert(page.file, page.html);
         }
-        let records_out = artifacts.len();
-        ctx.dashboard = Some(out.dashboard);
-        ctx.artifacts = artifacts;
-        Ok(StageStats {
-            records_in,
-            records_out,
-        })
     }
-}
-
-/// Runs `stages` in order over `ctx`, timing each one. A failing stage
-/// aborts the run and propagates its error.
-pub fn run_pipeline(
-    stages: &[&dyn Stage],
-    ctx: &mut PipelineContext<'_>,
-) -> Result<PipelineReport, IndiceError> {
-    let mut report = PipelineReport::new(ctx.runtime.threads);
-    for stage in stages {
-        let name = stage.name();
-        let span = open_stage_span(ctx, name);
-        let timer = StageTimer::start_with(name, ctx.clock);
-        let stats = match stage.run(ctx) {
-            Ok(stats) => stats,
-            Err(e) => {
-                if let Some(span) = span {
-                    span.finish("error", &[]);
-                }
-                return Err(e);
-            }
-        };
-        report.push(timer.finish(stats.records_in, stats.records_out));
-        if let Some(obs) = ctx.obs {
-            record_stage_metrics(obs, name, stats);
-        }
-        if let Some(span) = span {
-            span.finish(
-                "ok",
-                &[
-                    ("records_in", stats.records_in.into()),
-                    ("records_out", stats.records_out.into()),
-                ],
-            );
-        }
-    }
-    Ok(report)
-}
-
-/// Opens the `stage:<name>` span when the context carries an
-/// observability bundle.
-fn open_stage_span<'a>(ctx: &PipelineContext<'a>, name: &str) -> Option<SpanGuard<'a, 'a>> {
-    ctx.obs.map(|o| o.span(&format!("stage:{name}")))
-}
-
-/// Histogram bounds for per-stage record counts (records leaving a stage).
-const STAGE_RECORDS_BOUNDS: &[u64] = &[10, 100, 1_000, 10_000, 100_000];
-
-/// Records the per-stage counters and the stage-size histogram.
-fn record_stage_metrics(obs: &Obs<'_>, name: &str, stats: StageStats) {
-    let m = obs.metrics();
-    m.inc(&format!("stage_{name}_records_in"), stats.records_in as u64);
-    m.inc(
-        &format!("stage_{name}_records_out"),
-        stats.records_out as u64,
-    );
-    m.observe(
-        "stage_records_out",
-        STAGE_RECORDS_BOUNDS,
-        stats.records_out as u64,
-    );
-}
-
-/// The standard three-block sequence of Figure 1.
-pub fn standard_stages() -> [&'static dyn Stage; 3] {
-    [&PreprocessStage, &AnalyticsStage, &DashboardStage]
+    let records_out = artifacts.len();
+    ctx.dashboard = Some(out.dashboard);
+    ctx.artifacts = artifacts;
+    Ok(StageStats {
+        records_in,
+        records_out,
+    })
 }
 
 /// What the supervisor does when a stage fails.
@@ -465,17 +414,6 @@ impl std::fmt::Display for RunOutcome {
     }
 }
 
-/// The standard stage sequence with its failure policies: preprocessing
-/// and the dashboard are load-bearing, analytics can be skipped (the
-/// dashboard then renders maps and distributions without cluster panels).
-pub fn supervised_stages() -> [(&'static dyn Stage, StagePolicy); 3] {
-    [
-        (&PreprocessStage, StagePolicy::Required),
-        (&AnalyticsStage, StagePolicy::Degradable),
-        (&DashboardStage, StagePolicy::Required),
-    ]
-}
-
 /// Per-stage wall-clock budget, enforced by sampling `clock` immediately
 /// before and after each stage. The clock is injectable so deadline
 /// behaviour is deterministic under test ([`epc_runtime::ManualClock`])
@@ -499,20 +437,8 @@ pub(crate) enum StageExec {
     Failed(IndiceError),
 }
 
-/// Drops the product a degraded stage wrote into the context, so
-/// downstream stages (and resumed runs) behave exactly as if the stage
-/// had failed outright.
-fn discard_product(ctx: &mut PipelineContext<'_>, name: &str) {
-    match name {
-        "preprocess" => ctx.preprocess = None,
-        "analytics" => ctx.analytics = None,
-        "dashboard" => {
-            ctx.dashboard = None;
-            ctx.artifacts.clear();
-        }
-        _ => {}
-    }
-}
+/// Histogram bounds for per-stage record counts (records leaving a stage).
+const STAGE_RECORDS_BOUNDS: &[u64] = &[10, 100, 1_000, 10_000, 100_000];
 
 /// Executes one stage under the supervisor: injector stage-kills fire as
 /// panics, panics are caught, quarantine deltas are accounted, and — when
@@ -520,9 +446,9 @@ fn discard_product(ctx: &mut PipelineContext<'_>, name: &str) {
 /// checked against the budget. An overrunning [`StagePolicy::Degradable`]
 /// stage has its product discarded (the watchdog treats "too slow" as
 /// "failed"); an overrunning required stage keeps its product but still
-/// degrades the run outcome.
+/// degrades the run outcome. Pushes exactly one report entry.
 pub(crate) fn execute_stage_supervised(
-    stage: &dyn Stage,
+    stage: Stage,
     policy: StagePolicy,
     ctx: &mut PipelineContext<'_>,
     report: &mut PipelineReport,
@@ -536,7 +462,7 @@ pub(crate) fn execute_stage_supervised(
         .and_then(|inj| inj.fail_stage(name, *invocation));
     let quarantined_before = ctx.quarantine.len();
     let started_ms = deadline.map(|d| d.clock.now_ms());
-    let span = open_stage_span(ctx, name);
+    let span = ctx.obs.map(|o| o.span(&format!("stage:{name}")));
     let timer = StageTimer::start_with(name, ctx.clock);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if let Some(msg) = kill {
@@ -555,8 +481,18 @@ pub(crate) fn execute_stage_supervised(
                 faults,
             ));
             if let Some(obs) = ctx.obs {
-                record_stage_metrics(obs, name, stats);
-                obs.metrics().inc(
+                let m = obs.metrics();
+                m.inc(&format!("stage_{name}_records_in"), stats.records_in as u64);
+                m.inc(
+                    &format!("stage_{name}_records_out"),
+                    stats.records_out as u64,
+                );
+                m.observe(
+                    "stage_records_out",
+                    STAGE_RECORDS_BOUNDS,
+                    stats.records_out as u64,
+                );
+                m.inc(
                     &format!("stage_{name}_quarantined"),
                     quarantine_delta as u64,
                 );
@@ -574,7 +510,7 @@ pub(crate) fn execute_stage_supervised(
                     }
                     return match policy {
                         StagePolicy::Degradable => {
-                            discard_product(ctx, name);
+                            stage.discard_product(ctx);
                             ctx.degraded_stages.push(name.to_owned());
                             StageExec::Degraded(format!(
                                 "stage '{name}' exceeded its deadline \
@@ -630,8 +566,8 @@ pub(crate) fn execute_stage_supervised(
 
 /// Appends the run-level degradation reasons derived from the final
 /// context state (degraded geocodes, quarantined records) and folds
-/// everything into the run outcome. Shared by the supervised and durable
-/// runners so resumed runs report identical outcomes.
+/// everything into the run outcome. Shared by every runner so resumed and
+/// batched runs report identical outcomes.
 pub(crate) fn finish_outcome(ctx: &PipelineContext<'_>, mut reasons: Vec<String>) -> RunOutcome {
     if let Some(p) = &ctx.preprocess {
         if p.cleaning.degraded > 0 {
@@ -654,30 +590,21 @@ pub(crate) fn finish_outcome(ctx: &PipelineContext<'_>, mut reasons: Vec<String>
     }
 }
 
-/// Runs `stages` under a supervisor: stage panics are caught, failures of
-/// [`StagePolicy::Degradable`] stages turn into degradation reasons
-/// instead of aborting, and per-stage quarantine deltas land in the
-/// report. Never returns `Err` — failure is the
+/// Runs `stages` in order under the supervisor, each with its policy:
+/// stage panics are caught, failures of [`StagePolicy::Degradable`] stages
+/// turn into degradation reasons instead of aborting, per-stage quarantine
+/// deltas land in the report, and — with a `deadline` — overrunning stages
+/// degrade (see [`StageDeadline`]). Never returns `Err` — failure is the
 /// [`RunOutcome::Failed`] variant, paired with the partial report.
 pub fn run_pipeline_supervised(
-    stages: &[(&dyn Stage, StagePolicy)],
-    ctx: &mut PipelineContext<'_>,
-) -> (RunOutcome, PipelineReport) {
-    run_pipeline_supervised_with(stages, ctx, None)
-}
-
-/// [`run_pipeline_supervised`] with an optional per-stage deadline budget:
-/// the watchdog samples the injected clock around each stage and degrades
-/// overrunning stages (see [`StageDeadline`]).
-pub fn run_pipeline_supervised_with(
-    stages: &[(&dyn Stage, StagePolicy)],
+    stages: &[(Stage, StagePolicy)],
     ctx: &mut PipelineContext<'_>,
     deadline: Option<&StageDeadline<'_>>,
 ) -> (RunOutcome, PipelineReport) {
     let mut report = PipelineReport::new(ctx.runtime.threads);
     let mut reasons: Vec<String> = Vec::new();
-    for (stage, policy) in stages {
-        match execute_stage_supervised(*stage, *policy, ctx, &mut report, deadline) {
+    for &(stage, policy) in stages {
+        match execute_stage_supervised(stage, policy, ctx, &mut report, deadline) {
             StageExec::Succeeded => {}
             StageExec::Degraded(reason) => reasons.push(reason),
             StageExec::Failed(e) => return (RunOutcome::Failed(e), report),
@@ -732,7 +659,9 @@ mod tests {
             Stakeholder::PublicAdministration,
             RuntimeConfig::sequential(),
         );
-        let report = run_pipeline(&standard_stages(), &mut ctx).unwrap();
+        let strict = Stage::ALL.map(|s| (s, StagePolicy::Required));
+        let (outcome, report) = run_pipeline_supervised(&strict, &mut ctx, None);
+        assert!(outcome.produced_output(), "{outcome}");
         assert_eq!(report.stages.len(), 3);
         assert_eq!(report.stages[0].name, "preprocess");
         assert_eq!(report.stages[1].name, "analytics");
@@ -757,8 +686,8 @@ mod tests {
             Stakeholder::Citizen,
             RuntimeConfig::sequential(),
         );
-        assert!(AnalyticsStage.run(&mut ctx).is_err());
-        assert!(DashboardStage.run(&mut ctx).is_err());
+        assert!(Stage::Analytics.run(&mut ctx).is_err());
+        assert!(Stage::Dashboard.run(&mut ctx).is_err());
     }
 
     #[test]
@@ -772,14 +701,16 @@ mod tests {
             Stakeholder::PublicAdministration,
             RuntimeConfig::sequential(),
         );
-        run_pipeline(&standard_stages(), &mut ctx).unwrap();
+        let strict = Stage::ALL.map(|s| (s, StagePolicy::Required));
+        let (outcome, _) = run_pipeline_supervised(&strict, &mut ctx, None);
+        assert!(outcome.produced_output(), "{outcome}");
         let first_k = ctx.analytics.as_ref().unwrap().chosen_k;
 
         // Re-run analytics alone with a fixed K — preprocessing is reused
         // from the context, untouched.
         let cleaned_rows = ctx.preprocess.as_ref().unwrap().dataset.n_rows();
         ctx.config.analytics.k = crate::config::KSelection::Fixed(first_k + 1);
-        let stats = AnalyticsStage.run(&mut ctx).unwrap();
+        let stats = Stage::Analytics.run(&mut ctx).unwrap();
         assert_eq!(stats.records_in, cleaned_rows);
         assert_eq!(ctx.analytics.as_ref().unwrap().chosen_k, first_k + 1);
         assert_eq!(

@@ -3,11 +3,13 @@
 //! values labelled as outliers are not considered in the subsequent steps
 //! of analysis."
 //!
-//! The fault-tolerant entry point is [`preprocess_faulty`]: malformed or
+//! The stage is [`clean_phase`] → [`merge_clean_phases`] →
+//! [`outlier_phase`]: a one-shot run cleans its whole input in one phase,
+//! incremental ingest cleans each batch and merges the phases. Malformed or
 //! corrupted records are diverted into an [`epc_model::Quarantine`] instead
-//! of panicking or poisoning downstream statistics, and (with an injector)
-//! transient geocoder failures are retried and finally degraded to
-//! district-centroid coordinates.
+//! of panicking or poisoning downstream statistics, and (with a fault
+//! injector) transient geocoder failures are retried and finally degraded
+//! to district-centroid coordinates.
 
 use crate::config::IndiceConfig;
 use crate::error::IndiceError;
@@ -58,98 +60,6 @@ pub struct PreprocessOutput {
 /// graph is O(n²); the estimate stabilizes long before 25 000 points).
 const PARAM_ESTIMATION_SAMPLE: usize = 1_500;
 
-/// Runs stage 1 over `dataset` (consumed), using `street_map` both as the
-/// referenced map and as the simulated geocoder's ground truth.
-pub fn preprocess(
-    dataset: Dataset,
-    street_map: &StreetMap,
-    config: &IndiceConfig,
-) -> Result<PreprocessOutput, IndiceError> {
-    preprocess_with_runtime(
-        dataset,
-        street_map,
-        config,
-        &epc_runtime::RuntimeConfig::sequential(),
-    )
-}
-
-/// [`preprocess`] with an explicit execution runtime: the per-record
-/// Levenshtein matching of the cleaning pass and DBSCAN's region queries
-/// run data-parallel under `runtime`, with outputs bitwise identical to
-/// the sequential run.
-pub fn preprocess_with_runtime(
-    dataset: Dataset,
-    street_map: &StreetMap,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-) -> Result<PreprocessOutput, IndiceError> {
-    // The plain path deliberately skips the validation quarantine — it
-    // predates fault tolerance and callers rely on row indices matching
-    // the raw input.
-    let clean = clean_phase_inner(
-        dataset,
-        street_map,
-        config,
-        runtime,
-        None,
-        None,
-        config.geocoder_quota,
-        false,
-    )?;
-    outlier_phase(clean, config, runtime, None).map(|(out, _)| out)
-}
-
-/// The fault-tolerant stage-1 entry point.
-///
-/// Before the standard pipeline runs, records with non-finite values in
-/// numeric attributes (whether present in the input or planted by the
-/// fault `injector`) are diverted into the returned [`Quarantine`] —
-/// keyed by certificate id — and excluded from every downstream
-/// statistic. With an injector present, the geocoder fallback is wrapped
-/// in failure injection plus retry/backoff, and records whose geocoding
-/// keeps failing degrade to district-centroid coordinates instead of
-/// being dropped.
-///
-/// With `injector = None` and a clean input, the output is bitwise
-/// identical to [`preprocess_with_runtime`].
-pub fn preprocess_faulty(
-    dataset: Dataset,
-    street_map: &StreetMap,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-    injector: Option<&dyn FaultInjector>,
-) -> Result<(PreprocessOutput, Quarantine), IndiceError> {
-    preprocess_observed(dataset, street_map, config, runtime, injector, None)
-}
-
-/// [`preprocess_faulty`] with an optional observability bundle: cleaning,
-/// univariate, and DBSCAN statistics are recorded as trace points and
-/// counters. All emission happens orchestrator-side, after the
-/// data-parallel kernels return, so the logical event stream is identical
-/// for any thread budget.
-pub fn preprocess_observed(
-    dataset: Dataset,
-    street_map: &StreetMap,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-    injector: Option<&dyn FaultInjector>,
-    obs: Option<&Obs<'_>>,
-) -> Result<(PreprocessOutput, Quarantine), IndiceError> {
-    // Stage 1 is literally the composition of its two phases; incremental
-    // ingest runs the clean phase per batch and the outlier phase over the
-    // merged cumulative data, which is what makes batched == one-shot.
-    let clean = clean_phase(
-        dataset,
-        street_map,
-        config,
-        runtime,
-        injector,
-        obs,
-        config.geocoder_quota,
-    )?;
-    outlier_phase(clean, config, runtime, obs)
-}
-
 /// Output of [`clean_phase`]: the per-record, batch-composable first half
 /// of stage 1 (fault corruption hook, validation quarantine, §2.1.1
 /// geospatial cleaning). Outlier detection is a *global* property of the
@@ -182,26 +92,23 @@ pub struct CleanPhase {
     pub quarantine: Quarantine,
 }
 
-/// Runs the batch-composable first half of stage 1. `quota` is the
-/// geocoder budget granted to *this* phase — the full
-/// `config.geocoder_quota` for a one-shot run, the remaining balance for
-/// an ingest batch.
+/// Runs the batch-composable first half of stage 1 over `dataset`
+/// (consumed), using `street_map` both as the referenced map and as the
+/// simulated geocoder's ground truth. `quota` is the geocoder budget
+/// granted to *this* phase — the full `config.geocoder_quota` for a
+/// one-shot run, the remaining balance for an ingest batch.
+///
+/// Records with non-finite values in numeric attributes (whether present
+/// in the input or planted by the fault `injector`) are diverted into the
+/// phase's [`Quarantine`] — keyed by certificate id — and excluded from
+/// every downstream statistic. With an injector present, the geocoder
+/// fallback is wrapped in failure injection plus retry/backoff, and
+/// records whose geocoding keeps failing degrade to district-centroid
+/// coordinates instead of being dropped. With `obs`, the cleaning report
+/// is recorded as a trace point and counters after the data-parallel
+/// kernels return, so the logical event stream is identical for any
+/// thread budget.
 pub fn clean_phase(
-    dataset: Dataset,
-    street_map: &StreetMap,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-    injector: Option<&dyn FaultInjector>,
-    obs: Option<&Obs<'_>>,
-    quota: usize,
-) -> Result<CleanPhase, IndiceError> {
-    clean_phase_inner(
-        dataset, street_map, config, runtime, injector, obs, quota, true,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn clean_phase_inner(
     mut dataset: Dataset,
     street_map: &StreetMap,
     config: &IndiceConfig,
@@ -209,7 +116,6 @@ fn clean_phase_inner(
     injector: Option<&dyn FaultInjector>,
     obs: Option<&Obs<'_>>,
     quota: usize,
-    validate: bool,
 ) -> Result<CleanPhase, IndiceError> {
     if dataset.is_empty() {
         return Err(IndiceError::EmptyCollection("preprocess"));
@@ -217,42 +123,33 @@ fn clean_phase_inner(
     let input_rows = dataset.n_rows();
     let mut quarantine = Quarantine::new();
 
-    let (mut dataset, orig_of) = if validate {
-        // Record-boundary fault hook: corrupt before validation so every
-        // injected fault flows through the same quarantine path real bad
-        // input would.
-        if let Some(inj) = injector {
-            corrupt_dataset(&mut dataset, inj)?;
-        }
+    // Record-boundary fault hook: corrupt before validation so every
+    // injected fault flows through the same quarantine path real bad input
+    // would.
+    if let Some(inj) = injector {
+        corrupt_dataset(&mut dataset, inj)?;
+    }
 
-        // Validation scan: non-finite values are always faults (they would
-        // poison means, distances, and histograms downstream).
-        let faults = scan_faults(&dataset, &ValidationPolicy::minimal());
-        let bad_rows: BTreeSet<usize> = faults.iter().map(|(row, _)| *row).collect();
-        for (row, fault) in faults {
-            quarantine.push(record_key(&dataset, row), Some(row), fault);
-        }
+    // Validation scan: non-finite values are always faults (they would
+    // poison means, distances, and histograms downstream).
+    let faults = scan_faults(&dataset, &ValidationPolicy::minimal());
+    let bad_rows: BTreeSet<usize> = faults.iter().map(|(row, _)| *row).collect();
+    for (row, fault) in faults {
+        quarantine.push(record_key(&dataset, row), Some(row), fault);
+    }
 
-        // Divert quarantined rows out of the pipeline; remember the
-        // original index of every surviving row so reports stay in input
-        // coordinates.
-        if bad_rows.is_empty() {
-            let n = dataset.n_rows();
-            (dataset, (0..n).collect::<Vec<usize>>())
-        } else {
-            let mask: Vec<bool> = (0..dataset.n_rows())
-                .map(|r| !bad_rows.contains(&r))
-                .collect();
-            let orig_of: Vec<usize> = mask
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &keep)| keep.then_some(i))
-                .collect();
-            (dataset.filter_mask(&mask)?, orig_of)
-        }
+    // Divert quarantined rows out of the pipeline; remember the original
+    // index of every surviving row so reports stay in input coordinates.
+    let (mut dataset, orig_of) = if bad_rows.is_empty() {
+        (dataset, (0..input_rows).collect::<Vec<usize>>())
     } else {
-        let n = dataset.n_rows();
-        (dataset, (0..n).collect::<Vec<usize>>())
+        let mask: Vec<bool> = (0..input_rows).map(|r| !bad_rows.contains(&r)).collect();
+        let orig_of: Vec<usize> = mask
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &keep)| keep.then_some(i))
+            .collect();
+        (dataset.filter_mask(&mask)?, orig_of)
     };
     if dataset.is_empty() {
         return Err(IndiceError::EmptyCollection("record validation"));
@@ -792,15 +689,31 @@ mod tests {
         c
     }
 
+    /// Stage 1 over a whole input: one clean phase granted the full
+    /// geocoder quota, then the outlier phase.
+    fn stage1(
+        dataset: Dataset,
+        street_map: &StreetMap,
+        config: &IndiceConfig,
+        injector: Option<&dyn FaultInjector>,
+    ) -> Result<(PreprocessOutput, Quarantine), IndiceError> {
+        let rt = epc_runtime::RuntimeConfig::sequential();
+        let quota = config.geocoder_quota;
+        let clean = clean_phase(dataset, street_map, config, &rt, injector, None, quota)?;
+        outlier_phase(clean, config, &rt, None)
+    }
+
     #[test]
     fn clean_collection_loses_almost_nothing() {
         let c = collection(false);
-        let out = preprocess(
+        let out = stage1(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.cleaning.unresolved, 0, "all addresses are canonical");
         // Only statistical false positives may be removed (MAD tails and
         // DBSCAN low-density points) — keep them under ~12%.
@@ -816,12 +729,17 @@ mod tests {
     fn noisy_addresses_are_repaired() {
         let c = collection(true);
         let before_truth = c.truth.clone();
-        let out = preprocess(
+        let (out, quarantine) = stage1(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
+            None,
         )
         .unwrap();
+        // Address noise is repaired, never quarantined, and without an
+        // injector no geocode degrades to a district centroid.
+        assert!(quarantine.is_empty());
+        assert!(out.degraded_rows.is_empty());
         // Most corrupted addresses must be resolved (reference or geocoder).
         let resolved = out.cleaning.by_reference + out.cleaning.by_geocoder;
         assert!(
@@ -858,12 +776,14 @@ mod tests {
         );
         let injected: BTreeSet<usize> = c.truth.injected_outliers.iter().copied().collect();
         assert!(!injected.is_empty());
-        let out = preprocess(
+        let out = stage1(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let removed: BTreeSet<usize> = out.removed_rows.iter().copied().collect();
         let caught = injected.intersection(&removed).count();
         // Injected univariate outliers target Uw/Uo/EPH; the default
@@ -889,7 +809,7 @@ mod tests {
             geocoder_quota: 0,
             ..IndiceConfig::default()
         };
-        let out = preprocess(c.dataset.clone(), &c.city.street_map, &cfg).unwrap();
+        let (out, _) = stage1(c.dataset.clone(), &c.city.street_map, &cfg, None).unwrap();
         assert_eq!(out.cleaning.by_geocoder, 0);
         assert_eq!(out.cleaning.geocoder_requests, 0);
     }
@@ -904,7 +824,7 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        let out = preprocess(c.dataset.clone(), &c.city.street_map, &cfg).unwrap();
+        let (out, _) = stage1(c.dataset.clone(), &c.city.street_map, &cfg, None).unwrap();
         assert!(out.multivariate_flagged.is_empty());
         assert!(out.dbscan_params.is_none());
     }
@@ -913,32 +833,8 @@ mod tests {
     fn empty_dataset_errors() {
         let c = collection(false);
         let empty = Dataset::new(c.dataset.schema_arc());
-        let err = preprocess(empty, &c.city.street_map, &IndiceConfig::default()).unwrap_err();
+        let err = stage1(empty, &c.city.street_map, &IndiceConfig::default(), None).unwrap_err();
         assert_eq!(err, IndiceError::EmptyCollection("preprocess"));
-    }
-
-    #[test]
-    fn faulty_with_no_injector_matches_plain_preprocess() {
-        let c = collection(true);
-        let plain = preprocess(
-            c.dataset.clone(),
-            &c.city.street_map,
-            &IndiceConfig::default(),
-        )
-        .unwrap();
-        let (faulty, quarantine) = preprocess_faulty(
-            c.dataset.clone(),
-            &c.city.street_map,
-            &IndiceConfig::default(),
-            &epc_runtime::RuntimeConfig::sequential(),
-            None,
-        )
-        .unwrap();
-        assert!(quarantine.is_empty());
-        assert_eq!(faulty.kept_rows, plain.kept_rows);
-        assert_eq!(faulty.removed_rows, plain.removed_rows);
-        assert_eq!(faulty.cleaning, plain.cleaning);
-        assert!(faulty.degraded_rows.is_empty());
     }
 
     #[test]
@@ -959,11 +855,10 @@ mod tests {
             })
             .collect();
         assert!(!expected.is_empty());
-        let (out, quarantine) = preprocess_faulty(
+        let (out, quarantine) = stage1(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
-            &epc_runtime::RuntimeConfig::sequential(),
             Some(&inj),
         )
         .unwrap();
@@ -1002,14 +897,7 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        let (out, _) = preprocess_faulty(
-            c.dataset.clone(),
-            &c.city.street_map,
-            &cfg,
-            &epc_runtime::RuntimeConfig::sequential(),
-            Some(&inj),
-        )
-        .unwrap();
+        let (out, _) = stage1(c.dataset.clone(), &c.city.street_map, &cfg, Some(&inj)).unwrap();
         assert!(
             out.cleaning.degraded > 0,
             "expected degraded records, got report {:?}",
@@ -1041,14 +929,7 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        let (out, quarantine) = preprocess_faulty(
-            c.dataset.clone(),
-            &c.city.street_map,
-            &cfg,
-            &epc_runtime::RuntimeConfig::sequential(),
-            None,
-        )
-        .unwrap();
+        let (out, quarantine) = stage1(c.dataset.clone(), &c.city.street_map, &cfg, None).unwrap();
         assert!(!quarantine.is_empty() || out.cleaning.unresolved == 0);
         assert_eq!(quarantine.len(), out.cleaning.unresolved);
         assert_eq!(
@@ -1179,15 +1060,13 @@ mod tests {
     }
 
     /// The full stage composes too: clean per chunk, merge, one outlier
-    /// pass — identical to `preprocess_observed` over the whole input.
+    /// pass — identical to stage 1 over the whole input.
     #[test]
     fn chunked_clean_plus_merged_outliers_equals_one_shot() {
         let c = collection(true);
         let cfg = IndiceConfig::default();
         let rt = epc_runtime::RuntimeConfig::sequential();
-        let (one, one_q) =
-            preprocess_observed(c.dataset.clone(), &c.city.street_map, &cfg, &rt, None, None)
-                .unwrap();
+        let (one, one_q) = stage1(c.dataset.clone(), &c.city.street_map, &cfg, None).unwrap();
         let mut parts = Vec::new();
         let mut used = 0;
         for chunk in chunks_of(&c.dataset, 3) {
@@ -1218,12 +1097,14 @@ mod tests {
         let mut c = collection(true);
         apply_noise(&mut c, &NoiseConfig::default());
         let n = c.dataset.n_rows();
-        let out = preprocess(
+        let out = stage1(
             c.dataset.clone(),
             &c.city.street_map,
             &IndiceConfig::default(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         for &r in &out.removed_rows {
             assert!(r < n);
         }

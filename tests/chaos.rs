@@ -67,10 +67,10 @@ fn predicted_corrupt_keys(record_rate: f64) -> Vec<String> {
 #[test]
 fn zero_fault_supervised_run_is_byte_identical_to_strict_run() {
     let engine = engine_at(2);
-    let (strict, _) = engine
-        .run_detailed(Stakeholder::PublicAdministration)
+    let strict = engine
+        .run(Stakeholder::PublicAdministration)
         .expect("strict run succeeds");
-    let supervised = engine.run_supervised(Stakeholder::PublicAdministration);
+    let supervised = engine.run_supervised(Stakeholder::PublicAdministration, None, None);
 
     assert!(matches!(supervised.outcome, RunOutcome::Complete));
     assert_eq!(supervised.outcome.exit_code(), 0);
@@ -108,7 +108,7 @@ fn zero_fault_supervised_run_is_byte_identical_to_strict_run() {
 fn fault_rates_up_to_twenty_percent_still_produce_output() {
     for rate in [0.0, 0.05, 0.2] {
         let inj = injector(rate, 0.1);
-        let out = engine_at(2).run_supervised_with_faults(Stakeholder::PublicAdministration, &inj);
+        let out = engine_at(2).run_supervised(Stakeholder::PublicAdministration, Some(&inj), None);
         assert!(
             out.outcome.produced_output(),
             "rate {rate}: run failed: {}",
@@ -137,7 +137,7 @@ fn quarantine_accounting_is_exact() {
     );
 
     let inj = injector(rate, 0.0);
-    let out = engine_at(1).run_supervised_with_faults(Stakeholder::PublicAdministration, &inj);
+    let out = engine_at(1).run_supervised(Stakeholder::PublicAdministration, Some(&inj), None);
     assert!(out.outcome.produced_output());
 
     // Every corrupted record — and nothing else — lands in the quarantine.
@@ -158,7 +158,7 @@ fn quarantine_accounting_is_exact() {
 fn chaos_outputs_are_identical_across_thread_counts() {
     let run = |threads: usize| -> SupervisedOutput {
         let inj = injector(0.2, 0.1);
-        engine_at(threads).run_supervised_with_faults(Stakeholder::PublicAdministration, &inj)
+        engine_at(threads).run_supervised(Stakeholder::PublicAdministration, Some(&inj), None)
     };
     let reference = run(1);
     assert!(reference.outcome.produced_output());
@@ -199,7 +199,7 @@ fn chaos_outputs_are_identical_across_thread_counts() {
 #[test]
 fn analytics_stage_kill_degrades_but_dashboard_survives() {
     let inj = DeterministicInjector::new(FAULT_SEED).kill_stage("analytics", 1);
-    let out = engine_at(2).run_supervised_with_faults(Stakeholder::PublicAdministration, &inj);
+    let out = engine_at(2).run_supervised(Stakeholder::PublicAdministration, Some(&inj), None);
 
     let RunOutcome::Degraded(reasons) = &out.outcome else {
         panic!("expected degraded outcome, got {}", out.outcome);
@@ -220,7 +220,7 @@ fn analytics_stage_kill_degrades_but_dashboard_survives() {
 #[test]
 fn required_stage_kill_fails_the_run() {
     let inj = DeterministicInjector::new(FAULT_SEED).kill_stage("preprocess", 1);
-    let out = engine_at(2).run_supervised_with_faults(Stakeholder::PublicAdministration, &inj);
+    let out = engine_at(2).run_supervised(Stakeholder::PublicAdministration, Some(&inj), None);
     let RunOutcome::Failed(err) = &out.outcome else {
         panic!("expected failed outcome, got {}", out.outcome);
     };

@@ -54,7 +54,8 @@ fn engine_at(threads: usize) -> Indice {
 fn observed_run(threads: usize) -> (String, String, String, SupervisedOutput) {
     let clock = ManualClock::advancing(7);
     let obs = Obs::new(&clock);
-    let out = engine_at(threads).run_observed(Stakeholder::PublicAdministration, &obs);
+    let out =
+        engine_at(threads).run_supervised(Stakeholder::PublicAdministration, None, Some(&obs));
     (
         obs.tracer().to_jsonl(),
         obs.tracer().logical_jsonl(),
@@ -124,7 +125,7 @@ fn wall_time_is_present_in_full_and_absent_in_logical_stream() {
 fn observed_run_records_every_layer() {
     let clock = ManualClock::advancing(3);
     let obs = Obs::new(&clock);
-    let out = engine_at(2).run_observed(Stakeholder::PublicAdministration, &obs);
+    let out = engine_at(2).run_supervised(Stakeholder::PublicAdministration, None, Some(&obs));
     assert!(out.outcome.produced_output());
 
     let trace = obs.tracer().to_jsonl();
@@ -163,10 +164,10 @@ fn observed_run_records_every_layer() {
 #[test]
 fn observed_products_match_unobserved_run() {
     let engine = engine_at(2);
-    let plain = engine.run_supervised(Stakeholder::PublicAdministration);
+    let plain = engine.run_supervised(Stakeholder::PublicAdministration, None, None);
     let clock = ManualClock::advancing(5);
     let obs = Obs::new(&clock);
-    let observed = engine.run_observed(Stakeholder::PublicAdministration, &obs);
+    let observed = engine.run_supervised(Stakeholder::PublicAdministration, None, Some(&obs));
     assert_eq!(plain.artifacts, observed.artifacts);
     assert_eq!(
         plain.analytics.as_ref().map(|a| a.chosen_k),

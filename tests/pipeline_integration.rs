@@ -3,12 +3,14 @@
 // Test/demo code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use epc_journal::MANIFEST_FILE;
 use epc_model::wellknown as wk;
 use epc_query::Stakeholder;
 use epc_synth::city::CityConfig;
 use epc_synth::epcgen::{EpcGenerator, SynthConfig, SyntheticCollection};
 use epc_synth::noise::{apply_noise, NoiseConfig};
 use indice::config::IndiceConfig;
+use indice::durable::{DurableOptions, DASHBOARD_FILE};
 use indice::engine::Indice;
 
 fn collection(n: usize, seed: u64) -> SyntheticCollection {
@@ -112,4 +114,69 @@ fn removed_plus_kept_equals_selected() {
         out.preprocess.kept_rows.len(),
         out.preprocess.dataset.n_rows()
     );
+}
+
+/// Per-stage `(name, records_in, records_out, quarantined)`.
+fn stage_counts(report: &epc_runtime::PipelineReport) -> Vec<(String, usize, usize, usize)> {
+    report
+        .stages
+        .iter()
+        .map(|s| (s.name.clone(), s.records_in, s.records_out, s.quarantined))
+        .collect()
+}
+
+#[test]
+fn every_run_mode_produces_the_same_bytes() {
+    let engine = Indice::from_collection(collection(800, 11), IndiceConfig::default());
+    let stakeholder = Stakeholder::PublicAdministration;
+    let strict = engine.run(stakeholder).unwrap();
+    let supervised = engine.run_supervised(stakeholder, None, None);
+    assert!(
+        supervised.outcome.produced_output(),
+        "{}",
+        supervised.outcome
+    );
+    let dir = std::env::temp_dir().join(format!("indice_run_modes_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = engine
+        .run_durable(stakeholder, &DurableOptions::new(&dir))
+        .unwrap();
+    assert!(durable.outcome.produced_output(), "{}", durable.outcome);
+
+    // The dashboard page: in memory for the first two, on disk for the
+    // durable run.
+    let html = strict.dashboard.render_html();
+    let supervised_html = supervised.dashboard.as_ref().unwrap().render_html();
+    assert!(supervised_html == html, "supervised dashboard.html differs");
+    let on_disk = std::fs::read_to_string(dir.join(DASHBOARD_FILE)).unwrap();
+    assert!(on_disk == html, "durable dashboard.html differs");
+
+    // Every artifact, and no other file at the run-directory root besides
+    // the dashboard and the journal.
+    assert!(!strict.artifacts.is_empty());
+    assert_eq!(supervised.artifacts, strict.artifacts);
+    for (file, content) in &strict.artifacts {
+        let on_disk = std::fs::read_to_string(dir.join(file)).unwrap();
+        assert!(&on_disk == content, "durable {file} differs");
+    }
+    let mut root_files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_type().unwrap().is_file())
+        .map(|e| e.file_name().into_string().unwrap())
+        .collect();
+    root_files.sort();
+    let mut expected: Vec<String> = strict.artifacts.keys().cloned().collect();
+    expected.push(DASHBOARD_FILE.to_owned());
+    expected.push(MANIFEST_FILE.to_owned());
+    expected.sort();
+    assert_eq!(root_files, expected);
+
+    // The per-stage record and quarantine counts agree.
+    let counts = stage_counts(&strict.report);
+    assert_eq!(counts.len(), 3);
+    assert_eq!(stage_counts(&supervised.report), counts);
+    assert_eq!(stage_counts(&durable.report), counts);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
