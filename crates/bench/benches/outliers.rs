@@ -1,14 +1,16 @@
 //! §2.1.2 — the outlier-detection experiment: precision/recall of the
 //! three univariate methods (boxplot, gESD, MAD) and the DBSCAN
 //! multivariate detector against injected ground-truth outliers, plus
-//! runtime scaling.
+//! runtime scaling, including the grid noise kernel the pipeline runs
+//! against the labelled DBSCAN it replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use epc_mining::dbscan::dbscan;
+use epc_mining::dbscan::{dbscan, dbscan_noise};
 use epc_mining::kdistance::estimate_dbscan_params;
 use epc_mining::matrix::Matrix;
 use epc_mining::normalize::MinMaxScaler;
 use epc_model::wellknown as wk;
+use epc_runtime::RuntimeConfig;
 use epc_synth::{EpcGenerator, NoiseConfig, SynthConfig};
 use indice::outliers::UnivariateMethod;
 use std::collections::BTreeSet;
@@ -100,12 +102,10 @@ fn bench_outliers(c: &mut Criterion) {
         .collect();
     let params = estimate_dbscan_params(&Matrix::from_rows(&sample_rows), &[4, 5, 6, 8], 0.15)
         .expect("params estimated");
-    let result = dbscan(&scaled, &params);
-    let flagged: BTreeSet<usize> = result
-        .noise_indices()
-        .into_iter()
-        .map(|i| rows[i])
-        .collect();
+    let sequential = RuntimeConfig::sequential();
+    let noise = dbscan_noise(&scaled, &params, &sequential).noise;
+    assert_eq!(noise, dbscan(&scaled, &params).noise_indices());
+    let flagged: BTreeSet<usize> = noise.into_iter().map(|i| rows[i]).collect();
     let (p, r) = pr(&flagged, &truth);
     eprintln!(
         "{:<22} {:>9} {:>9.2} {:>8.2}   (eps {:.3}, minPts {})",
@@ -132,13 +132,22 @@ fn bench_outliers(c: &mut Criterion) {
             );
         }
     }
-    // DBSCAN at a size where O(n²) stays tractable for repetition.
+    // DBSCAN over 5-D points: the grid noise kernel against the labelled
+    // algorithm, whose neighbour lists grow with the square of the input.
     let sub_rows: Vec<Vec<f64>> = (0..scaled.n_rows())
         .step_by(5)
         .map(|i| scaled.row(i).to_vec())
         .collect();
     let sub = Matrix::from_rows(&sub_rows);
-    group.bench_function("dbscan_5k_points_5d", |b| b.iter(|| dbscan(&sub, &params)));
+    for points in [&sub, &scaled] {
+        let n = points.n_rows();
+        group.bench_with_input(BenchmarkId::new("dbscan_noise", n), points, |b, m| {
+            b.iter(|| dbscan_noise(m, &params, &sequential))
+        });
+        group.bench_with_input(BenchmarkId::new("dbscan_labelled", n), points, |b, m| {
+            b.iter(|| dbscan(m, &params))
+        });
+    }
     group.finish();
 }
 

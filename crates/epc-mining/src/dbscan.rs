@@ -1,9 +1,23 @@
 //! DBSCAN (Ester et al. 1996) — INDICE's multivariate outlier detector
 //! (§2.1.2): points that no dense cluster reaches are labelled noise and
 //! removed before analytics.
+//!
+//! Two kernels share one definition of "within ε" (`euclidean(a, b) <= eps`):
+//!
+//! * [`dbscan_with_runtime`] — the labelled algorithm (cluster ids, border
+//!   assignment) over precomputed ε-neighbour lists. Its memory grows with
+//!   the number of neighbour links, i.e. with the square of the collection
+//!   at a fixed ε; it is kept as the differential oracle.
+//! * [`dbscan_noise`] — only the noise set, which is all the outlier phase
+//!   reads. A point is noise iff it is not core and no core point lies
+//!   within ε, so a uniform grid with cells just wider than ε answers both
+//!   questions exactly, with early exit, in linear memory (Gan & Tao,
+//!   "DBSCAN Revisited", SIGMOD 2015). DESIGN.md ("Outlier detection")
+//!   proves the cell side.
 
 use crate::matrix::{euclidean, Matrix};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Per-point DBSCAN label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,10 +53,8 @@ pub struct DbscanResult {
     pub labels: Vec<DbscanLabel>,
     /// Number of clusters found.
     pub n_clusters: usize,
-    /// ε-neighbourhood scans performed (one per point — observability).
-    pub region_queries: usize,
     /// Total neighbour links found across all region queries (self links
-    /// included); `links / queries` is the mean neighbourhood size.
+    /// included); `links / points` is the mean neighbourhood size.
     pub neighbour_links: usize,
 }
 
@@ -145,7 +157,6 @@ pub fn dbscan_with_runtime(
     DbscanResult {
         labels,
         n_clusters,
-        region_queries: n,
         neighbour_links,
     }
 }
@@ -156,6 +167,259 @@ fn region_query(data: &Matrix, p: usize, eps: f64) -> Vec<usize> {
     (0..data.n_rows())
         .filter(|&q| euclidean(row, data.row(q)) <= eps)
         .collect()
+}
+
+/// The noise set of a DBSCAN run, with the grid kernel's exact work
+/// counters.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DbscanNoise {
+    /// Noise indices, ascending: exactly
+    /// `dbscan_with_runtime(data, config, _).noise_indices()`.
+    pub noise: Vec<usize>,
+    /// Points with at least `min_points` points (itself included) within ε.
+    pub core_points: usize,
+    /// `euclidean` evaluations over both passes.
+    pub distance_evals: usize,
+    /// Grid cells holding at least one point.
+    pub occupied_cells: usize,
+}
+
+/// DBSCAN's noise set, computed on a uniform grid without cluster labels.
+///
+/// Pass 1 counts each point's neighbours in its own and the adjacent cells,
+/// stopping at `min_points`; pass 2 looks, for each non-core point, for one
+/// core point within ε. Every point visits its candidates in a fixed order
+/// (own cell first, then the adjacent cells in key order, members by
+/// index), so the result and every counter are the same for any thread
+/// budget.
+pub fn dbscan_noise(
+    data: &Matrix,
+    config: &DbscanConfig,
+    runtime: &epc_runtime::RuntimeConfig,
+) -> DbscanNoise {
+    let grid = Grid::new(data, config.eps, runtime);
+    let eps = config.eps;
+    let points: Vec<usize> = (0..data.n_rows()).collect();
+
+    let pass1: Vec<(bool, usize)> = epc_runtime::par_map(runtime, &points, |&p| {
+        let row = data.row(p);
+        let mut candidates = grid.candidates(p);
+        let (mut found, mut evals) = (0usize, 0usize);
+        while found < config.min_points {
+            let Some(q) = candidates.next() else { break };
+            evals += 1;
+            if euclidean(row, data.row(q)) <= eps {
+                found += 1;
+            }
+        }
+        (found >= config.min_points, evals)
+    });
+    let core: Vec<bool> = pass1.iter().map(|&(c, _)| c).collect();
+
+    let border_candidates: Vec<usize> = points.into_iter().filter(|&p| !core[p]).collect();
+    let pass2: Vec<(bool, usize)> = epc_runtime::par_map(runtime, &border_candidates, |&p| {
+        let row = data.row(p);
+        let mut evals = 0usize;
+        // The oracle tests membership in the core point's neighbour list,
+        // so the core row goes first.
+        let reached = grid.candidates(p).filter(|&q| core[q]).any(|q| {
+            evals += 1;
+            euclidean(data.row(q), row) <= eps
+        });
+        (reached, evals)
+    });
+
+    DbscanNoise {
+        noise: border_candidates
+            .iter()
+            .zip(&pass2)
+            .filter(|(_, &(reached, _))| !reached)
+            .map(|(&p, _)| p)
+            .collect(),
+        core_points: core.iter().filter(|&&c| c).count(),
+        distance_evals: pass1.iter().chain(&pass2).map(|&(_, e)| e).sum(),
+        occupied_cells: grid.n_cells(),
+    }
+}
+
+/// Relative part of the cell-side margin over ε (2^-40). It must exceed
+/// the rounding of `euclidean` (≈ 3u relative to ε, u = 2^-53) and of the
+/// key arithmetic (≈ 4u relative to the column range); DESIGN.md
+/// ("Outlier detection") has the bound.
+const CELL_SLACK_RELATIVE: f64 = 1.0 / 1_099_511_627_776.0;
+
+/// Absolute part of the cell-side margin: covers underflow of a squared
+/// coordinate gap (gaps below 2^-511 square to subnormals) and keeps the
+/// side positive at ε = 0.
+const CELL_SLACK_ABSOLUTE: f64 = 1.0e-150;
+
+/// One column of the grid: cell `k` holds the values with
+/// `floor((x − lo) / side) == k`.
+#[derive(Debug, Clone, Copy)]
+struct Axis {
+    lo: f64,
+    side: f64,
+}
+
+impl Axis {
+    /// The axis over the column's finite values `lo..=hi` (`lo > hi`: there
+    /// are none) for radius `eps`.
+    fn new(lo: f64, hi: f64, eps: f64) -> Axis {
+        let (lo, hi) = if lo <= hi { (lo, hi) } else { (0.0, 0.0) };
+        // NaN ε relates no pair, and negative ε at most equal points, so
+        // the side for ε = 0 covers both; ε = +∞ gives an infinite side,
+        // i.e. a single cell.
+        let reach = eps.max(0.0);
+        Axis {
+            lo,
+            side: reach + (reach + (hi - lo)) * CELL_SLACK_RELATIVE + CELL_SLACK_ABSOLUTE,
+        }
+    }
+
+    fn key(&self, x: f64) -> u64 {
+        if self.side.is_finite() {
+            // Saturating: a non-finite coordinate lands in an end cell.
+            ((x - self.lo) / self.side).floor() as u64
+        } else {
+            0
+        }
+    }
+}
+
+/// A uniform grid over the rows of a matrix whose cell side exceeds ε in
+/// every column, so two points within ε of each other always lie in the
+/// same or adjacent cells.
+struct Grid {
+    /// Point indices sorted by cell key, ties by index.
+    order: Vec<usize>,
+    /// Cell `c` holds `order[cell_starts[c]..cell_starts[c + 1]]`.
+    cell_starts: Vec<usize>,
+    /// Cell index of every point.
+    cell_of: Vec<usize>,
+    /// Cell `c`'s adjacent occupied cells (itself first) are
+    /// `adjacent[adjacent_starts[c]..adjacent_starts[c + 1]]`.
+    adjacent_starts: Vec<usize>,
+    adjacent: Vec<usize>,
+}
+
+impl Grid {
+    fn new(data: &Matrix, eps: f64, runtime: &epc_runtime::RuntimeConfig) -> Grid {
+        let (n, d) = (data.n_rows(), data.n_cols());
+        // Column bounds over finite values only: a row with a non-finite
+        // coordinate is within a finite ε of no row, itself included, so
+        // its (saturated) key cannot matter.
+        let mut lo = vec![f64::INFINITY; d];
+        let mut hi = vec![f64::NEG_INFINITY; d];
+        for row in data.rows() {
+            for (j, &x) in row.iter().enumerate().filter(|(_, x)| x.is_finite()) {
+                lo[j] = lo[j].min(x);
+                hi[j] = hi[j].max(x);
+            }
+        }
+        let axes: Vec<Axis> = lo
+            .iter()
+            .zip(&hi)
+            .map(|(&lo, &hi)| Axis::new(lo, hi, eps))
+            .collect();
+        let mut keys = Vec::with_capacity(n * d);
+        for row in data.rows() {
+            keys.extend(row.iter().zip(&axes).map(|(&x, axis)| axis.key(x)));
+        }
+        let key = |p: usize| &keys[p * d..(p + 1) * d];
+
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| key(a).cmp(key(b)));
+        let mut cell_starts = Vec::new();
+        let mut cell_keys = Vec::new();
+        let mut cell_of = vec![0usize; n];
+        for (i, &p) in order.iter().enumerate() {
+            if i == 0 || key(order[i - 1]) != key(p) {
+                cell_starts.push(i);
+                cell_keys.extend_from_slice(key(p));
+            }
+            cell_of[p] = cell_starts.len() - 1;
+        }
+        let n_cells = cell_starts.len();
+        cell_starts.push(n);
+
+        let cells: Vec<usize> = (0..n_cells).collect();
+        let lists: Vec<Vec<usize>> = epc_runtime::par_map(runtime, &cells, |&c| {
+            let mut out = vec![c];
+            adjacent_cells(&cell_keys, d, c, 0, 0..n_cells, &mut out);
+            out
+        });
+        let mut adjacent_starts = Vec::with_capacity(n_cells + 1);
+        let mut adjacent = Vec::new();
+        for list in lists {
+            adjacent_starts.push(adjacent.len());
+            adjacent.extend(list);
+        }
+        adjacent_starts.push(adjacent.len());
+        Grid {
+            order,
+            cell_starts,
+            cell_of,
+            adjacent_starts,
+            adjacent,
+        }
+    }
+
+    fn n_cells(&self) -> usize {
+        self.cell_starts.len() - 1
+    }
+
+    /// Every point in `p`'s own and adjacent cells, in visiting order.
+    fn candidates(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        let c = self.cell_of[p];
+        self.adjacent[self.adjacent_starts[c]..self.adjacent_starts[c + 1]]
+            .iter()
+            .flat_map(|&a| &self.order[self.cell_starts[a]..self.cell_starts[a + 1]])
+            .copied()
+    }
+}
+
+/// Appends to `out`, in key order, every cell in `range` other than `own`
+/// whose key digits `j..` each differ from `own`'s by at most one.
+/// `cell_keys` holds the sorted `d`-digit keys, and all cells in `range`
+/// share digits `..j`, so each digit value is one contiguous sub-range:
+/// the walk never visits an empty branch of the 3^d neighbourhood.
+fn adjacent_cells(
+    cell_keys: &[u64],
+    d: usize,
+    own: usize,
+    j: usize,
+    range: Range<usize>,
+    out: &mut Vec<usize>,
+) {
+    if j == d {
+        // All digits fixed: `range` is one cell. `own` is already first.
+        out.extend(range.filter(|&c| c != own));
+        return;
+    }
+    let digit = |c: usize| cell_keys[c * d + j];
+    let key = digit(own);
+    // First cell in `range` whose digit is not below `bound`.
+    let first_at_least = |bound: u64, from: usize| {
+        let (mut lo, mut hi) = (from, range.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if digit(mid) < bound {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
+    let mut start = first_at_least(key.saturating_sub(1), range.start);
+    while start < range.end && digit(start) <= key.saturating_add(1) {
+        let end = match digit(start).checked_add(1) {
+            Some(next) => first_at_least(next, start),
+            None => range.end,
+        };
+        adjacent_cells(cell_keys, d, own, j + 1, start..end, out);
+        start = end;
+    }
 }
 
 #[cfg(test)]
@@ -301,12 +565,84 @@ mod tests {
                 min_points: 4,
             },
         );
-        assert_eq!(res.region_queries, data.n_rows());
         // Every point is within eps of itself, and neighbourhood
         // membership is symmetric, so links ≥ n and links is even-summed
         // consistently across thread budgets (checked by the equality
         // assertions in `parallel_run_matches_sequential`).
         assert!(res.neighbour_links >= data.n_rows());
+    }
+
+    #[test]
+    fn noise_kernel_matches_labelled_dbscan() {
+        // Rows with a NaN or ±∞ coordinate are within a finite ε of no row.
+        let (blobs, _) = blobs_with_noise();
+        let mut rows: Vec<Vec<f64>> = blobs.rows().map(<[f64]>::to_vec).collect();
+        rows.extend([
+            vec![f64::NAN, 0.0],
+            vec![0.2, f64::INFINITY],
+            vec![f64::NEG_INFINITY, 0.1],
+        ]);
+        let data = Matrix::from_rows(&rows);
+        for eps in [0.0, 1e-9, 0.3, 1.0, 5.0, 1e6, f64::INFINITY, f64::NAN, -1.0] {
+            for min_points in [0, 1, 2, 4, 9, 100] {
+                let cfg = DbscanConfig { eps, min_points };
+                let grid = dbscan_noise(&data, &cfg, &epc_runtime::RuntimeConfig::sequential());
+                assert_eq!(grid.noise, dbscan(&data, &cfg).noise_indices(), "{cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn noise_kernel_exits_early_and_counts_exactly() {
+        let (data, noise_idx) = blobs_with_noise();
+        let cfg = DbscanConfig {
+            eps: 1.0,
+            min_points: 4,
+        };
+        let grid = dbscan_noise(&data, &cfg, &epc_runtime::RuntimeConfig::sequential());
+        assert_eq!(grid.noise, noise_idx);
+        assert_eq!(grid.core_points, 80);
+        // A blob lies within ε of each of its points, so every blob point
+        // stops after 4 evaluations. Each isolated point evaluates only
+        // itself, and pass 2 finds no core candidate to evaluate.
+        assert_eq!(grid.distance_evals, 80 * 4 + 3);
+    }
+
+    #[test]
+    fn zero_eps_over_repeated_rows_keeps_every_row() {
+        // Every row five times: the k-distance estimate returns ε = 0 and
+        // minPts = 4, and each row is core through its own copies.
+        let (data, _) = blobs_with_noise();
+        let rows: Vec<Vec<f64>> = (0..5)
+            .flat_map(|_| data.rows().map(<[f64]>::to_vec))
+            .collect();
+        let repeated = Matrix::from_rows(&rows);
+        let cfg = DbscanConfig {
+            eps: 0.0,
+            min_points: 4,
+        };
+        let grid = dbscan_noise(&repeated, &cfg, &epc_runtime::RuntimeConfig::sequential());
+        assert!(grid.noise.is_empty());
+        assert_eq!(grid.core_points, repeated.n_rows());
+        // One cell per distinct row: each blob repeats its 20 offsets.
+        assert_eq!(grid.occupied_cells, 20 + 20 + 3);
+    }
+
+    #[test]
+    fn cell_side_exceeds_the_rounding_bound() {
+        // DESIGN.md ("Outlier detection"): two values within ε land in the
+        // same or adjacent cells once side > ε(1 + 3u) + 4.01u·R + 2^-537,
+        // u = 2^-53, R the column range. The range term is what a purely
+        // relative margin such as ε·(1 + 1e-6) lacks at tiny ε.
+        let u = f64::EPSILON / 2.0;
+        for eps in [0.0, 1e-300, 1e-15, 1e-12, 1e-6, 0.15, 1.0, 1e6, 1e300] {
+            for range in [0.0, 1e-300, 1e-12, 1.0, 8.0, 1e10, 1e300] {
+                let side = Axis::new(0.0, range, eps).side;
+                let bound = eps * (1.0 + 3.0 * u) + 4.01 * u * range + 0.5f64.powi(537);
+                assert!(side > bound, "eps {eps}, range {range}: side {side}");
+            }
+        }
+        assert!(Axis::new(0.0, 1.0, f64::INFINITY).side.is_infinite());
     }
 
     #[test]

@@ -10,29 +10,43 @@
 use crate::dbscan::DbscanConfig;
 use crate::matrix::{euclidean, Matrix};
 
-/// The k-distance curve: for every point, the distance to its k-th nearest
-/// neighbour, sorted descending (the conventional presentation).
-pub fn k_distance_curve(data: &Matrix, k: usize) -> Vec<f64> {
+/// The k-distance curves of several `ks` in one pass over the point pairs.
+/// Curve `i` holds, for every point, the distance to its `ks[i]`-th nearest
+/// neighbour, sorted descending (the conventional presentation); it is
+/// empty for an empty matrix, `k == 0` or `k >= n`.
+///
+/// Each point's distance row is computed once. A selection moves its
+/// `kmax` smallest distances to the front (`kmax` = the largest `k` with a
+/// curve) and only that head is sorted, so every `k` reads its k-th value
+/// from the same head.
+pub fn k_distance_curves(data: &Matrix, ks: &[usize]) -> Vec<Vec<f64>> {
     let n = data.n_rows();
-    if n == 0 || k == 0 || k >= n {
-        return Vec::new();
-    }
-    let mut curve = Vec::with_capacity(n);
+    let has_curve = |k: usize| k > 0 && k < n;
+    let mut curves: Vec<Vec<f64>> = ks.iter().map(|_| Vec::new()).collect();
+    let Some(kmax) = ks.iter().copied().filter(|&k| has_curve(k)).max() else {
+        return curves;
+    };
     let mut dists = Vec::with_capacity(n - 1);
     for i in 0..n {
         dists.clear();
-        for j in 0..n {
-            if i != j {
-                dists.push(euclidean(data.row(i), data.row(j)));
+        dists.extend(
+            (0..n)
+                .filter(|&j| j != i)
+                .map(|j| euclidean(data.row(i), data.row(j))),
+        );
+        dists.select_nth_unstable_by(kmax - 1, f64::total_cmp);
+        let head = &mut dists[..kmax];
+        head.sort_unstable_by(f64::total_cmp);
+        for (curve, &k) in curves.iter_mut().zip(ks) {
+            if has_curve(k) {
+                curve.push(head[k - 1]);
             }
         }
-        // k-th nearest neighbour via partial selection.
-        let kth = k - 1;
-        dists.sort_by(|a, b| a.partial_cmp(b).expect("NaN distance"));
-        curve.push(dists[kth]);
     }
-    curve.sort_by(|a, b| b.partial_cmp(a).expect("NaN distance"));
-    curve
+    for curve in &mut curves {
+        curve.sort_unstable_by(|a, b| b.total_cmp(a));
+    }
+    curves
 }
 
 /// The elbow of a descending k-distance curve: the point of maximum
@@ -87,10 +101,11 @@ pub fn curve_difference(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Automatically estimates `(minPoints, eps)` the way §2.1.2 describes:
-/// scans `min_points_candidates` in order, computes the k-distance curve
-/// for each, and stops at the first candidate whose curve differs from the
-/// previous one by less than `stability_tol` (the "curve stabilises"
-/// criterion); ε is the elbow of that stable curve.
+/// scans `min_points_candidates` in order over their k-distance curves
+/// (all built in one pass by [`k_distance_curves`]), and stops at the first
+/// candidate whose curve differs from the previous one by less than
+/// `stability_tol` (the "curve stabilises" criterion); ε is the elbow of
+/// that stable curve.
 ///
 /// Falls back to the last candidate when no stabilisation occurs. Returns
 /// `None` when the data is too small for any candidate.
@@ -99,21 +114,23 @@ pub fn estimate_dbscan_params(
     min_points_candidates: &[usize],
     stability_tol: f64,
 ) -> Option<DbscanConfig> {
-    let mut prev: Option<(usize, Vec<f64>)> = None;
-    for &mp in min_points_candidates {
-        // The curve uses k = minPoints − 1 neighbours (the point itself
-        // counts toward minPoints).
-        let k = mp.saturating_sub(1).max(1);
-        let curve = k_distance_curve(data, k);
+    // The curve uses k = minPoints − 1 neighbours (the point itself counts
+    // toward minPoints).
+    let ks: Vec<usize> = min_points_candidates
+        .iter()
+        .map(|&mp| mp.saturating_sub(1).max(1))
+        .collect();
+    let curves = k_distance_curves(data, &ks);
+    let mut prev: Option<(usize, &[f64])> = None;
+    for (&mp, curve) in min_points_candidates.iter().zip(&curves) {
         if curve.len() < 3 {
             continue;
         }
-        if let Some((prev_mp, prev_curve)) = &prev {
-            if curve_difference(prev_curve, &curve) < stability_tol {
-                let eps = curve_elbow_value(prev_curve)?;
+        if let Some((prev_mp, prev_curve)) = prev {
+            if curve_difference(prev_curve, curve) < stability_tol {
                 return Some(DbscanConfig {
-                    eps,
-                    min_points: *prev_mp,
+                    eps: curve_elbow_value(prev_curve)?,
+                    min_points: prev_mp,
                 });
             }
         }
@@ -121,7 +138,7 @@ pub fn estimate_dbscan_params(
     }
     let (mp, curve) = prev?;
     Some(DbscanConfig {
-        eps: curve_elbow_value(&curve)?,
+        eps: curve_elbow_value(curve)?,
         min_points: mp,
     })
 }
@@ -130,6 +147,10 @@ pub fn estimate_dbscan_params(
 mod tests {
     use super::*;
     use crate::dbscan::dbscan;
+
+    fn k_distance_curve(data: &Matrix, k: usize) -> Vec<f64> {
+        k_distance_curves(data, &[k]).remove(0)
+    }
 
     fn blobs_with_noise() -> Matrix {
         let mut rows = Vec::new();

@@ -10,7 +10,9 @@
 //!   iterations, SSE quality index) of §2.2.2;
 //! * [`elbow`] — automatic K selection: "the K value is chosen as the point
 //!   where the marginal decrease in the SSE curve is maximized";
-//! * [`mod@dbscan`] — DBSCAN for multivariate outlier detection (§2.1.2);
+//! * [`mod@dbscan`] — DBSCAN for multivariate outlier detection (§2.1.2):
+//!   the labelled algorithm, and the grid kernel that finds only its noise
+//!   set in linear memory;
 //! * [`kdistance`] — the k-distance-graph heuristic that estimates DBSCAN's
 //!   `eps` and `minPoints` parameters;
 //! * [`cart`] — a single-feature CART regression tree whose splits become
@@ -51,7 +53,7 @@ pub mod support;
 pub use apriori::{Apriori, ItemDictionary, Itemset, TransactionSet};
 pub use cart::{CartConfig, RegressionTree};
 pub use columnar::feature_matrix;
-pub use dbscan::{dbscan, DbscanConfig, DbscanLabel, DbscanResult};
+pub use dbscan::{dbscan, dbscan_noise, DbscanConfig, DbscanLabel, DbscanNoise, DbscanResult};
 pub use discretize::Discretizer;
 pub use elbow::{elbow_k, sse_curve};
 pub use hierarchical::{agglomerative, hierarchical_clusters, Dendrogram, Linkage};

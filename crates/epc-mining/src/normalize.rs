@@ -10,7 +10,13 @@ use crate::matrix::Matrix;
 #[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxScaler {
     mins: Vec<f64>,
+    /// `max − min`, in the units of `units`.
     ranges: Vec<f64>,
+    /// Per feature, 1.0 — or 0.5 when `max − min` overflows f64 (finite
+    /// values spanning more than `f64::MAX`): that feature is measured in
+    /// half units, so its scaled values stay finite. Multiplying by 1.0 is
+    /// exact, so every other feature scales bit for bit as `(x − min) / r`.
+    units: Vec<f64>,
 }
 
 impl MinMaxScaler {
@@ -28,19 +34,33 @@ impl MinMaxScaler {
                 maxs[j] = maxs[j].max(x);
             }
         }
-        let ranges = mins
+        let (ranges, units) = mins
             .iter()
             .zip(&maxs)
             .map(|(lo, hi)| {
-                let r = hi - lo;
-                if r > 0.0 {
-                    r
-                } else {
-                    1.0 // constant feature maps to 0
-                }
+                // Halving is exact, so a span beyond f64::MAX is measured
+                // in half units.
+                let overflows = (hi - lo).is_infinite() && lo.is_finite() && hi.is_finite();
+                let u = if overflows { 0.5 } else { 1.0 };
+                let r = hi * u - lo * u;
+                // A constant feature maps to 0.
+                (if r > 0.0 { r } else { 1.0 }, u)
             })
-            .collect();
-        Some(MinMaxScaler { mins, ranges })
+            .unzip();
+        Some(MinMaxScaler {
+            mins,
+            ranges,
+            units,
+        })
+    }
+
+    /// Features whose finite values span more than `f64::MAX`, ascending.
+    /// They still scale to finite values, but in half units: every value
+    /// far from both ends lands on the same scaled point.
+    pub fn overflowing_features(&self) -> Vec<usize> {
+        (0..self.units.len())
+            .filter(|&j| self.units[j] < 1.0)
+            .collect()
     }
 
     /// Transforms a matrix into scaled space.
@@ -49,7 +69,8 @@ impl MinMaxScaler {
         for i in 0..out.n_rows() {
             let row = out.row_mut(i);
             for (j, x) in row.iter_mut().enumerate() {
-                *x = (*x - self.mins[j]) / self.ranges[j];
+                let u = self.units[j];
+                *x = (*x * u - self.mins[j] * u) / self.ranges[j];
             }
         }
         out
@@ -60,7 +81,10 @@ impl MinMaxScaler {
     pub fn inverse_row(&self, row: &[f64]) -> Vec<f64> {
         row.iter()
             .enumerate()
-            .map(|(j, x)| x * self.ranges[j] + self.mins[j])
+            .map(|(j, x)| {
+                let u = self.units[j];
+                (x * self.ranges[j] + self.mins[j] * u) / u
+            })
             .collect()
     }
 
@@ -181,6 +205,17 @@ mod tests {
         let m = Matrix::from_rows(&[vec![7.0, 1.0], vec![7.0, 2.0]]);
         let (_, t) = MinMaxScaler::fit_transform(&m).unwrap();
         assert_eq!(t.column(0), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn minmax_keeps_a_span_beyond_f64_max_finite() {
+        let m = Matrix::from_rows(&[vec![1.7e308, 3.0], vec![-1.7e308, 4.0], vec![0.0, 5.0]]);
+        let (s, t) = MinMaxScaler::fit_transform(&m).unwrap();
+        assert_eq!(t.column(0), vec![1.0, 0.0, 0.5]);
+        // The ordinary column is untouched by the other's half units.
+        assert_eq!(t.column(1), vec![0.0, 0.5, 1.0]);
+        assert_eq!(s.inverse_row(t.row(1)), vec![-1.7e308, 4.0]);
+        assert_eq!(s.overflowing_features(), vec![0]);
     }
 
     #[test]

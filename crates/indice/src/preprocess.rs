@@ -22,7 +22,7 @@ use epc_geo::cleaning::{
 use epc_geo::geocode::{Backoff, Geocoder, QuotaGeocoder, RetryGeocoder, SimulatedGeocoder};
 use epc_geo::point::GeoPoint;
 use epc_geo::streetmap::StreetMap;
-use epc_mining::dbscan::{dbscan_with_runtime, DbscanConfig};
+use epc_mining::dbscan::{dbscan_noise, DbscanConfig};
 use epc_mining::kdistance::estimate_dbscan_params;
 use epc_mining::matrix::Matrix;
 use epc_model::{
@@ -355,10 +355,23 @@ fn detect_and_remove_outliers(
         if rows.len() >= 10 {
             let matrix = Matrix::from_vec(data, rows.len(), feature_ids.len());
             // Scale features so DBSCAN's Euclidean radius is meaningful.
-            let (_, scaled) = epc_mining::normalize::MinMaxScaler::fit_transform(&matrix)
+            let (scaler, scaled) = epc_mining::normalize::MinMaxScaler::fit_transform(&matrix)
                 .ok_or_else(|| {
                     IndiceError::Clustering("feature scaling failed: empty matrix".into())
                 })?;
+            // Finite values spanning more than f64::MAX scale without NaN,
+            // but every ordinary value of the feature then lands on one
+            // point: refuse the feature by name instead.
+            if let Some(name) = scaler
+                .overflowing_features()
+                .first()
+                .and_then(|&j| config.analytics.features.get(j))
+            {
+                return Err(IndiceError::Clustering(format!(
+                    "feature {name:?} spans more than f64::MAX; \
+                     min-max scaling cannot separate its ordinary values"
+                )));
+            }
             // Parameter estimation on a stride-sample.
             let params = {
                 let stride = (rows.len() / PARAM_ESTIMATION_SAMPLE).max(1);
@@ -374,31 +387,30 @@ fn detect_and_remove_outliers(
                 )
             };
             if let Some(params) = params {
-                let result = dbscan_with_runtime(&scaled, &params, runtime);
+                let result = dbscan_noise(&scaled, &params, runtime);
                 if let Some(obs) = obs {
                     obs.point(
                         "preprocess:dbscan",
                         &[
+                            ("core_points", result.core_points.into()),
+                            ("distance_evals", result.distance_evals.into()),
                             ("eps", params.eps.into()),
                             ("min_points", params.min_points.into()),
-                            ("neighbour_links", result.neighbour_links.into()),
-                            ("noise", result.noise_indices().len().into()),
-                            ("points", result.labels.len().into()),
-                            ("region_queries", result.region_queries.into()),
+                            ("noise", result.noise.len().into()),
+                            ("occupied_cells", result.occupied_cells.into()),
+                            ("points", rows.len().into()),
                         ],
                     );
                     let m = obs.metrics();
-                    m.inc("dbscan_region_queries", result.region_queries as u64);
-                    m.inc("dbscan_neighbour_links", result.neighbour_links as u64);
-                    m.inc(
-                        "outliers_multivariate_flagged",
-                        result.noise_indices().len() as u64,
-                    );
+                    m.inc("dbscan_core_points", result.core_points as u64);
+                    m.inc("dbscan_distance_evals", result.distance_evals as u64);
+                    m.inc("dbscan_occupied_cells", result.occupied_cells as u64);
+                    m.inc("outliers_multivariate_flagged", result.noise.len() as u64);
                 }
                 multivariate_flagged = result
-                    .noise_indices()
-                    .into_iter()
-                    .filter_map(|i| rows.get(i).copied())
+                    .noise
+                    .iter()
+                    .filter_map(|&i| rows.get(i).copied())
                     .collect();
                 flagged.extend(multivariate_flagged.iter().copied());
                 dbscan_params = Some(params);

@@ -233,3 +233,32 @@ fn dataset_with_duplicated_rows_is_handled() {
     .expect("duplicates tolerated");
     assert!(out.chosen_k >= 2);
 }
+
+#[test]
+fn feature_span_beyond_f64_max_is_a_clean_error_naming_it() {
+    // ±1.7e308 is finite, so record validation accepts it, but the
+    // column's max − min overflows f64: scaling used to yield NaN
+    // distances that panicked the preprocess stage. Scaled features now
+    // stay finite, and the feature — whose ordinary values would all
+    // collapse onto one scaled point — is refused by name.
+    let mut c = EpcGenerator::new(SynthConfig {
+        n_records: 400,
+        seed: 5,
+        ..SynthConfig::default()
+    })
+    .generate();
+    apply_noise(&mut c, &NoiseConfig::default());
+    let id = c.dataset.schema().require(wk::HEAT_SURFACE).unwrap();
+    for row in 1..60 {
+        let v = if row % 2 == 1 { 1.7e308 } else { -1.7e308 };
+        c.dataset.set_value(row, id, Value::num(v)).unwrap();
+    }
+    let err = Indice::from_collection(c, IndiceConfig::default())
+        .run(Stakeholder::Citizen)
+        .unwrap_err();
+    assert!(
+        matches!(&err, IndiceError::Clustering(msg) if msg.contains(wk::HEAT_SURFACE)),
+        "expected a clustering error naming {}, got {err}",
+        wk::HEAT_SURFACE
+    );
+}
