@@ -367,6 +367,49 @@ if want ingest; then
       exit 1
     fi
   done
+
+  echo "== ingest: --recompute is an unknown flag, rejected before any I/O =="
+  set +e
+  "$INDICE" "${ingest_args[@]}" --into "$INGEST_DIR/recompute" \
+    --recompute warm >/dev/null 2>"$INGEST_DIR/recompute.err"
+  code=$?
+  set -e
+  if [ "$code" -ne 1 ]; then
+    echo "FAIL: --recompute warm exited $code (expected 1)" >&2
+    exit 1
+  fi
+  if ! grep -qF -- "unknown flag --recompute" "$INGEST_DIR/recompute.err"; then
+    echo "FAIL: the --recompute rejection does not name the flag" >&2
+    exit 1
+  fi
+  if [ -e "$INGEST_DIR/recompute" ]; then
+    echo "FAIL: a rejected ingest created its run directory" >&2
+    exit 1
+  fi
+
+  echo "== ingest: a warm-sealed run directory resumes to the exact tree =="
+  # A last generation sealed as "warm" fails resume validation and is
+  # folded again in exact mode.
+  warm_dir="$INGEST_DIR/warm-sealed"
+  cp -R "$INGEST_DIR/batched" "$warm_dir"
+  sed -i '$ s/"recompute":"exact"/"recompute":"warm"/' \
+    "$warm_dir/generations.manifest.jsonl"
+  if ! tail -n 1 "$warm_dir/generations.manifest.jsonl" \
+       | grep -qF '"recompute":"warm"'; then
+    echo "FAIL: could not relabel the last generation as warm" >&2
+    exit 1
+  fi
+  "$INDICE" "${ingest_args[@]}" --resume "$warm_dir" \
+    >/dev/null 2>"$INGEST_DIR/warm.err"
+  if ! grep -qF 'sealed generation 2 rejected: sealed in recompute mode "warm"' \
+       "$INGEST_DIR/warm.err"; then
+    echo "FAIL: resume did not print the warm generation's rejection" >&2
+    exit 1
+  fi
+  if [ "$(tree_hash "$warm_dir")" != "$batched_hash" ]; then
+    echo "FAIL: warm-sealed resume is not byte-identical to the exact ingest" >&2
+    exit 1
+  fi
 fi
 
 if want columnar; then

@@ -92,7 +92,8 @@ pub struct GenerationEntry {
     pub outcome: GenerationOutcome,
     /// Degradation/abandonment reasons (deterministic order).
     pub reasons: Vec<String>,
-    /// Recompute mode that sealed this generation (`exact` or `warm`).
+    /// Recompute mode that sealed this generation: always `exact`. Resume
+    /// rejects an entry recording anything else and folds it again.
     pub recompute: String,
     /// Records entering the batch (pre-validation).
     pub records_in: usize,
@@ -141,24 +142,33 @@ impl GenerationEntry {
 /// `seq` from 0, a consistent config fingerprint, and an intact parent
 /// hash chain. Returns the chain hash of the last entry ([`GENESIS`] when
 /// empty), i.e. the `parent` the next generation must record.
+///
+/// An error starts with the offending entry's 1-based manifest line. The
+/// manifest holds one line per entry, so entry `i` is line `i + 1`.
 pub fn validate_chain(entries: &[GenerationEntry]) -> Result<String, String> {
     let mut parent = GENESIS.to_owned();
     for (i, entry) in entries.iter().enumerate() {
+        let line = i + 1;
         if entry.seq != i {
             return Err(format!(
-                "generation manifest out of order: entry {i} has seq {}",
+                "line {line}: generation manifest out of order: entry {i} has seq {}",
                 entry.seq
             ));
         }
         if entry.parent != parent {
+            let of = if i == 0 {
+                String::new()
+            } else {
+                format!(", the chain hash of line {i}")
+            };
             return Err(format!(
-                "generation {} breaks the hash chain: parent {} != expected {}",
-                entry.seq, entry.parent, parent
+                "line {line}: generation {} breaks the hash chain: parent {} != expected {parent}{of}",
+                entry.seq, entry.parent
             ));
         }
         if i > 0 && entry.config_fingerprint != entries[0].config_fingerprint {
             return Err(format!(
-                "generation {} was sealed under a different configuration",
+                "line {line}: generation {} was sealed under a different configuration than line 1",
                 entry.seq
             ));
         }
@@ -268,17 +278,23 @@ mod tests {
         // Broken seq.
         let mut entries = chain(3);
         entries[1].seq = 5;
-        assert!(validate_chain(&entries)
-            .unwrap_err()
-            .contains("out of order"));
+        let err = validate_chain(&entries).unwrap_err();
+        assert!(
+            err.starts_with("line 2: ") && err.contains("out of order"),
+            "{err}"
+        );
 
         // Tampered payload: entry 1's recorded chain no longer matches
         // entry 2's parent.
         let mut entries = chain(3);
         entries[1].records_kept = 9999;
-        assert!(validate_chain(&entries)
-            .unwrap_err()
-            .contains("breaks the hash chain"));
+        let err = validate_chain(&entries).unwrap_err();
+        assert!(
+            err.starts_with("line 3: ")
+                && err.contains("breaks the hash chain")
+                && err.ends_with("the chain hash of line 2"),
+            "{err}"
+        );
 
         // Config drift.
         let mut entries = chain(3);
@@ -287,9 +303,11 @@ mod tests {
         entries[2].config_fingerprint = "other".into();
         let parent = entries[1].chain_hash();
         entries[2].parent = parent;
-        assert!(validate_chain(&entries)
-            .unwrap_err()
-            .contains("different configuration"));
+        let err = validate_chain(&entries).unwrap_err();
+        assert!(
+            err.starts_with("line 3: ") && err.contains("different configuration"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -37,12 +37,15 @@ impl GenerationManifest {
 
     /// Loads the manifest and validates the sealed prefix's hash chain,
     /// returning the entries plus the chain tip the next generation must
-    /// record as its parent. Chain violations are `InvalidData` errors —
-    /// a tampered manifest must never be silently folded.
+    /// record as its parent. Chain violations are `InvalidData` errors
+    /// naming the manifest path and line — a tampered manifest must never
+    /// be silently folded.
     pub fn load_validated(&self) -> io::Result<(Loaded<GenerationEntry>, String)> {
         let loaded = self.load()?;
-        let tip = validate_chain(&loaded.entries)
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?;
+        let tip = validate_chain(&loaded.entries).map_err(|msg| {
+            let msg = format!("{}: {msg}", self.path().display());
+            io::Error::new(io::ErrorKind::InvalidData, msg)
+        })?;
         Ok((loaded, tip))
     }
 }
@@ -134,7 +137,12 @@ mod tests {
         m.rewrite(&sealed).unwrap();
         let err = m.load_validated().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("hash chain"));
+        let msg = err.to_string();
+        assert!(msg.contains("hash chain"), "{msg}");
+        // Line 3's parent no longer matches the tampered line 2.
+        let at = format!("{}: line 3: ", m.path().display());
+        assert!(msg.starts_with(&at), "{msg}");
+        assert!(msg.contains("line 2"), "{msg}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

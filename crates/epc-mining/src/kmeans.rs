@@ -163,35 +163,8 @@ impl KMeans {
         Some(self.lloyd(data, centroids, runtime))
     }
 
-    /// Warm-start fit: runs the same Lloyd loop as [`KMeans::fit_traced`]
-    /// but seeds it with `initial` centroids instead of the configured
-    /// (seeded) initialization. `k` is taken from `initial.n_rows()`; the
-    /// configured `k`, `init`, and `seed` are ignored. Returns `None` when
-    /// `initial` is empty, its width differs from `data`'s, or there are
-    /// fewer points than centroids.
-    ///
-    /// Warm-starting from a previous generation's converged centroids lets
-    /// incremental ingest resume clustering cheaply; the result is an
-    /// ε-equivalent (not bitwise-identical) model unless the data is
-    /// unchanged, in which case Lloyd is a fixed point and one round
-    /// reproduces the converged model exactly.
-    pub fn fit_traced_from(
-        &self,
-        data: &Matrix,
-        initial: &Matrix,
-        runtime: &epc_runtime::RuntimeConfig,
-    ) -> Option<(KMeansModel, KMeansFitTrace)> {
-        let k = initial.n_rows();
-        let n = data.n_rows();
-        if k == 0 || n == 0 || n < k || initial.n_cols() != data.n_cols() {
-            return None;
-        }
-        Some(self.lloyd(data, initial.clone(), runtime))
-    }
-
-    /// Lloyd iteration shared by cold ([`KMeans::fit_traced`]) and warm
-    /// ([`KMeans::fit_traced_from`]) starts. `centroids` must already be
-    /// k × d with `k ≤ data.n_rows()`.
+    /// Lloyd iteration behind [`KMeans::fit_traced`], from its seeded
+    /// initial `centroids` (k × d with `k ≤ data.n_rows()`).
     fn lloyd(
         &self,
         data: &Matrix,
@@ -567,90 +540,6 @@ mod tests {
         .unwrap();
         let total: usize = (0..3).map(|c| m.members_of(c).len()).sum();
         assert_eq!(total, 90);
-    }
-
-    #[test]
-    fn warm_start_from_converged_centroids_is_a_fixed_point() {
-        let data = blobs();
-        let cfg = KMeansConfig {
-            k: 3,
-            ..Default::default()
-        };
-        let rt = epc_runtime::RuntimeConfig::sequential();
-        let (cold, _) = KMeans::new(cfg.clone()).fit_traced(&data, &rt).unwrap();
-        assert!(cold.converged);
-        let (warm, trace) = KMeans::new(cfg)
-            .fit_traced_from(&data, &cold.centroids, &rt)
-            .unwrap();
-        // Lloyd from a converged solution over the same data moves nothing:
-        // the very first round re-derives identical centroids.
-        assert!(warm.converged);
-        assert_eq!(warm.n_iter, 1);
-        assert_eq!(warm.centroids, cold.centroids);
-        assert_eq!(warm.assignments, cold.assignments);
-        assert_eq!(warm.sse.to_bits(), cold.sse.to_bits());
-        assert_eq!(trace.round_inertia.len(), 1);
-    }
-
-    #[test]
-    fn warm_start_from_perturbed_centroids_reconverges_nearby() {
-        let data = blobs();
-        let cfg = KMeansConfig {
-            k: 3,
-            ..Default::default()
-        };
-        let rt = epc_runtime::RuntimeConfig::sequential();
-        let (cold, _) = KMeans::new(cfg.clone()).fit_traced(&data, &rt).unwrap();
-        let mut nudged = cold.centroids.clone();
-        for c in 0..nudged.n_rows() {
-            for t in nudged.row_mut(c) {
-                *t += 0.25;
-            }
-        }
-        let (warm, _) = KMeans::new(cfg)
-            .fit_traced_from(&data, &nudged, &rt)
-            .unwrap();
-        assert!(warm.converged);
-        // Well-separated blobs: the perturbation stays within each basin,
-        // so the warm fit lands back on the cold optimum.
-        assert_eq!(warm.assignments, cold.assignments);
-        assert!((warm.sse - cold.sse).abs() <= 1e-9 * cold.sse.max(1.0));
-    }
-
-    #[test]
-    fn warm_start_ignores_configured_k_and_uses_initial_rows() {
-        let data = blobs();
-        let cfg = KMeansConfig {
-            k: 5, // deliberately wrong; initial centroids carry k = 2
-            ..Default::default()
-        };
-        let initial = Matrix::from_rows(&[vec![0.0, 0.0], vec![0.0, 10.0]]);
-        let rt = epc_runtime::RuntimeConfig::sequential();
-        let (warm, _) = KMeans::new(cfg)
-            .fit_traced_from(&data, &initial, &rt)
-            .unwrap();
-        assert_eq!(warm.k(), 2);
-        assert!(warm.converged);
-    }
-
-    #[test]
-    fn warm_start_rejects_shape_mismatches() {
-        let data = blobs();
-        let km = KMeans::new(KMeansConfig::default());
-        let rt = epc_runtime::RuntimeConfig::sequential();
-        // Empty initial centroids.
-        assert!(km
-            .fit_traced_from(&data, &Matrix::zeros(0, 2), &rt)
-            .is_none());
-        // Width mismatch.
-        assert!(km
-            .fit_traced_from(&data, &Matrix::zeros(3, 5), &rt)
-            .is_none());
-        // More centroids than points.
-        let tiny = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        assert!(km
-            .fit_traced_from(&tiny, &Matrix::zeros(2, 2), &rt)
-            .is_none());
     }
 
     #[test]

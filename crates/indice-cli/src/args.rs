@@ -2,12 +2,16 @@
 
 use epc_faults::{BatchScope, CrashSpec, IngestCrash};
 use epc_query::Stakeholder;
-use indice::generations::RecomputeMode;
 use indice::pipeline::Stage;
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Environment variable holding the per-stage deadline budget (ms).
 pub const STAGE_DEADLINE_ENV_VAR: &str = "INDICE_STAGE_DEADLINE_MS";
+
+/// Default of every `--seed` and `--fault-seed` flag.
+const DEFAULT_SEED: u64 = 2024;
 
 /// Noise presets for `generate`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,8 +117,6 @@ pub enum Command {
         /// Fold into a directory that already holds sealed generations
         /// (`--resume DIR` instead of `--into DIR`).
         resume: bool,
-        /// Analytics recompute mode across generations.
-        recompute: RecomputeMode,
         /// Injected crash at a batch boundary (`N:before|after|torn`).
         crash_at_batch: Option<IngestCrash>,
         /// Seed of the deterministic fault injector (chaos testing).
@@ -179,7 +181,7 @@ USAGE:
              [--metrics-out FILE] [--trace-out FILE]
   indice ingest --append a.csv,b.csv,... --streets street_map.txt \\
              --regions regions.json (--into DIR | --resume DIR) \\
-             [--stakeholder pa|citizen|scientist] [--recompute exact|warm] \\
+             [--stakeholder pa|citizen|scientist] \\
              [--crash-at-batch N:before|after|torn] \\
              [--fault-seed S] [--fault-rate R] [--corrupt-batches all|0,2-4]
   indice fleet run --cities N [--records N] [--seed S] \\
@@ -193,6 +195,8 @@ USAGE:
   indice suggest-config --data epcs.csv
   indice clean --data epcs.csv --streets street_map.txt --out cleaned.csv
   indice help
+
+Every command rejects a flag it does not list above (exit 1).
 
 `run` executes under a stage supervisor: malformed records are diverted
 into a quarantine, transient geocoder failures are retried with
@@ -227,11 +231,9 @@ the regenerated `current/` artifacts are durably checkpointed. Killing
 an ingest at any batch boundary and re-running with `--resume DIR`
 finishes byte-identical to an uninterrupted ingest, and the final
 `current/` directory is byte-identical to a one-shot `indice run` over
-the concatenated input (`--recompute warm` relaxes only the K-means
-seeding to a bounded-drift warm start; everything else stays exact).
-A batch whose records cannot be selected or cleaned is *abandoned*:
-recorded in the manifest, skipped, and the sealed generations before it
-stay untouched.
+the concatenated input. A batch whose records cannot be selected or
+cleaned is *abandoned*: recorded in the manifest, skipped, and the
+sealed generations before it stay untouched.
 
   exit code  meaning
   ---------  -------------------------------------------------------
@@ -295,31 +297,20 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
     };
-    // `fleet` takes a sub-command word before its flags.
-    if cmd == "fleet" {
-        return parse_fleet(&args[1..]);
-    }
-    let flags = parse_flags(&args[1..])?;
-    let get = |name: &str| -> Result<&String, String> {
-        flags
-            .get(name)
-            .ok_or_else(|| format!("missing required flag --{name}"))
-    };
+    let rest = &args[1..];
     match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+        "help" | "--help" | "-h" => {
+            Flags::parse(cmd, &[], rest)?;
+            Ok(Command::Help)
+        }
         "generate" => {
-            let records: usize = get("records")?
-                .parse()
-                .map_err(|e| format!("--records: {e}"))?;
+            let flags = Flags::parse(cmd, &["records", "seed", "noise", "out-dir"], rest)?;
+            let records: usize = flags.required_parsed("records")?;
             if records == 0 {
                 return Err("--records must be positive".into());
             }
-            let seed: u64 = flags
-                .get("seed")
-                .map(|s| s.parse().map_err(|e| format!("--seed: {e}")))
-                .transpose()?
-                .unwrap_or(2024);
-            let noise = match flags.get("noise").map(String::as_str) {
+            let seed = flags.parsed_or("seed", DEFAULT_SEED)?;
+            let noise = match flags.get("noise") {
                 None | Some("default") => NoisePreset::Default,
                 Some("none") => NoisePreset::None,
                 Some("heavy") => NoisePreset::Heavy,
@@ -329,46 +320,44 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 records,
                 seed,
                 noise,
-                out_dir: get("out-dir")?.clone(),
+                out_dir: flags.required("out-dir")?,
             })
         }
-        "describe" => Ok(Command::Describe {
-            data: get("data")?.clone(),
-        }),
+        "describe" => {
+            let flags = Flags::parse(cmd, &["data"], rest)?;
+            Ok(Command::Describe {
+                data: flags.required("data")?,
+            })
+        }
         "run" => {
-            let stakeholder = match flags.get("stakeholder").map(String::as_str) {
-                None | Some("pa") | Some("public-administration") => {
-                    Stakeholder::PublicAdministration
-                }
-                Some("citizen") => Stakeholder::Citizen,
-                Some("scientist") | Some("energy-scientist") => Stakeholder::EnergyScientist,
-                Some(other) => return Err(format!("unknown --stakeholder {other:?}")),
-            };
-            let fault_seed: u64 = flags
-                .get("fault-seed")
-                .map(|s| s.parse().map_err(|e| format!("--fault-seed: {e}")))
-                .transpose()?
-                .unwrap_or(2024);
-            let fault_rate = parse_rate(&flags, "fault-rate")?;
-            let geocode_fail_rate = parse_rate(&flags, "geocode-fail-rate")?;
-            let (out_dir, resume) = match (flags.get("out-dir"), flags.get("resume")) {
-                (Some(_), Some(_)) => {
-                    return Err(
-                        "--out-dir and --resume are mutually exclusive (both name the run \
-                         directory; --resume continues from its journal)"
-                            .into(),
-                    )
-                }
-                (Some(dir), None) => (dir.clone(), false),
-                (None, Some(dir)) => (dir.clone(), true),
-                (None, None) => {
-                    return Err("missing required flag --out-dir (or --resume DIR)".into())
-                }
-            };
-            let max_quarantine_frac = match flags.get("max-quarantine-frac") {
-                Some(_) => Some(parse_rate(&flags, "max-quarantine-frac")?),
-                None => None,
-            };
+            let flags = Flags::parse(
+                cmd,
+                &[
+                    "data",
+                    "streets",
+                    "regions",
+                    "stakeholder",
+                    "out-dir",
+                    "resume",
+                    "fault-seed",
+                    "fault-rate",
+                    "geocode-fail-rate",
+                    "max-quarantine-frac",
+                    "crash-at",
+                    "metrics-out",
+                    "trace-out",
+                ],
+                rest,
+            )?;
+            let stakeholder = flags.stakeholder()?;
+            let fault_seed = flags.parsed_or("fault-seed", DEFAULT_SEED)?;
+            let fault_rate = flags.rate("fault-rate")?.unwrap_or(0.0);
+            let geocode_fail_rate = flags.rate("geocode-fail-rate")?.unwrap_or(0.0);
+            let (out_dir, resume) = flags.dir_or_resume(
+                "out-dir",
+                "run directory; --resume continues from its journal",
+            )?;
+            let max_quarantine_frac = flags.rate("max-quarantine-frac")?;
             let crash_at = flags
                 .get("crash-at")
                 .map(|raw| CrashSpec::parse(raw).map_err(|e| format!("--crash-at: {e}")))
@@ -377,9 +366,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 check_stage("--crash-at", spec.stage())?;
             }
             Ok(Command::Run {
-                data: get("data")?.clone(),
-                streets: get("streets")?.clone(),
-                regions: get("regions")?.clone(),
+                data: flags.required("data")?,
+                streets: flags.required("streets")?,
+                regions: flags.required("regions")?,
                 stakeholder,
                 out_dir,
                 resume,
@@ -388,23 +377,21 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 geocode_fail_rate,
                 max_quarantine_frac,
                 crash_at,
-                metrics_out: flags.get("metrics-out").cloned(),
-                trace_out: flags.get("trace-out").cloned(),
+                metrics_out: flags.get("metrics-out").map(str::to_owned),
+                trace_out: flags.get("trace-out").map(str::to_owned),
             })
         }
         "bench" => {
-            let records: Vec<usize> = get("records")?
+            let flags = Flags::parse(cmd, &["records", "seed", "engines", "out"], rest)?;
+            let records: Vec<usize> = flags
+                .required("records")?
                 .split(',')
                 .map(|s| s.trim().parse().map_err(|e| format!("--records: {e}")))
                 .collect::<Result<_, _>>()?;
             if records.is_empty() || records.contains(&0) {
                 return Err("--records must be a comma list of positive sizes".into());
             }
-            let seed: u64 = flags
-                .get("seed")
-                .map(|s| s.parse().map_err(|e| format!("--seed: {e}")))
-                .transpose()?
-                .unwrap_or(2024);
+            let seed = flags.parsed_or("seed", DEFAULT_SEED)?;
             let engines: Vec<epc_runtime::Engine> = match flags.get("engines") {
                 None => vec![epc_runtime::Engine::Row],
                 Some(raw) => {
@@ -425,11 +412,28 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 records,
                 seed,
                 engines,
-                out: get("out")?.clone(),
+                out: flags.required("out")?,
             })
         }
         "ingest" => {
-            let append: Vec<String> = get("append")?
+            let flags = Flags::parse(
+                cmd,
+                &[
+                    "append",
+                    "streets",
+                    "regions",
+                    "into",
+                    "resume",
+                    "stakeholder",
+                    "crash-at-batch",
+                    "fault-seed",
+                    "fault-rate",
+                    "corrupt-batches",
+                ],
+                rest,
+            )?;
+            let append: Vec<String> = flags
+                .required("append")?
                 .split(',')
                 .map(|s| s.trim().to_owned())
                 .filter(|s| !s.is_empty())
@@ -437,74 +441,53 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if append.is_empty() {
                 return Err("--append needs at least one batch CSV path".into());
             }
-            let stakeholder = match flags.get("stakeholder").map(String::as_str) {
-                None | Some("pa") | Some("public-administration") => {
-                    Stakeholder::PublicAdministration
-                }
-                Some("citizen") => Stakeholder::Citizen,
-                Some("scientist") | Some("energy-scientist") => Stakeholder::EnergyScientist,
-                Some(other) => return Err(format!("unknown --stakeholder {other:?}")),
-            };
-            let (run_dir, resume) = match (flags.get("into"), flags.get("resume")) {
-                (Some(_), Some(_)) => {
-                    return Err(
-                        "--into and --resume are mutually exclusive (both name the ingest \
-                         directory; --resume folds onto its sealed generations)"
-                            .into(),
-                    )
-                }
-                (Some(dir), None) => (dir.clone(), false),
-                (None, Some(dir)) => (dir.clone(), true),
-                (None, None) => return Err("missing required flag --into (or --resume DIR)".into()),
-            };
-            let recompute = match flags.get("recompute") {
-                None => RecomputeMode::Exact,
-                Some(raw) => RecomputeMode::parse(raw).map_err(|e| format!("--recompute: {e}"))?,
-            };
+            let stakeholder = flags.stakeholder()?;
+            let (run_dir, resume) = flags.dir_or_resume(
+                "into",
+                "ingest directory; --resume folds onto its sealed generations",
+            )?;
             let crash_at_batch = flags
                 .get("crash-at-batch")
                 .map(|raw| IngestCrash::parse(raw).map_err(|e| format!("--crash-at-batch: {e}")))
                 .transpose()?;
-            let fault_seed: u64 = flags
-                .get("fault-seed")
-                .map(|s| s.parse().map_err(|e| format!("--fault-seed: {e}")))
-                .transpose()?
-                .unwrap_or(2024);
+            let fault_seed = flags.parsed_or("fault-seed", DEFAULT_SEED)?;
             let corrupt_batches = flags
                 .get("corrupt-batches")
                 .map(|raw| BatchScope::parse(raw).map_err(|e| format!("--corrupt-batches: {e}")))
                 .transpose()?;
             // `--corrupt-batches` alone turns a default rate on, mirroring
             // the fleet's `--corrupt-city`.
-            let fault_rate = if flags.contains_key("fault-rate") {
-                parse_rate(&flags, "fault-rate")?
-            } else if corrupt_batches.is_some() {
-                0.2
-            } else {
-                0.0
-            };
+            let default_rate = if corrupt_batches.is_some() { 0.2 } else { 0.0 };
+            let fault_rate = flags.rate("fault-rate")?.unwrap_or(default_rate);
             Ok(Command::Ingest {
                 append,
-                streets: get("streets")?.clone(),
-                regions: get("regions")?.clone(),
+                streets: flags.required("streets")?,
+                regions: flags.required("regions")?,
                 stakeholder,
                 run_dir,
                 resume,
-                recompute,
                 crash_at_batch,
                 fault_seed,
                 fault_rate,
                 corrupt_batches,
             })
         }
-        "suggest-config" => Ok(Command::SuggestConfig {
-            data: get("data")?.clone(),
-        }),
-        "clean" => Ok(Command::Clean {
-            data: get("data")?.clone(),
-            streets: get("streets")?.clone(),
-            out: get("out")?.clone(),
-        }),
+        "suggest-config" => {
+            let flags = Flags::parse(cmd, &["data"], rest)?;
+            Ok(Command::SuggestConfig {
+                data: flags.required("data")?,
+            })
+        }
+        "clean" => {
+            let flags = Flags::parse(cmd, &["data", "streets", "out"], rest)?;
+            Ok(Command::Clean {
+                data: flags.required("data")?,
+                streets: flags.required("streets")?,
+                out: flags.required("out")?,
+            })
+        }
+        // `fleet` takes a sub-command word before its flags.
+        "fleet" => parse_fleet(rest),
         other => Err(format!("unknown command {other:?}; try `indice help`")),
     }
 }
@@ -521,95 +504,65 @@ fn parse_fleet(args: &[String]) -> Result<Command, String> {
         }
         None => return Err("fleet needs a sub-command: `indice fleet run ...`".into()),
     }
-    let flags = parse_flags(&args[1..])?;
-    let cities: usize = flags
-        .get("cities")
-        .ok_or("missing required flag --cities")?
-        .parse()
-        .map_err(|e| format!("--cities: {e}"))?;
+    let flags = Flags::parse(
+        "fleet run",
+        &[
+            "cities",
+            "records",
+            "seed",
+            "out-dir",
+            "resume",
+            "stakeholder",
+            "max-failed-cities",
+            "retry-budget",
+            "kill-city",
+            "kill-stage",
+            "kill-attempt",
+            "corrupt-city",
+            "fault-rate",
+            "fault-seed",
+            "crash-at-city",
+        ],
+        &args[1..],
+    )?;
+    let cities: usize = flags.required_parsed("cities")?;
     if cities == 0 {
         return Err("--cities must be positive".into());
     }
-    let records: usize = flags
-        .get("records")
-        .map(|s| s.parse().map_err(|e| format!("--records: {e}")))
-        .transpose()?
-        .unwrap_or(1200);
+    let records: usize = flags.parsed_or("records", 1200)?;
     if records == 0 {
         return Err("--records must be positive".into());
     }
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|e| format!("--seed: {e}")))
-        .transpose()?
-        .unwrap_or(2024);
-    let stakeholder = match flags.get("stakeholder").map(String::as_str) {
-        None | Some("pa") | Some("public-administration") => Stakeholder::PublicAdministration,
-        Some("citizen") => Stakeholder::Citizen,
-        Some("scientist") | Some("energy-scientist") => Stakeholder::EnergyScientist,
-        Some(other) => return Err(format!("unknown --stakeholder {other:?}")),
-    };
-    let (out_dir, resume) = match (flags.get("out-dir"), flags.get("resume")) {
-        (Some(_), Some(_)) => {
-            return Err(
-                "--out-dir and --resume are mutually exclusive (both name the fleet \
-                 directory; --resume continues from its journal)"
-                    .into(),
-            )
-        }
-        (Some(dir), None) => (dir.clone(), false),
-        (None, Some(dir)) => (dir.clone(), true),
-        (None, None) => return Err("missing required flag --out-dir (or --resume DIR)".into()),
-    };
-    let max_failed_cities = flags
-        .get("max-failed-cities")
-        .map(|s| s.parse().map_err(|e| format!("--max-failed-cities: {e}")))
-        .transpose()?;
-    let retry_budget: u32 = flags
-        .get("retry-budget")
-        .map(|s| s.parse().map_err(|e| format!("--retry-budget: {e}")))
-        .transpose()?
-        .unwrap_or(2);
+    let seed = flags.parsed_or("seed", DEFAULT_SEED)?;
+    let stakeholder = flags.stakeholder()?;
+    let (out_dir, resume) = flags.dir_or_resume(
+        "out-dir",
+        "fleet directory; --resume continues from its journal",
+    )?;
+    let max_failed_cities = flags.parsed("max-failed-cities")?;
+    let retry_budget: u32 = flags.parsed_or("retry-budget", 2)?;
     if retry_budget == 0 {
         return Err("--retry-budget must be at least 1".into());
     }
-    let kill_city: Option<usize> = flags
-        .get("kill-city")
-        .map(|s| s.parse().map_err(|e| format!("--kill-city: {e}")))
-        .transpose()?;
-    let kill_stage = flags
-        .get("kill-stage")
-        .cloned()
-        .unwrap_or_else(|| "preprocess".to_owned());
+    let kill_city: Option<usize> = flags.parsed("kill-city")?;
+    let kill_stage = flags.get("kill-stage").unwrap_or("preprocess").to_owned();
     check_stage("--kill-stage", &kill_stage)?;
-    let kill_attempt = match flags.get("kill-attempt").map(String::as_str) {
+    let kill_attempt = match flags.get("kill-attempt") {
         None | Some("all") => None,
-        Some(raw) => Some(raw.parse().map_err(|e| format!("--kill-attempt: {e}"))?),
+        Some(_) => flags.parsed("kill-attempt")?,
     };
     if kill_city.is_none()
-        && (flags.contains_key("kill-stage") || flags.contains_key("kill-attempt"))
+        && (flags.get("kill-stage").is_some() || flags.get("kill-attempt").is_some())
     {
         return Err("--kill-stage/--kill-attempt need --kill-city".into());
     }
-    let corrupt_city: Option<usize> = flags
-        .get("corrupt-city")
-        .map(|s| s.parse().map_err(|e| format!("--corrupt-city: {e}")))
-        .transpose()?;
-    let fault_rate = if flags.contains_key("fault-rate") {
-        if corrupt_city.is_none() {
-            return Err("--fault-rate needs --corrupt-city".into());
-        }
-        parse_rate(&flags, "fault-rate")?
-    } else if corrupt_city.is_some() {
-        0.2
-    } else {
-        0.0
-    };
-    let fault_seed: u64 = flags
-        .get("fault-seed")
-        .map(|s| s.parse().map_err(|e| format!("--fault-seed: {e}")))
-        .transpose()?
-        .unwrap_or(2024);
+    let corrupt_city: Option<usize> = flags.parsed("corrupt-city")?;
+    if flags.get("fault-rate").is_some() && corrupt_city.is_none() {
+        return Err("--fault-rate needs --corrupt-city".into());
+    }
+    let default_rate = if corrupt_city.is_some() { 0.2 } else { 0.0 };
+    let fault_rate = flags.rate("fault-rate")?.unwrap_or(default_rate);
+    let fault_seed = flags.parsed_or("fault-seed", DEFAULT_SEED)?;
     let crash_at_city = flags
         .get("crash-at-city")
         .map(|raw| -> Result<(usize, String), String> {
@@ -689,34 +642,109 @@ fn check_stage(flag: &str, stage: &str) -> Result<(), String> {
     ))
 }
 
-/// Parses an optional `[0, 1]` rate flag, defaulting to `0.0`.
-fn parse_rate(flags: &HashMap<String, String>, name: &str) -> Result<f64, String> {
-    let Some(raw) = flags.get(name) else {
-        return Ok(0.0);
-    };
-    let rate: f64 = raw.parse().map_err(|e| format!("--{name}: {e}"))?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("--{name} must be in [0, 1], got {rate}"));
-    }
-    Ok(rate)
-}
+/// One command's `--flag value` pairs.
+struct Flags(HashMap<String, String>);
 
-/// Parses `--flag value` pairs.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("expected a --flag, got {arg:?}"));
+impl Flags {
+    /// Parses `--flag value` pairs in argv order. A flag `command` does not
+    /// accept is an error naming both, so a misspelled option fails the
+    /// parse instead of being silently ignored.
+    fn parse(command: &str, accepted: &[&str], args: &[String]) -> Result<Self, String> {
+        let mut flags = HashMap::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!("expected a --flag, got {arg:?}"));
+            };
+            if !accepted.contains(&name) {
+                return Err(format!("unknown flag --{name} for `indice {command}`"));
+            }
+            let value = it
+                .next()
+                .ok_or_else(|| format!("flag --{name} needs a value"))?;
+            if flags.insert(name.to_owned(), value.clone()).is_some() {
+                return Err(format!("duplicate flag --{name}"));
+            }
+        }
+        Ok(Flags(flags))
+    }
+
+    fn get(&self, name: &str) -> Option<&str> {
+        self.0.get(name).map(String::as_str)
+    }
+
+    /// The value of a flag the command cannot run without.
+    fn required(&self, name: &str) -> Result<String, String> {
+        self.get(name)
+            .map(str::to_owned)
+            .ok_or_else(|| format!("missing required flag --{name}"))
+    }
+
+    /// Flag `name` parsed as a `T`, if it was given.
+    fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.get(name)
+            .map(|raw| raw.parse().map_err(|e| format!("--{name}: {e}")))
+            .transpose()
+    }
+
+    /// [`Flags::parsed`], with `default` when the flag is absent.
+    fn parsed_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        Ok(self.parsed(name)?.unwrap_or(default))
+    }
+
+    /// [`Flags::parsed`] for a flag the command cannot run without.
+    fn required_parsed<T: FromStr>(&self, name: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.parsed(name)?
+            .ok_or_else(|| format!("missing required flag --{name}"))
+    }
+
+    /// A `[0, 1]` rate flag, if it was given.
+    fn rate(&self, name: &str) -> Result<Option<f64>, String> {
+        let Some(rate) = self.parsed::<f64>(name)? else {
+            return Ok(None);
         };
-        let value = it
-            .next()
-            .ok_or_else(|| format!("flag --{name} needs a value"))?;
-        if flags.insert(name.to_owned(), value.clone()).is_some() {
-            return Err(format!("duplicate flag --{name}"));
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(format!("--{name} must be in [0, 1], got {rate}"));
+        }
+        Ok(Some(rate))
+    }
+
+    /// `--stakeholder`, defaulting to the public administration.
+    fn stakeholder(&self) -> Result<Stakeholder, String> {
+        match self.get("stakeholder") {
+            None | Some("pa") | Some("public-administration") => {
+                Ok(Stakeholder::PublicAdministration)
+            }
+            Some("citizen") => Ok(Stakeholder::Citizen),
+            Some("scientist") | Some("energy-scientist") => Ok(Stakeholder::EnergyScientist),
+            Some(other) => Err(format!("unknown --stakeholder {other:?}")),
         }
     }
-    Ok(flags)
+
+    /// The directory named by exactly one of `--{dir_flag}` (start fresh)
+    /// and `--resume` (continue), and whether it was `--resume`. `what`
+    /// completes the error for both: "both name the {what}".
+    fn dir_or_resume(&self, dir_flag: &str, what: &str) -> Result<(String, bool), String> {
+        match (self.get(dir_flag), self.get("resume")) {
+            (Some(_), Some(_)) => Err(format!(
+                "--{dir_flag} and --resume are mutually exclusive (both name the {what})"
+            )),
+            (Some(dir), None) => Ok((dir.to_owned(), false)),
+            (None, Some(dir)) => Ok((dir.to_owned(), true)),
+            (None, None) => Err(format!(
+                "missing required flag --{dir_flag} (or --resume DIR)"
+            )),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -936,6 +964,63 @@ mod tests {
             "duplicate flag"
         );
         assert!(parse_args(&v(&["frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_naming_flag_and_command() {
+        // A misspelled circuit breaker must fail the parse, not switch the
+        // breaker off.
+        let err = parse_args(&run_args(&[
+            "--out-dir",
+            "o",
+            "--max-quarantine-fraction",
+            "0.01",
+        ]))
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "unknown flag --max-quarantine-fraction for `indice run`"
+        );
+        // Flags are checked in argv order, before any other validation:
+        // the first unknown one is named even though --records is missing.
+        let err = parse_args(&v(&["generate", "--nois", "heavy", "--recrods", "5"])).unwrap_err();
+        assert_eq!(err, "unknown flag --nois for `indice generate`");
+        // Every command, with a flag another command accepts.
+        for (argv, command) in [
+            (v(&["help", "--out", "x"]), "help"),
+            (v(&["generate", "--records", "5", "--out", "x"]), "generate"),
+            (
+                v(&["describe", "--data", "e.csv", "--out", "x"]),
+                "describe",
+            ),
+            (run_args(&["--out-dir", "o", "--into", "x"]), "run"),
+            (v(&["bench", "--records", "5", "--out-dir", "x"]), "bench"),
+            (ingest_args(&["--into", "x", "--out-dir", "x"]), "ingest"),
+            (
+                ingest_args(&["--into", "x", "--recompute-mode", "warm"]),
+                "ingest",
+            ),
+            (
+                v(&["fleet", "run", "--cities", "2", "--data", "x"]),
+                "fleet run",
+            ),
+            (
+                v(&["suggest-config", "--data", "e.csv", "--out", "x"]),
+                "suggest-config",
+            ),
+            (
+                v(&["clean", "--data", "e.csv", "--regions", "r.json"]),
+                "clean",
+            ),
+        ] {
+            let err = parse_args(&argv).unwrap_err();
+            let flag = argv.iter().rev().nth(1).unwrap();
+            assert_eq!(
+                err,
+                format!("unknown flag {flag} for `indice {command}`"),
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]
@@ -1319,7 +1404,6 @@ mod tests {
                 stakeholder: Stakeholder::PublicAdministration,
                 run_dir: "runs/x".into(),
                 resume: false,
-                recompute: RecomputeMode::Exact,
                 crash_at_batch: None,
                 fault_seed: 2024,
                 fault_rate: 0.0,
@@ -1333,8 +1417,6 @@ mod tests {
         match parse_args(&ingest_args(&[
             "--resume",
             "runs/x",
-            "--recompute",
-            "warm",
             "--crash-at-batch",
             "2:torn",
             "--corrupt-batches",
@@ -1344,14 +1426,12 @@ mod tests {
         {
             Command::Ingest {
                 resume,
-                recompute,
                 crash_at_batch,
                 fault_rate,
                 corrupt_batches,
                 ..
             } => {
                 assert!(resume);
-                assert_eq!(recompute, RecomputeMode::Warm);
                 assert_eq!(crash_at_batch, Some(IngestCrash::TornBatch { batch: 2 }));
                 assert_eq!(fault_rate, 0.2, "corrupt-batches defaults the rate on");
                 assert_eq!(corrupt_batches, Some(BatchScope::Only(vec![1, 2])));
@@ -1367,10 +1447,8 @@ mod tests {
             parse_args(&ingest_args(&["--into", "x", "--resume", "x"])).is_err(),
             "into xor resume"
         );
-        assert!(
-            parse_args(&ingest_args(&["--into", "x", "--recompute", "lazy"])).is_err(),
-            "bad recompute mode"
-        );
+        let err = parse_args(&ingest_args(&["--into", "x", "--recompute", "lazy"])).unwrap_err();
+        assert_eq!(err, "unknown flag --recompute for `indice ingest`");
         assert!(
             parse_args(&ingest_args(&[
                 "--into",

@@ -105,7 +105,6 @@ fn execute(command: Command) -> Result<ExitCode, String> {
             stakeholder,
             run_dir,
             resume,
-            recompute,
             crash_at_batch,
             fault_seed,
             fault_rate,
@@ -117,7 +116,6 @@ fn execute(command: Command) -> Result<ExitCode, String> {
             stakeholder,
             &run_dir,
             resume,
-            recompute,
             crash_at_batch.as_ref(),
             fault_seed,
             fault_rate,
@@ -449,7 +447,6 @@ fn ingest(
     stakeholder: epc_query::Stakeholder,
     run_dir: &str,
     resume: bool,
-    recompute: indice::RecomputeMode,
     crash_at_batch: Option<&epc_faults::IngestCrash>,
     fault_seed: u64,
     fault_rate: f64,
@@ -487,9 +484,7 @@ fn ingest(
 
     let clock = epc_runtime::WallClock::new();
     let obs = epc_obs::Obs::new(&clock);
-    let mut opts = indice::IngestOptions::new(run_dir)
-        .with_recompute(recompute)
-        .with_obs(&obs);
+    let mut opts = indice::IngestOptions::new(run_dir).with_obs(&obs);
     if resume {
         opts = opts.resuming();
     }

@@ -224,6 +224,47 @@ fn fault_injected_run_exits_degraded_with_partial_output() {
 }
 
 #[test]
+fn misspelled_flag_fails_before_the_run_starts() {
+    let data_dir = tmp_dir("typo-data");
+    let o = run_cli(&[
+        "generate",
+        "--records",
+        "600",
+        "--out-dir",
+        data_dir.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "generate failed: {}", stderr(&o));
+
+    // With the breaker spelled right this run exits 1 (about a quarter of
+    // the records are quarantined). Misspelled, it must not run at all.
+    let out_dir = data_dir.join("run");
+    let o = run_cli(&[
+        "run",
+        "--data",
+        data_dir.join("epcs.csv").to_str().unwrap(),
+        "--streets",
+        data_dir.join("street_map.txt").to_str().unwrap(),
+        "--regions",
+        data_dir.join("regions.json").to_str().unwrap(),
+        "--out-dir",
+        out_dir.to_str().unwrap(),
+        "--fault-rate",
+        "0.3",
+        "--max-quarantine-fraction",
+        "0.0001",
+    ]);
+    assert_eq!(o.status.code(), Some(1), "stderr: {}", stderr(&o));
+    let err = stderr(&o);
+    assert!(
+        err.contains("unknown flag --max-quarantine-fraction for `indice run`"),
+        "{err}"
+    );
+    assert!(err.contains("USAGE"), "{err}");
+    assert!(!out_dir.exists(), "no run directory may be created");
+    cleanup(&data_dir);
+}
+
+#[test]
 fn corrupt_street_map_is_rejected() {
     let dir = tmp_dir("corrupt");
     let csv = dir.join("epcs.csv");

@@ -93,27 +93,6 @@ pub fn analyze_observed(
     runtime: &epc_runtime::RuntimeConfig,
     obs: Option<&Obs<'_>>,
 ) -> Result<AnalyticsOutput, IndiceError> {
-    analyze_observed_from(dataset, config, runtime, obs, None)
-}
-
-/// [`analyze_observed`] with an optional K-means warm start for
-/// incremental ingest: when `warm_centroids` is given *and* its shape
-/// matches the chosen K (elbow sweeps stay cold — K may change as data
-/// accrues), the final fit seeds Lloyd from those centroids instead of the
-/// seeded k-means++ initialization.
-///
-/// Warm centroids live in min-max-scaled feature space; a new batch can
-/// stretch the scaler's ranges, so a warm fit is ε-equivalent to the cold
-/// one (same basin on stable data), not bitwise identical. Passing `None`
-/// — the ingest `exact` recompute mode — reproduces [`analyze_observed`]
-/// byte for byte.
-pub(crate) fn analyze_observed_from(
-    dataset: &Dataset,
-    config: &IndiceConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-    obs: Option<&Obs<'_>>,
-    warm_centroids: Option<&Matrix>,
-) -> Result<AnalyticsOutput, IndiceError> {
     let a = &config.analytics;
     if a.features.is_empty() {
         return Err(IndiceError::Config(
@@ -218,18 +197,11 @@ pub(crate) fn analyze_observed_from(
             (k, curve)
         }
     };
-    // Warm start only when the previous centroids still describe the same
-    // problem shape: K unchanged by the sweep, feature width unchanged.
-    let warm = warm_centroids
-        .filter(|prev| prev.n_rows() == chosen_k && prev.n_cols() == feature_ids.len());
-    let estimator = KMeans::new(KMeansConfig {
+    let (kmeans, fit_trace) = KMeans::new(KMeansConfig {
         k: chosen_k,
         ..base
-    });
-    let (kmeans, fit_trace) = match warm {
-        Some(prev) => estimator.fit_traced_from(&scaled, prev, runtime),
-        None => estimator.fit_traced(&scaled, runtime),
-    }
+    })
+    .fit_traced(&scaled, runtime)
     .ok_or_else(|| {
         IndiceError::Clustering(format!(
             "cannot fit k = {chosen_k} on {} rows",
@@ -237,9 +209,6 @@ pub(crate) fn analyze_observed_from(
         ))
     })?;
     if let Some(obs) = obs {
-        if warm.is_some() {
-            obs.metrics().inc("kmeans_warm_starts", 1);
-        }
         for (round, &inertia) in fit_trace.round_inertia.iter().enumerate() {
             obs.point(
                 "kmeans:round",
@@ -709,45 +678,6 @@ mod tests {
         )
         .unwrap();
         assert!(by_district.is_empty());
-    }
-
-    #[test]
-    fn warm_start_from_own_centroids_reproduces_the_cold_fit() {
-        let ds = dataset();
-        let cfg = IndiceConfig::default();
-        let rt = epc_runtime::RuntimeConfig::sequential();
-        let cold = analyze_observed(&ds, &cfg, &rt, None).unwrap();
-        // Same data, warm-started from the converged centroids: Lloyd is a
-        // fixed point, so the model matches the cold fit exactly.
-        let warm =
-            analyze_observed_from(&ds, &cfg, &rt, None, Some(&cold.kmeans.centroids)).unwrap();
-        assert_eq!(warm.chosen_k, cold.chosen_k);
-        assert_eq!(warm.kmeans.assignments, cold.kmeans.assignments);
-        assert_eq!(warm.kmeans.centroids, cold.kmeans.centroids);
-        assert_eq!(warm.kmeans.sse.to_bits(), cold.kmeans.sse.to_bits());
-        assert_eq!(
-            warm.kmeans.n_iter, 1,
-            "converged start re-verifies in one round"
-        );
-        // Everything downstream of the fit is unchanged.
-        assert_eq!(warm.rules.len(), cold.rules.len());
-    }
-
-    #[test]
-    fn warm_start_with_mismatched_k_falls_back_to_cold() {
-        let ds = dataset();
-        let cfg = IndiceConfig::default();
-        let rt = epc_runtime::RuntimeConfig::sequential();
-        let cold = analyze_observed(&ds, &cfg, &rt, None).unwrap();
-        // Previous centroids for a different K: ignored, cold init used.
-        let stale = Matrix::from_vec(
-            vec![0.5; (cold.chosen_k + 1) * cold.feature_names.len()],
-            cold.chosen_k + 1,
-            cold.feature_names.len(),
-        );
-        let out = analyze_observed_from(&ds, &cfg, &rt, None, Some(&stale)).unwrap();
-        assert_eq!(out.kmeans.centroids, cold.kmeans.centroids);
-        assert_eq!(out.kmeans.n_iter, cold.kmeans.n_iter);
     }
 
     #[test]

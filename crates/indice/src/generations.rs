@@ -3,17 +3,15 @@
 //! [`ingest`] folds an ordered list of micro-batches into a run directory
 //! that is, at every commit point, *byte-identical* to what a one-shot
 //! [`crate::durable`] run over the concatenation of the folded batches
-//! would have produced (exact mode; `warm` K-means recompute is
-//! ε-equivalent — see DESIGN.md). The `epc-ingest` crate owns the
-//! bookkeeping (generation grammar, manifest, hash chain); this module
-//! owns everything pipeline-shaped:
+//! would have produced. The `epc-ingest` crate owns the bookkeeping
+//! (generation grammar, manifest, hash chain); this module owns
+//! everything pipeline-shaped:
 //!
 //! - the **clean phase** runs per batch with the geocoder-quota balance
 //!   carried across generations, and its output is sealed as a delta
 //!   under `gens/gen-%05d/` so resume never re-cleans a sealed batch;
 //! - **outlier removal and analytics are global**: each generation
-//!   re-runs them over the merged cumulative data (K-means optionally
-//!   warm-started from the previous generation's centroids);
+//!   re-runs them from scratch over the merged cumulative data;
 //! - `current/` is rebuilt as a full durable run directory (checkpoints,
 //!   `dashboard.html`, artifacts, `run.manifest.jsonl`), writing only the
 //!   files whose bytes changed and carrying the rest;
@@ -75,35 +73,22 @@ impl IngestBatch {
     }
 }
 
-/// How analytics state is recomputed when a generation folds in.
+/// How analytics state is recomputed when a generation folds in. Exact
+/// is the only mode: every generation recomputes analytics from scratch,
+/// so `current/` is byte-identical to a one-shot run over the folded
+/// batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecomputeMode {
-    /// Every generation recomputes analytics from scratch: `current/` is
-    /// byte-identical to a one-shot run over the folded batches.
+    /// Recompute outliers and analytics over the whole cumulative input.
     Exact,
-    /// K-means warm-starts from the previous generation's centroids (when
-    /// K and feature width match). Cheaper, ε-equivalent: the relative
-    /// SSE difference against a cold fit is bounded (asserted in tests).
-    Warm,
 }
 
 impl RecomputeMode {
-    /// Stable lowercase label recorded in the manifest.
+    /// Stable lowercase label recorded in every manifest entry. A sealed
+    /// entry recording any other label fails resume validation.
     pub fn as_str(&self) -> &'static str {
         match self {
             RecomputeMode::Exact => "exact",
-            RecomputeMode::Warm => "warm",
-        }
-    }
-
-    /// Parses `exact` / `warm` (case-insensitive).
-    pub fn parse(raw: &str) -> Result<Self, String> {
-        match raw.to_ascii_lowercase().as_str() {
-            "exact" => Ok(RecomputeMode::Exact),
-            "warm" => Ok(RecomputeMode::Warm),
-            other => Err(format!(
-                "invalid recompute mode {other:?}: expected \"exact\" or \"warm\""
-            )),
         }
     }
 }
@@ -130,8 +115,6 @@ pub struct IngestOptions<'a> {
     /// Fold the sealed generations already in `run_dir` instead of
     /// requiring it to be fresh.
     pub resume: bool,
-    /// Analytics recompute mode for newly sealed generations.
-    pub recompute: RecomputeMode,
     /// Injected crash point, honoured at the matching batch boundary.
     pub crash: Option<&'a IngestCrash>,
     /// Fault injector consulted while processing batches [`BatchScope`]
@@ -144,12 +127,11 @@ pub struct IngestOptions<'a> {
 }
 
 impl<'a> IngestOptions<'a> {
-    /// Options for a fresh, exact-mode ingest into `run_dir`.
+    /// Options for a fresh ingest into `run_dir`.
     pub fn new(run_dir: impl Into<PathBuf>) -> Self {
         IngestOptions {
             run_dir: run_dir.into(),
             resume: false,
-            recompute: RecomputeMode::Exact,
             crash: None,
             injector: None,
             batch_scope: None,
@@ -161,12 +143,6 @@ impl<'a> IngestOptions<'a> {
     /// generations.
     pub fn resuming(mut self) -> Self {
         self.resume = true;
-        self
-    }
-
-    /// Selects the analytics recompute mode.
-    pub fn with_recompute(mut self, mode: RecomputeMode) -> Self {
-        self.recompute = mode;
         self
     }
 
@@ -265,13 +241,14 @@ fn record_for(file: &str, contents: &str) -> ArtifactRecord {
 
 /// Validates the sealed prefix against the provided batches and the
 /// on-disk deltas. Returns the number of trustworthy entries plus a
-/// rejection message when a suffix is dropped.
+/// rejection message when a suffix is dropped. An entry sealed under any
+/// recompute mode but exact (a run directory from a `warm` ingest) is
+/// rejected like a stale one, so it and its successors are folded again.
 fn validate_sealed_prefix(
     entries: &[GenerationEntry],
     batches: &[IngestBatch],
     batch_hashes: &[String],
     config_fp: &str,
-    recompute: RecomputeMode,
     run_dir: &Path,
 ) -> (usize, Option<String>) {
     let reject = |i: usize, why: String| {
@@ -302,10 +279,14 @@ fn validate_sealed_prefix(
         if entry.config_fingerprint != config_fp {
             return reject(i, "stale config fingerprint".to_owned());
         }
-        if entry.recompute != recompute.as_str() {
+        let exact = RecomputeMode::Exact.as_str();
+        if entry.recompute != exact {
             return reject(
                 i,
-                format!("recompute mode changed from {:?}", entry.recompute),
+                format!(
+                    "sealed in recompute mode {:?}, not {exact:?}",
+                    entry.recompute
+                ),
             );
         }
         for rec in &entry.checkpoints {
@@ -376,14 +357,7 @@ pub fn ingest(
     }
 
     let (mut valid, mut resume_rejection) = if opts.resume {
-        validate_sealed_prefix(
-            &entries,
-            batches,
-            &batch_hashes,
-            &config_fp,
-            opts.recompute,
-            run_dir,
-        )
+        validate_sealed_prefix(&entries, batches, &batch_hashes, &config_fp, run_dir)
     } else {
         (0, None)
     };
@@ -470,19 +444,6 @@ pub fn ingest(
         phases.push(phase);
     }
 
-    // Warm-start state for the first reprocessed generation comes from
-    // the sealed cumulative analytics checkpoint, when one exists.
-    let mut warm_centroids: Option<epc_mining::Matrix> = None;
-    if opts.recompute == RecomputeMode::Warm && valid > 0 {
-        if let Ok(text) =
-            fs::read_to_string(current_dir.join(CHECKPOINT_DIR).join("analytics.ckpt.json"))
-        {
-            if let Ok(a) = checkpoint::decode_analytics(&text) {
-                warm_centroids = Some(a.kmeans.centroids);
-            }
-        }
-    }
-
     let mut processed: Vec<String> = Vec::new();
     let mut failure: Option<String> = None;
     let mut written_total = 0usize;
@@ -548,7 +509,7 @@ pub fn ingest(
                     parent: parent.clone(),
                     outcome: GenerationOutcome::Abandoned,
                     reasons: vec![reason],
-                    recompute: opts.recompute.as_str().to_owned(),
+                    recompute: RecomputeMode::Exact.as_str().to_owned(),
                     records_in: batch.dataset.n_rows(),
                     records_kept: 0,
                     quarantined: 0,
@@ -616,9 +577,6 @@ pub fn ingest(
                 }
                 ctx.preprocess = Some(pre);
                 ctx.quarantine = quarantine;
-                if opts.recompute == RecomputeMode::Warm {
-                    ctx.warm_centroids = warm_centroids.take();
-                }
 
                 // Synthesized preprocess stage report: identical to what a
                 // one-shot run over the concatenated input records.
@@ -665,9 +623,6 @@ pub fn ingest(
                     // a rerun replays this batch.
                     failure = Some(why);
                     break;
-                }
-                if opts.recompute == RecomputeMode::Warm {
-                    warm_centroids = ctx.analytics.as_ref().map(|a| a.kmeans.centroids.clone());
                 }
 
                 // The full `current/` file set of a one-shot run directory
@@ -760,7 +715,7 @@ pub fn ingest(
                     parent: parent.clone(),
                     outcome,
                     reasons: gen_reasons,
-                    recompute: opts.recompute.as_str().to_owned(),
+                    recompute: RecomputeMode::Exact.as_str().to_owned(),
                     records_in: batch_input_rows,
                     records_kept,
                     quarantined: batch_quarantined,

@@ -76,11 +76,6 @@ pub struct PipelineContext<'a> {
     /// Observability bundle recording spans, points, and metrics
     /// (`None`: no recording).
     pub obs: Option<&'a Obs<'a>>,
-    /// Centroids from a previous generation's K-means fit. When set (and
-    /// shape-compatible with the chosen K), the analytics stage
-    /// warm-starts Lloyd's algorithm from them instead of re-seeding —
-    /// the incremental-ingest `warm` recompute mode.
-    pub warm_centroids: Option<epc_mining::Matrix>,
 }
 
 impl<'a> PipelineContext<'a> {
@@ -110,7 +105,6 @@ impl<'a> PipelineContext<'a> {
             stage_invocations: BTreeMap::new(),
             clock: epc_runtime::wall_clock(),
             obs: None,
-            warm_centroids: None,
         }
     }
 
@@ -287,9 +281,7 @@ fn run_preprocess(ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceErr
 fn run_analytics(ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
     let cleaned = ctx.cleaned_dataset()?;
     let records_in = cleaned.n_rows();
-    let warm = ctx.warm_centroids.as_ref();
-    let out =
-        crate::analytics::analyze_observed_from(cleaned, &ctx.config, &ctx.runtime, ctx.obs, warm)?;
+    let out = crate::analytics::analyze_observed(cleaned, &ctx.config, &ctx.runtime, ctx.obs)?;
     let records_out = out.feature_rows.len();
     ctx.analytics = Some(out);
     Ok(StageStats {

@@ -7,12 +7,14 @@
 //! boundary (before the commit, right after it, or mid-seal with a torn
 //! delta) resumes to a run directory byte-identical to an uninterrupted
 //! ingest's. A poisoned batch is abandoned without damaging sealed
-//! generations, and `warm` K-means recompute is ε-equivalent to exact
-//! mode (relative SSE difference bounded).
+//! generations. The contract holds with no ε: exact is the only
+//! recompute mode, and a run directory whose manifest records another
+//! mode (`warm`) fails resume validation and is folded again, exactly.
 // Test code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use epc_faults::IngestCrash;
+use epc_ingest::{GenerationEntry, GenerationManifest, GENESIS};
 use epc_model::value::Value;
 use epc_model::wellknown as wk;
 use epc_model::{Dataset, Record};
@@ -382,50 +384,69 @@ fn appending_batches_to_a_sealed_run_skips_the_sealed_prefix() {
 }
 
 #[test]
-fn warm_recompute_is_epsilon_equivalent_to_exact() {
+fn warm_sealed_run_dir_resumes_to_the_exact_tree() {
     let c = collection();
     let batches = split(&c.dataset, 2);
 
-    let exact_dir = run_dir("exact");
+    // Reference: an uninterrupted ingest.
+    let ref_dir = run_dir("exact");
     ingest(
         &batches,
         inputs_at(&c, 2),
         Stakeholder::PublicAdministration,
-        &IngestOptions::new(&exact_dir),
+        &IngestOptions::new(&ref_dir),
     )
     .expect("exact ingest");
 
-    let warm_dir = run_dir("warm");
-    let warm = ingest(
+    // The same ingest, its manifest then rewritten as a `warm` ingest
+    // would have sealed it, parents recomputed so the hash chain holds.
+    let dir = run_dir("warm-sealed");
+    let sealed = ingest(
         &batches,
         inputs_at(&c, 2),
         Stakeholder::PublicAdministration,
-        &IngestOptions::new(&warm_dir).with_recompute(RecomputeMode::Warm),
+        &IngestOptions::new(&dir),
     )
-    .expect("warm ingest");
-    assert!(warm.entries.iter().all(|e| e.recompute == "warm"));
+    .expect("ingest to relabel");
+    let mut parent = GENESIS.to_owned();
+    let warm: Vec<GenerationEntry> = sealed
+        .entries
+        .iter()
+        .map(|entry| {
+            let mut entry = entry.clone();
+            entry.recompute = "warm".into();
+            entry.parent = parent.clone();
+            parent = entry.chain_hash();
+            entry
+        })
+        .collect();
+    let manifest = GenerationManifest::at(&dir);
+    manifest.rewrite(&warm).unwrap();
+    manifest
+        .load_validated()
+        .expect("the relabelled chain is intact");
 
-    let read_sse = |dir: &Path| -> f64 {
-        let text = fs::read_to_string(dir.join("current/checkpoints/analytics.ckpt.json"))
-            .expect("analytics checkpoint");
-        indice::checkpoint::decode_analytics(&text)
-            .expect("decode analytics")
-            .kmeans
-            .sse
-    };
-    let (exact_sse, warm_sse) = (read_sse(&exact_dir), read_sse(&warm_dir));
-    let rel = (exact_sse - warm_sse).abs() / exact_sse.max(f64::MIN_POSITIVE);
+    // Resume validation rejects generation 0, so both batches are folded
+    // again in exact mode.
+    let resumed = ingest(
+        &batches,
+        inputs_at(&c, 1),
+        Stakeholder::PublicAdministration,
+        &IngestOptions::new(&dir).resuming(),
+    )
+    .expect("resumed ingest");
+    let why = resumed.resume_rejection.as_deref().unwrap_or("");
     assert!(
-        rel <= 0.05,
-        "warm-start SSE {warm_sse} drifts {rel:.4} (> 5%) from exact {exact_sse}"
+        why.contains("sealed generation 0 rejected") && why.contains("\"warm\""),
+        "rejection should name generation 0 and its mode, got {why:?}"
     );
-    // Everything outside the analytics-derived artifacts is still exact:
-    // the preprocess checkpoint must match byte-for-byte.
-    assert_eq!(
-        fs::read(exact_dir.join("current/checkpoints/preprocess.ckpt.json")).unwrap(),
-        fs::read(warm_dir.join("current/checkpoints/preprocess.ckpt.json")).unwrap(),
-        "warm mode must not perturb the preprocess state"
-    );
-    let _ = fs::remove_dir_all(&exact_dir);
-    let _ = fs::remove_dir_all(&warm_dir);
+    assert!(resumed.sealed_skipped.is_empty());
+    assert_eq!(resumed.processed, vec!["chunk-0.csv", "chunk-1.csv"]);
+    assert!(resumed
+        .entries
+        .iter()
+        .all(|e| e.recompute == RecomputeMode::Exact.as_str()));
+    assert_trees_identical(&ref_dir, &dir, "warm-sealed run dir after resume");
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&ref_dir);
 }
