@@ -16,6 +16,7 @@ use epc_mining::kmeans::{KMeans, KMeansConfig, KMeansInit};
 use epc_mining::matrix::Matrix;
 use epc_mining::normalize::MinMaxScaler;
 use epc_model::wellknown as wk;
+use epc_runtime::RuntimeConfig;
 use epc_synth::{EpcGenerator, NoiseConfig, SynthConfig};
 use epc_viz::clustermarker::cluster_markers;
 use epc_viz::scale::GeoProjection;
@@ -59,8 +60,9 @@ fn bench_ablations(c: &mut Criterion) {
                 seed,
                 ..KMeansConfig::default()
             })
-            .fit(&scaled)
-            .unwrap();
+            .fit_traced(&scaled, &RuntimeConfig::sequential())
+            .unwrap()
+            .0;
             sses.push(m.sse);
             iters += m.n_iter;
         }
@@ -103,12 +105,26 @@ fn bench_ablations(c: &mut Criterion) {
         phi: 0.92,
         ..CleaningConfig::default()
     };
-    let (_, without) = clean_addresses(&queries, &noisy.city.street_map, None, &strict);
+    let (_, without) = clean_addresses(
+        &queries,
+        &noisy.city.street_map,
+        None,
+        &strict,
+        &RuntimeConfig::sequential(),
+        None,
+    );
     let geocoder = QuotaGeocoder::new(
         SimulatedGeocoder::new(&noisy.city.street_map, 0.55, 0.02),
         100_000,
     );
-    let (_, with) = clean_addresses(&queries, &noisy.city.street_map, Some(&geocoder), &strict);
+    let (_, with) = clean_addresses(
+        &queries,
+        &noisy.city.street_map,
+        Some(&geocoder),
+        &strict,
+        &RuntimeConfig::sequential(),
+        None,
+    );
     eprintln!("\n== Ablation 2: geocoder fallback (phi = 0.92, 10 000 noisy addresses) ==");
     eprintln!(
         "without geocoder: {} resolved, {} unresolved",
@@ -171,8 +187,9 @@ fn bench_ablations(c: &mut Criterion) {
             k: 4,
             ..KMeansConfig::default()
         })
-        .fit(&sub)
-        .unwrap();
+        .fit_traced(&sub, &RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         let km_sil = silhouette_score(&sub, &km.assignments).unwrap();
         eprintln!("{:<22} silhouette {:.3}", "k-means++", km_sil);
         for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {

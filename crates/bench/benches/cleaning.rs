@@ -63,7 +63,14 @@ fn bench_cleaning(c: &mut Criterion) {
             phi,
             ..CleaningConfig::default()
         };
-        let (cleaned, report) = clean_addresses(&queries, &collection.city.street_map, None, &cfg);
+        let (cleaned, report) = clean_addresses(
+            &queries,
+            &collection.city.street_map,
+            None,
+            &cfg,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         let street_ok = cleaned
             .iter()
             .filter(|x| x.address.street == collection.truth.streets[x.id])
@@ -87,7 +94,16 @@ fn bench_cleaning(c: &mut Criterion) {
         let coll = noisy(n);
         let qs = queries_of(&coll);
         group.bench_with_input(BenchmarkId::new("reference_only", n), &qs, |b, qs| {
-            b.iter(|| clean_addresses(qs, &coll.city.street_map, None, &CleaningConfig::default()))
+            b.iter(|| {
+                clean_addresses(
+                    qs,
+                    &coll.city.street_map,
+                    None,
+                    &CleaningConfig::default(),
+                    &epc_runtime::RuntimeConfig::sequential(),
+                    None,
+                )
+            })
         });
     }
     group.finish();

@@ -23,14 +23,13 @@ fn bench_end_to_end(c: &mut Criterion) {
     // reference first, then the same pipeline on 4 threads. The staged
     // executor guarantees identical outputs; the reports show where the
     // wall time goes per block.
-    let mut big = engine(25_000);
-    big.set_runtime(RuntimeConfig::sequential());
+    let big = engine(25_000).with_runtime(RuntimeConfig::sequential());
     let out = big
         .run(Stakeholder::PublicAdministration)
         .expect("pipeline");
     let serial_report = &out.report;
-    big.set_runtime(RuntimeConfig::new(4));
     let parallel_report = big
+        .with_runtime(RuntimeConfig::new(4))
         .run(Stakeholder::PublicAdministration)
         .expect("pipeline")
         .report;

@@ -8,10 +8,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use epc_query::Stakeholder;
+use epc_runtime::{Engine, RuntimeConfig};
 use epc_synth::{EpcGenerator, NoiseConfig, SynthConfig};
-use indice::analytics::analyze;
+use indice::analytics::analyze_observed;
 use indice::config::IndiceConfig;
-use indice::dashboard::build_dashboard;
+use indice::dashboard::build_dashboard_with_engine;
 
 fn bench_fig4(c: &mut Criterion) {
     let mut collection = EpcGenerator::new(SynthConfig {
@@ -21,7 +22,13 @@ fn bench_fig4(c: &mut Criterion) {
     .generate();
     epc_synth::noise::apply_noise(&mut collection, &NoiseConfig::none());
     let config = IndiceConfig::default();
-    let analytics = analyze(&collection.dataset, &config).expect("analytics runs");
+    let analytics = analyze_observed(
+        &collection.dataset,
+        &config,
+        &RuntimeConfig::sequential(),
+        None,
+    )
+    .expect("analytics runs");
 
     eprintln!("\n== Figure 4: dashboard content (PA, district level) ==");
     eprintln!(
@@ -47,12 +54,13 @@ fn bench_fig4(c: &mut Criterion) {
         );
     }
 
-    let out = build_dashboard(
+    let out = build_dashboard_with_engine(
         &collection.dataset,
         &collection.city.hierarchy,
         &analytics,
         Stakeholder::PublicAdministration,
         12,
+        Engine::Row,
     )
     .expect("dashboard builds");
     let dir = std::path::Path::new("target/indice-artifacts/bench");
@@ -68,12 +76,13 @@ fn bench_fig4(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("build_panels_25k", |b| {
         b.iter(|| {
-            build_dashboard(
+            build_dashboard_with_engine(
                 &collection.dataset,
                 &collection.city.hierarchy,
                 &analytics,
                 Stakeholder::PublicAdministration,
                 12,
+                Engine::Row,
             )
             .unwrap()
         })

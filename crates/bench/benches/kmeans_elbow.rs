@@ -3,11 +3,12 @@
 //! decrease in the SSE curve is maximized"), plus K-means runtime scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use epc_mining::elbow::{elbow_k, elbow_k_by_distance, sse_curve};
+use epc_mining::elbow::{elbow_k, elbow_k_by_distance, sse_curve_with_runtime};
 use epc_mining::kmeans::{KMeans, KMeansConfig};
 use epc_mining::matrix::Matrix;
 use epc_mining::normalize::MinMaxScaler;
 use epc_model::wellknown as wk;
+use epc_runtime::RuntimeConfig;
 use epc_synth::{EpcGenerator, SynthConfig};
 
 fn feature_matrix(n: usize) -> Matrix {
@@ -39,7 +40,7 @@ fn bench_kmeans(c: &mut Criterion) {
 
     eprintln!("\n== SSE vs K (25 000 EPCs, 5 scaled features) ==");
     let base = KMeansConfig::default();
-    let curve = sse_curve(&scaled, 2..=10, &base);
+    let curve = sse_curve_with_runtime(&scaled, 2..=10, &base, &RuntimeConfig::sequential());
     eprintln!("{:>4} {:>12}", "K", "SSE");
     for (k, sse) in &curve {
         eprintln!("{k:>4} {sse:>12.2}");
@@ -60,13 +61,14 @@ fn bench_kmeans(c: &mut Criterion) {
                     k: 5,
                     ..KMeansConfig::default()
                 })
-                .fit(m)
+                .fit_traced(m, &RuntimeConfig::sequential())
                 .unwrap()
+                .0
             })
         });
     }
     group.bench_function("elbow_sweep_2_to_10_25k", |b| {
-        b.iter(|| sse_curve(&scaled, 2..=10, &base))
+        b.iter(|| sse_curve_with_runtime(&scaled, 2..=10, &base, &RuntimeConfig::sequential()))
     });
     group.finish();
 }

@@ -5,7 +5,7 @@
 //! against the labelled DBSCAN it replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use epc_mining::dbscan::{dbscan, dbscan_noise};
+use epc_mining::dbscan::{dbscan_noise, dbscan_with_runtime};
 use epc_mining::kdistance::estimate_dbscan_params;
 use epc_mining::matrix::Matrix;
 use epc_mining::normalize::MinMaxScaler;
@@ -104,7 +104,10 @@ fn bench_outliers(c: &mut Criterion) {
         .expect("params estimated");
     let sequential = RuntimeConfig::sequential();
     let noise = dbscan_noise(&scaled, &params, &sequential).noise;
-    assert_eq!(noise, dbscan(&scaled, &params).noise_indices());
+    assert_eq!(
+        noise,
+        dbscan_with_runtime(&scaled, &params, &sequential).noise_indices()
+    );
     let flagged: BTreeSet<usize> = noise.into_iter().map(|i| rows[i]).collect();
     let (p, r) = pr(&flagged, &truth);
     eprintln!(
@@ -145,7 +148,7 @@ fn bench_outliers(c: &mut Criterion) {
             b.iter(|| dbscan_noise(m, &params, &sequential))
         });
         group.bench_with_input(BenchmarkId::new("dbscan_labelled", n), points, |b, m| {
-            b.iter(|| dbscan(m, &params))
+            b.iter(|| dbscan_with_runtime(m, &params, &sequential))
         });
     }
     group.finish();

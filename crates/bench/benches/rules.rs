@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epc_mining::apriori::TransactionSet;
-use epc_mining::rules::{mine_rules, RuleConfig};
+use epc_mining::rules::{mine_rules_traced_with_runtime, RuleConfig};
 use epc_model::wellknown as wk;
+use epc_runtime::RuntimeConfig;
 use epc_synth::{EpcGenerator, SynthConfig};
 use indice::config::footnote4_discretizers;
 
@@ -57,7 +58,7 @@ fn bench_rules(c: &mut Criterion) {
             min_lift: 1.1,
             max_len: 3,
         };
-        let rules = mine_rules(&tset, &cfg);
+        let rules = mine_rules_traced_with_runtime(&tset, &cfg, &RuntimeConfig::sequential()).0;
         let best = rules.first();
         eprintln!(
             "{min_support:>10.2} {:>8} {:>10.2}  {}",
@@ -73,7 +74,7 @@ fn bench_rules(c: &mut Criterion) {
         let t = transactions(n);
         group.bench_with_input(BenchmarkId::new("mine_supp_0.05", n), &t, |b, t| {
             b.iter(|| {
-                mine_rules(
+                mine_rules_traced_with_runtime(
                     t,
                     &RuleConfig {
                         min_support: 0.05,
@@ -81,13 +82,15 @@ fn bench_rules(c: &mut Criterion) {
                         min_lift: 1.1,
                         max_len: 3,
                     },
+                    &RuntimeConfig::sequential(),
                 )
+                .0
             })
         });
     }
     group.bench_function("mine_supp_0.02_25k", |b| {
         b.iter(|| {
-            mine_rules(
+            mine_rules_traced_with_runtime(
                 &tset,
                 &RuleConfig {
                     min_support: 0.02,
@@ -95,7 +98,9 @@ fn bench_rules(c: &mut Criterion) {
                     min_lift: 1.1,
                     max_len: 3,
                 },
+                &RuntimeConfig::sequential(),
             )
+            .0
         })
     });
     group.finish();

@@ -113,12 +113,6 @@ impl FleetEvent {
         e.reasons = vec![reason.to_owned()];
         e
     }
-
-    /// Whether this event terminates its city's group (`committed` or
-    /// `abandoned`).
-    pub fn is_terminal(&self) -> bool {
-        self.kind == "committed" || self.kind == "abandoned"
-    }
 }
 
 impl JournalEntry for FleetEvent {

@@ -95,18 +95,6 @@ impl BoundingBox {
             max_lon: self.max_lon + margin,
         }
     }
-
-    /// Splits the box into four equal quadrants (SW, SE, NW, NE) — the
-    /// subdivision step of the quadtree.
-    pub fn quadrants(&self) -> [BoundingBox; 4] {
-        let c = self.center();
-        [
-            BoundingBox::new(self.min_lat, self.min_lon, c.lat, c.lon), // SW
-            BoundingBox::new(self.min_lat, c.lon, c.lat, self.max_lon), // SE
-            BoundingBox::new(c.lat, self.min_lon, self.max_lat, c.lon), // NW
-            BoundingBox::new(c.lat, c.lon, self.max_lat, self.max_lon), // NE
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -171,23 +159,5 @@ mod tests {
     fn margin_grows_box() {
         let b = sample_box().with_margin(0.01);
         assert!(b.contains(&GeoPoint::new(44.995, 7.595)));
-    }
-
-    #[test]
-    fn quadrants_tile_the_box() {
-        let b = sample_box();
-        let quads = b.quadrants();
-        let c = b.center();
-        // Every quadrant is inside the parent and they share the center.
-        for q in &quads {
-            assert!(b.intersects(q));
-            assert!(q.contains(&c) || (q.max_lat >= c.lat && q.max_lon >= c.lon));
-        }
-        // A point strictly inside exactly lands in ≥1 quadrant.
-        let p = GeoPoint::new(45.02, 7.75);
-        assert!(quads.iter().any(|q| q.contains(&p)));
-        // Quadrant areas sum to the parent area.
-        let area: f64 = quads.iter().map(|q| q.lat_span() * q.lon_span()).sum();
-        assert!((area - b.lat_span() * b.lon_span()).abs() < 1e-12);
     }
 }

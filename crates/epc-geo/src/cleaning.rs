@@ -188,22 +188,6 @@ impl DegradedFallback {
 /// resolve (pass a [`crate::geocode::QuotaGeocoder`] to model the free-tier
 /// limit; pass `None` to disable the fallback entirely — the ablation of
 /// the benchmark suite).
-pub fn clean_addresses(
-    queries: &[AddressQuery],
-    reference: &StreetMap,
-    geocoder: Option<&dyn Geocoder>,
-    config: &CleaningConfig,
-) -> (Vec<CleanedAddress>, CleaningReport) {
-    clean_addresses_with_runtime(
-        queries,
-        reference,
-        geocoder,
-        config,
-        &epc_runtime::RuntimeConfig::sequential(),
-    )
-}
-
-/// [`clean_addresses`] with an explicit execution runtime.
 ///
 /// The per-record Levenshtein matching against the reference map (steps
 /// 1–2) is pure and runs data-parallel under `runtime`; the geocoder
@@ -211,26 +195,14 @@ pub fn clean_addresses(
 /// consumed in input order — so it runs as a sequential second pass over
 /// the addresses the reference could not resolve. The combined result is
 /// bitwise identical to the sequential algorithm for any thread budget.
-pub fn clean_addresses_with_runtime(
-    queries: &[AddressQuery],
-    reference: &StreetMap,
-    geocoder: Option<&dyn Geocoder>,
-    config: &CleaningConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-) -> (Vec<CleanedAddress>, CleaningReport) {
-    clean_addresses_degradable(queries, reference, geocoder, config, runtime, None)
-}
-
-/// [`clean_addresses_with_runtime`] plus a district-centroid fallback for
-/// transient geocoder failures.
 ///
-/// With `fallback = None` (or a geocoder that never fails transiently) this
-/// is bitwise identical to [`clean_addresses_with_runtime`]: permanent
-/// misses still come back [`CleaningOutcome::Unresolved`]. Transient
-/// failures ([`GeocodeFailure::Transient`], surfaced after the geocoder's
-/// own retry budget is spent) degrade to the district centroid when the
-/// fallback knows one, and are left unresolved otherwise.
-pub fn clean_addresses_degradable(
+/// `fallback` adds a district-centroid fallback for transient geocoder
+/// failures. With `None`, every geocoder miss comes back
+/// [`CleaningOutcome::Unresolved`]. With a fallback, permanent misses
+/// still do, while transient failures ([`GeocodeFailure::Transient`],
+/// surfaced after the geocoder's own retry budget is spent) degrade to the
+/// district centroid when the fallback knows one.
+pub fn clean_addresses(
     queries: &[AddressQuery],
     reference: &StreetMap,
     geocoder: Option<&dyn Geocoder>,
@@ -256,7 +228,7 @@ pub struct StreetDedupStats {
     pub distinct_streets: usize,
 }
 
-/// Dictionary-deduplicated variant of [`clean_addresses_degradable`]: the
+/// Dictionary-deduplicated variant of [`clean_addresses`]: the
 /// columnar engine's cleaning pass.
 ///
 /// Levenshtein matching depends only on the street *string* and φ, so the
@@ -511,6 +483,7 @@ mod tests {
     use super::*;
     use crate::geocode::{QuotaGeocoder, SimulatedGeocoder};
     use crate::streetmap::StreetEntry;
+    use epc_runtime::RuntimeConfig;
 
     fn entry(street: &str, hn: &str, zip: &str, lat: f64, lon: f64) -> StreetEntry {
         StreetEntry {
@@ -542,7 +515,14 @@ mod tests {
             address: Address::new("Via Roma", Some("10"), Some("10121")),
             point: Some(GeoPoint::new(45.0700, 7.6800)),
         };
-        let (res, report) = clean_addresses(&[q], &reference(), None, &cfg());
+        let (res, report) = clean_addresses(
+            &[q],
+            &reference(),
+            None,
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         let c = &res[0];
         assert!(matches!(
             c.outcome,
@@ -565,7 +545,14 @@ mod tests {
             address: Address::new("via rma", Some("10"), None),
             point: None,
         };
-        let (res, report) = clean_addresses(&[q], &reference(), None, &cfg());
+        let (res, report) = clean_addresses(
+            &[q],
+            &reference(),
+            None,
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         let c = &res[0];
         assert_eq!(c.address.street, "Via Roma");
         assert_eq!(c.address.zip.as_deref(), Some("10121"));
@@ -585,7 +572,14 @@ mod tests {
             // ~11 km off: clearly wrong.
             point: Some(GeoPoint::new(45.17, 7.68)),
         };
-        let (res, _) = clean_addresses(&[q], &reference(), None, &cfg());
+        let (res, _) = clean_addresses(
+            &[q],
+            &reference(),
+            None,
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         let c = &res[0];
         assert!(c.corrected.coords);
         assert_eq!(c.point.unwrap(), GeoPoint::new(45.0702, 7.6803));
@@ -599,7 +593,14 @@ mod tests {
             address: Address::new("Via Roma", Some("10"), Some("10121")),
             point: Some(original),
         };
-        let (res, _) = clean_addresses(&[q], &reference(), None, &cfg());
+        let (res, _) = clean_addresses(
+            &[q],
+            &reference(),
+            None,
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         assert!(!res[0].corrected.coords);
         assert_eq!(res[0].point.unwrap(), original);
     }
@@ -615,7 +616,14 @@ mod tests {
             address: Address::new("via garibaldi", Some("7"), None),
             point: None,
         };
-        let (res, report) = clean_addresses(&[q], &reference(), Some(&geocoder), &cfg());
+        let (res, report) = clean_addresses(
+            &[q],
+            &reference(),
+            Some(&geocoder),
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         assert!(matches!(
             res[0].outcome,
             CleaningOutcome::ResolvedByGeocoder
@@ -632,7 +640,14 @@ mod tests {
             address: Address::new("xyzxyzxyz", None, Some("99999")),
             point: None,
         };
-        let (res, report) = clean_addresses(std::slice::from_ref(&q), &reference(), None, &cfg());
+        let (res, report) = clean_addresses(
+            std::slice::from_ref(&q),
+            &reference(),
+            None,
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         assert!(matches!(res[0].outcome, CleaningOutcome::Unresolved));
         assert_eq!(res[0].address, q.address);
         assert_eq!(res[0].point, None);
@@ -654,7 +669,14 @@ mod tests {
                 point: None,
             })
             .collect();
-        let (res, report) = clean_addresses(&queries, &reference(), Some(&geocoder), &cfg());
+        let (res, report) = clean_addresses(
+            &queries,
+            &reference(),
+            Some(&geocoder),
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         assert_eq!(report.by_geocoder, 1);
         assert_eq!(report.unresolved, 2);
         assert_eq!(report.geocoder_requests, 1, "refused calls don't count");
@@ -673,11 +695,25 @@ mod tests {
             point: None,
         };
         let strict = CleaningConfig { phi: 0.95, ..cfg() };
-        let (res, _) = clean_addresses(std::slice::from_ref(&q), &reference(), None, &strict);
+        let (res, _) = clean_addresses(
+            std::slice::from_ref(&q),
+            &reference(),
+            None,
+            &strict,
+            &RuntimeConfig::sequential(),
+            None,
+        );
         assert!(matches!(res[0].outcome, CleaningOutcome::Unresolved));
 
         let lenient = CleaningConfig { phi: 0.7, ..cfg() };
-        let (res, _) = clean_addresses(&[q], &reference(), None, &lenient);
+        let (res, _) = clean_addresses(
+            &[q],
+            &reference(),
+            None,
+            &lenient,
+            &RuntimeConfig::sequential(),
+            None,
+        );
         assert!(matches!(
             res[0].outcome,
             CleaningOutcome::ResolvedByReference { .. }
@@ -691,7 +727,14 @@ mod tests {
             address: Address::new("Via Roma", Some("10"), None),
             point: Some(GeoPoint::new(45.0700, 7.6800)),
         };
-        let (res, _) = clean_addresses(&[q], &reference(), None, &cfg());
+        let (res, _) = clean_addresses(
+            &[q],
+            &reference(),
+            None,
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         assert_eq!(res[0].address.zip.as_deref(), Some("10121"));
         assert!(res[0].corrected.zip);
         assert!(!res[0].corrected.coords);
@@ -717,15 +760,23 @@ mod tests {
         // Quota smaller than the geocoder-needing queries, so consumption
         // order is observable in the outcomes.
         let seq_geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
-        let (seq, seq_report) = clean_addresses(&queries, &reference(), Some(&seq_geo), &cfg());
+        let (seq, seq_report) = clean_addresses(
+            &queries,
+            &reference(),
+            Some(&seq_geo),
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         for threads in [2usize, 8] {
             let par_geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
-            let (par, par_report) = clean_addresses_with_runtime(
+            let (par, par_report) = clean_addresses(
                 &queries,
                 &reference(),
                 Some(&par_geo),
                 &cfg(),
-                &epc_runtime::RuntimeConfig::new(threads),
+                &RuntimeConfig::new(threads),
+                None,
             );
             assert_eq!(par, seq, "threads = {threads}");
             assert_eq!(par_report, seq_report, "threads = {threads}");
@@ -751,12 +802,12 @@ mod tests {
             })
             .collect();
         let row_geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
-        let (row, row_report) = clean_addresses_degradable(
+        let (row, row_report) = clean_addresses(
             &queries,
             &reference(),
             Some(&row_geo),
             &cfg(),
-            &epc_runtime::RuntimeConfig::sequential(),
+            &RuntimeConfig::sequential(),
             None,
         );
         for threads in [1usize, 2, 8] {
@@ -766,7 +817,7 @@ mod tests {
                 &reference(),
                 Some(&col_geo),
                 &cfg(),
-                &epc_runtime::RuntimeConfig::new(threads),
+                &RuntimeConfig::new(threads),
                 None,
             );
             assert_eq!(col, row, "threads = {threads}");
@@ -790,7 +841,14 @@ mod tests {
                 point: None,
             },
         ];
-        let (_, r) = clean_addresses(&queries, &reference(), None, &cfg());
+        let (_, r) = clean_addresses(
+            &queries,
+            &reference(),
+            None,
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         assert_eq!(r.total, 2);
         assert_eq!(
             r.by_reference + r.by_geocoder + r.degraded + r.unresolved,
@@ -836,12 +894,12 @@ mod tests {
             point: None,
         };
         let fallback = degraded_fallback();
-        let (res, report) = clean_addresses_degradable(
+        let (res, report) = clean_addresses(
             std::slice::from_ref(&q),
             &reference(),
             Some(&AlwaysTransient),
             &cfg(),
-            &epc_runtime::RuntimeConfig::sequential(),
+            &RuntimeConfig::sequential(),
             Some(&fallback),
         );
         assert!(matches!(res[0].outcome, CleaningOutcome::Degraded));
@@ -868,12 +926,12 @@ mod tests {
             hints: vec![Some("Centro".to_owned())],
         };
         for fallback in [None, Some(&no_centroid)] {
-            let (res, report) = clean_addresses_degradable(
+            let (res, report) = clean_addresses(
                 std::slice::from_ref(&q),
                 &reference(),
                 Some(&AlwaysTransient),
                 &cfg(),
-                &epc_runtime::RuntimeConfig::sequential(),
+                &RuntimeConfig::sequential(),
                 fallback,
             );
             assert!(matches!(res[0].outcome, CleaningOutcome::Unresolved));
@@ -902,7 +960,14 @@ mod tests {
             address: Address::new("zzzzzz", None, None),
             point: None,
         };
-        let (_, report) = clean_addresses(&[q], &reference(), Some(&retry), &cfg());
+        let (_, report) = clean_addresses(
+            &[q],
+            &reference(),
+            Some(&retry),
+            &cfg(),
+            &RuntimeConfig::sequential(),
+            None,
+        );
         assert_eq!(report.geocoder_retries, 0);
         assert_eq!(report.unresolved, 1);
     }

@@ -239,21 +239,12 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Environment variable overriding the retry budget of
-/// [`RetryGeocoder::from_env`].
+/// Environment variable overriding the geocoder retry budget, read by
+/// [`try_geocode_retries_from_env`].
 pub const GEOCODE_RETRIES_ENV_VAR: &str = "INDICE_GEOCODE_RETRIES";
 
 /// Default retry budget when [`GEOCODE_RETRIES_ENV_VAR`] is unset.
 pub const DEFAULT_GEOCODE_RETRIES: u32 = 3;
-
-/// Reads the retry budget from [`GEOCODE_RETRIES_ENV_VAR`] (default
-/// [`DEFAULT_GEOCODE_RETRIES`]; unparsable values fall back too).
-pub fn geocode_retries_from_env() -> u32 {
-    match std::env::var(GEOCODE_RETRIES_ENV_VAR) {
-        Ok(v) => v.trim().parse().unwrap_or(DEFAULT_GEOCODE_RETRIES),
-        Err(_) => DEFAULT_GEOCODE_RETRIES,
-    }
-}
 
 /// Strictly validates an `INDICE_GEOCODE_RETRIES` value: `None` (unset)
 /// is [`DEFAULT_GEOCODE_RETRIES`], anything set must parse as a
@@ -267,8 +258,9 @@ pub fn parse_geocode_retries(raw: Option<&str>) -> Result<u32, String> {
     })
 }
 
-/// Like [`geocode_retries_from_env`], but malformed values are an error
-/// instead of a silent fallback to the default.
+/// Reads the retry budget from [`GEOCODE_RETRIES_ENV_VAR`] (see
+/// [`parse_geocode_retries`]); a malformed value is an error, never a
+/// silent fallback to the default.
 pub fn try_geocode_retries_from_env() -> Result<u32, String> {
     let raw = std::env::var(GEOCODE_RETRIES_ENV_VAR).ok();
     parse_geocode_retries(raw.as_deref())
@@ -297,12 +289,6 @@ impl<G: Geocoder> RetryGeocoder<G> {
             backoff,
             retries_made: Cell::new(0),
         }
-    }
-
-    /// Wraps `inner` with the retry budget from the environment
-    /// (`INDICE_GEOCODE_RETRIES`, default 3) and the default backoff.
-    pub fn from_env(inner: G) -> Self {
-        RetryGeocoder::new(inner, geocode_retries_from_env(), Backoff::default())
     }
 
     /// The configured retry budget.
@@ -630,16 +616,14 @@ mod tests {
 
     #[test]
     fn retry_env_budget_parses_with_fallback() {
-        // Plain parse checks (the env var itself is process-global; tests
-        // only exercise the parsing contract via a scoped set/unset).
+        // The env var is process-global; tests only exercise the parsing
+        // contract via a scoped set/unset. Unset falls back to the default;
+        // a malformed value is an error.
         std::env::set_var(GEOCODE_RETRIES_ENV_VAR, "7");
-        assert_eq!(geocode_retries_from_env(), 7);
         assert_eq!(try_geocode_retries_from_env(), Ok(7));
         std::env::set_var(GEOCODE_RETRIES_ENV_VAR, "nope");
-        assert_eq!(geocode_retries_from_env(), DEFAULT_GEOCODE_RETRIES);
         assert!(try_geocode_retries_from_env().is_err());
         std::env::remove_var(GEOCODE_RETRIES_ENV_VAR);
-        assert_eq!(geocode_retries_from_env(), DEFAULT_GEOCODE_RETRIES);
         assert_eq!(try_geocode_retries_from_env(), Ok(DEFAULT_GEOCODE_RETRIES));
     }
 }

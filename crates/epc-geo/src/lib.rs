@@ -15,8 +15,6 @@
 //!   with a request quota (the paper uses Google's free tier only when the
 //!   reference map cannot resolve an address) and a deterministic simulator;
 //! * [`cleaning`] — the multi-step address-cleaning algorithm of §2.1.1;
-//! * [`quadtree`] — a point quadtree used by marker clustering and spatial
-//!   selections;
 //! * [`region`] — district/neighbourhood polygons with point-in-polygon
 //!   assignment, backing the spatial-granularity drill-down.
 
@@ -26,7 +24,6 @@ pub mod cleaning;
 pub mod geocode;
 pub mod levenshtein;
 pub mod point;
-pub mod quadtree;
 pub mod region;
 pub mod streetmap;
 
@@ -42,6 +39,5 @@ pub use geocode::{
 };
 pub use levenshtein::{levenshtein, similarity};
 pub use point::GeoPoint;
-pub use quadtree::QuadTree;
 pub use region::{Polygon, Region, RegionHierarchy};
 pub use streetmap::{StreetEntry, StreetMap};

@@ -1,13 +1,11 @@
 //! Property-based tests of the geospatial substrate: Levenshtein metric
 //! axioms, the bit-parallel kernel and street matching against brute-force
-//! oracles, normalization idempotence, quadtree/brute-force agreement, and
-//! projection invariants.
+//! oracles, normalization idempotence, and projection invariants.
 
 use epc_geo::address::{normalize_house_number, normalize_street};
 use epc_geo::bbox::BoundingBox;
 use epc_geo::levenshtein::{levenshtein, levenshtein_bounded, similarity, BitPattern};
 use epc_geo::point::GeoPoint;
-use epc_geo::quadtree::QuadTree;
 use epc_geo::streetmap::{StreetEntry, StreetMap};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -264,48 +262,6 @@ proptest! {
         for p in &pts {
             prop_assert!(b.contains(p));
         }
-    }
-
-    #[test]
-    fn quadtree_query_matches_brute_force(
-        pts in prop::collection::vec(geo_point(), 1..120),
-        q1 in geo_point(),
-        q2 in geo_point(),
-    ) {
-        let items: Vec<(GeoPoint, usize)> = pts.iter().copied().zip(0..).collect();
-        let tree = QuadTree::from_points(items).unwrap();
-        let rect = BoundingBox::new(
-            q1.lat.min(q2.lat),
-            q1.lon.min(q2.lon),
-            q1.lat.max(q2.lat),
-            q1.lon.max(q2.lon),
-        );
-        let mut got: Vec<usize> = tree.query_rect(&rect).iter().map(|(_, &v)| v).collect();
-        got.sort_unstable();
-        let mut expected: Vec<usize> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| rect.contains(p))
-            .map(|(i, _)| i)
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-        prop_assert_eq!(tree.count_rect(&rect), tree.query_rect(&rect).len());
-    }
-
-    #[test]
-    fn quadtree_nearest_matches_brute_force(
-        pts in prop::collection::vec(geo_point(), 1..80),
-        target in geo_point(),
-    ) {
-        let items: Vec<(GeoPoint, usize)> = pts.iter().copied().zip(0..).collect();
-        let tree = QuadTree::from_points(items).unwrap();
-        let (_, _, got_d) = tree.nearest(&target).unwrap();
-        let best = pts
-            .iter()
-            .map(|p| p.haversine_m(&target))
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!((got_d - best).abs() < 1e-6, "{got_d} vs {best}");
     }
 
     #[test]

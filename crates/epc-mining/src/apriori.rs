@@ -114,7 +114,7 @@ impl FrequentItemset {
     }
 }
 
-/// Per-lattice-level counts captured by [`Apriori::mine_traced_with_runtime`].
+/// Per-lattice-level counts captured by [`Apriori::mine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AprioriLevelStats {
     /// Itemset size at this level (1 = single items).
@@ -160,28 +160,13 @@ impl Default for Apriori {
 const SUPPORT_COUNT_CHUNK: usize = 512;
 
 impl Apriori {
-    /// Mines all frequent itemsets of `data` (sizes 1..=`max_len`).
-    pub fn mine(&self, data: &TransactionSet) -> Vec<FrequentItemset> {
-        self.mine_with_runtime(data, &epc_runtime::RuntimeConfig::sequential())
-    }
-
-    /// [`Apriori::mine`] with an explicit execution runtime.
+    /// Mines all frequent itemsets of `data` (sizes 1..=`max_len`), with
+    /// per-level candidate/pruned/frequent counts for observability.
     ///
     /// Candidate-support counting — the pass over every transaction per
     /// lattice level — runs as a chunked parallel reduction merging integer
     /// count vectors, which is exact regardless of the thread budget.
-    pub fn mine_with_runtime(
-        &self,
-        data: &TransactionSet,
-        runtime: &epc_runtime::RuntimeConfig,
-    ) -> Vec<FrequentItemset> {
-        self.mine_traced_with_runtime(data, runtime).0
-    }
-
-    /// [`Apriori::mine_with_runtime`], additionally returning per-level
-    /// candidate/pruned/frequent counts for observability. The frequent
-    /// itemsets are exactly what the untraced mine produces.
-    pub fn mine_traced_with_runtime(
+    pub fn mine(
         &self,
         data: &TransactionSet,
         runtime: &epc_runtime::RuntimeConfig,
@@ -327,6 +312,7 @@ pub fn is_subset(needle: &[u32], haystack: &[u32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epc_runtime::RuntimeConfig;
 
     /// The classic market-basket example.
     fn market() -> TransactionSet {
@@ -356,7 +342,8 @@ mod tests {
             min_support: 0.2,
             max_len: 3,
         }
-        .mine(&data);
+        .mine(&data, &RuntimeConfig::sequential())
+        .0;
         assert_eq!(find(&all, &data.dict, &["bread"]).unwrap().count, 4);
         assert_eq!(find(&all, &data.dict, &["milk"]).unwrap().count, 4);
         assert_eq!(find(&all, &data.dict, &["diapers"]).unwrap().count, 4);
@@ -373,7 +360,8 @@ mod tests {
             min_support: 0.4,
             max_len: 3,
         }
-        .mine(&data);
+        .mine(&data, &RuntimeConfig::sequential())
+        .0;
         assert!(find(&all, &data.dict, &["eggs"]).is_none());
         // cola appears in 2/5 = 40% of transactions, exactly at threshold.
         assert_eq!(find(&all, &data.dict, &["cola"]).unwrap().count, 2);
@@ -386,7 +374,8 @@ mod tests {
             min_support: 0.4,
             max_len: 3,
         }
-        .mine(&data);
+        .mine(&data, &RuntimeConfig::sequential())
+        .0;
         assert_eq!(
             find(&all, &data.dict, &["beer", "diapers"]).unwrap().count,
             3
@@ -405,7 +394,8 @@ mod tests {
             min_support: 0.3,
             max_len: 3,
         }
-        .mine(&data);
+        .mine(&data, &RuntimeConfig::sequential())
+        .0;
         let t = find(&all, &data.dict, &["bread", "milk", "diapers"]).unwrap();
         assert_eq!(t.count, 2);
         assert!((t.support(data.len()) - 0.4).abs() < 1e-12);
@@ -419,7 +409,8 @@ mod tests {
             min_support: 0.2,
             max_len: 4,
         }
-        .mine(&data);
+        .mine(&data, &RuntimeConfig::sequential())
+        .0;
         let by_items: BTreeMap<&[u32], usize> =
             all.iter().map(|f| (f.items.as_slice(), f.count)).collect();
         for f in &all {
@@ -460,9 +451,9 @@ mod tests {
             min_support: 0.05,
             max_len: 4,
         };
-        let seq = miner.mine(&data);
+        let seq = miner.mine(&data, &RuntimeConfig::sequential());
         for threads in [2usize, 8] {
-            let par = miner.mine_with_runtime(&data, &epc_runtime::RuntimeConfig::new(threads));
+            let par = miner.mine(&data, &RuntimeConfig::new(threads));
             assert_eq!(par, seq, "threads = {threads}");
         }
     }
@@ -474,10 +465,7 @@ mod tests {
             min_support: 0.4,
             max_len: 3,
         };
-        let plain = miner.mine(&data);
-        let (traced, trace) =
-            miner.mine_traced_with_runtime(&data, &epc_runtime::RuntimeConfig::sequential());
-        assert_eq!(traced, plain);
+        let (frequent, trace) = miner.mine(&data, &RuntimeConfig::sequential());
         assert!(!trace.levels.is_empty());
         assert_eq!(trace.levels[0].level, 1);
         assert_eq!(trace.levels[0].candidates, 6, "six distinct items");
@@ -486,7 +474,7 @@ mod tests {
             assert_eq!(level.candidates, level.pruned + level.frequent);
         }
         let total_frequent: usize = trace.levels.iter().map(|l| l.frequent).sum();
-        assert_eq!(total_frequent, plain.len());
+        assert_eq!(total_frequent, frequent.len());
     }
 
     #[test]
@@ -496,26 +484,32 @@ mod tests {
             min_support: 0.2,
             max_len: 2,
         }
-        .mine(&data);
+        .mine(&data, &RuntimeConfig::sequential())
+        .0;
         assert!(all.iter().all(|f| f.items.len() <= 2));
     }
 
     #[test]
     fn empty_and_degenerate_inputs() {
         let empty = TransactionSet::new();
-        assert!(Apriori::default().mine(&empty).is_empty());
+        assert!(Apriori::default()
+            .mine(&empty, &RuntimeConfig::sequential())
+            .0
+            .is_empty());
         let data = market();
         assert!(Apriori {
             min_support: 0.0,
             max_len: 3
         }
-        .mine(&data)
+        .mine(&data, &RuntimeConfig::sequential())
+        .0
         .is_empty());
         let all = Apriori {
             min_support: 1.1,
             max_len: 3,
         }
-        .mine(&data);
+        .mine(&data, &RuntimeConfig::sequential())
+        .0;
         assert!(all.is_empty(), "support > 1 can never be reached");
     }
 

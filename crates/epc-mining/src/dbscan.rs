@@ -87,11 +87,6 @@ impl DbscanResult {
 /// `min_points` points (itself included) lie within `eps`; clusters grow by
 /// density reachability from core points; border points join the first
 /// cluster that reaches them; everything else is noise.
-pub fn dbscan(data: &Matrix, config: &DbscanConfig) -> DbscanResult {
-    dbscan_with_runtime(data, config, &epc_runtime::RuntimeConfig::sequential())
-}
-
-/// [`dbscan`] with an explicit execution runtime.
 ///
 /// The ε-neighbourhood region queries — the O(n²) bulk of the algorithm,
 /// and the sequential version issues one per point anyway — are
@@ -449,12 +444,13 @@ mod tests {
     #[test]
     fn finds_two_clusters_and_noise() {
         let (data, noise_idx) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 1.0,
                 min_points: 4,
             },
+            &epc_runtime::RuntimeConfig::sequential(),
         );
         assert_eq!(res.n_clusters, 2);
         assert_eq!(res.noise_indices(), noise_idx);
@@ -464,12 +460,13 @@ mod tests {
     #[test]
     fn same_blob_same_cluster() {
         let (data, _) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 1.0,
                 min_points: 4,
             },
+            &epc_runtime::RuntimeConfig::sequential(),
         );
         let first = res.labels[0];
         for i in 0..40 {
@@ -481,12 +478,13 @@ mod tests {
     #[test]
     fn tiny_eps_makes_everything_noise() {
         let (data, _) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 1e-9,
                 min_points: 4,
             },
+            &epc_runtime::RuntimeConfig::sequential(),
         );
         assert_eq!(res.n_clusters, 0);
         assert_eq!(res.noise_indices().len(), data.n_rows());
@@ -495,12 +493,13 @@ mod tests {
     #[test]
     fn huge_eps_makes_one_cluster() {
         let (data, _) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 1e6,
                 min_points: 4,
             },
+            &epc_runtime::RuntimeConfig::sequential(),
         );
         assert_eq!(res.n_clusters, 1);
         assert!(res.noise_indices().is_empty());
@@ -510,12 +509,13 @@ mod tests {
     fn min_points_one_clusters_every_point() {
         // Every point is its own core; no noise possible.
         let (data, _) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 0.5,
                 min_points: 1,
             },
+            &epc_runtime::RuntimeConfig::sequential(),
         );
         assert!(res.noise_indices().is_empty());
         assert!(res.n_clusters >= 2);
@@ -528,12 +528,13 @@ mod tests {
         let mut rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 * 0.1, 0.0]).collect();
         rows.push(vec![1.3, 0.0]); // within eps of the last core point only
         let data = Matrix::from_rows(&rows);
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 0.45,
                 min_points: 4,
             },
+            &epc_runtime::RuntimeConfig::sequential(),
         );
         assert_eq!(res.n_clusters, 1);
         assert!(
@@ -544,12 +545,13 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &Matrix::zeros(0, 2),
             &DbscanConfig {
                 eps: 1.0,
                 min_points: 3,
             },
+            &epc_runtime::RuntimeConfig::sequential(),
         );
         assert_eq!(res.n_clusters, 0);
         assert!(res.labels.is_empty());
@@ -558,12 +560,13 @@ mod tests {
     #[test]
     fn scan_stats_are_recorded() {
         let (data, _) = blobs_with_noise();
-        let res = dbscan(
+        let res = dbscan_with_runtime(
             &data,
             &DbscanConfig {
                 eps: 1.0,
                 min_points: 4,
             },
+            &epc_runtime::RuntimeConfig::sequential(),
         );
         // Every point is within eps of itself, and neighbourhood
         // membership is symmetric, so links ≥ n and links is even-summed
@@ -587,7 +590,12 @@ mod tests {
             for min_points in [0, 1, 2, 4, 9, 100] {
                 let cfg = DbscanConfig { eps, min_points };
                 let grid = dbscan_noise(&data, &cfg, &epc_runtime::RuntimeConfig::sequential());
-                assert_eq!(grid.noise, dbscan(&data, &cfg).noise_indices(), "{cfg:?}");
+                assert_eq!(
+                    grid.noise,
+                    dbscan_with_runtime(&data, &cfg, &epc_runtime::RuntimeConfig::sequential())
+                        .noise_indices(),
+                    "{cfg:?}"
+                );
             }
         }
     }
@@ -652,7 +660,10 @@ mod tests {
             eps: 1.0,
             min_points: 4,
         };
-        assert_eq!(dbscan(&data, &cfg), dbscan(&data, &cfg));
+        assert_eq!(
+            dbscan_with_runtime(&data, &cfg, &epc_runtime::RuntimeConfig::sequential()),
+            dbscan_with_runtime(&data, &cfg, &epc_runtime::RuntimeConfig::sequential())
+        );
     }
 
     #[test]
@@ -662,7 +673,7 @@ mod tests {
             eps: 1.0,
             min_points: 4,
         };
-        let seq = dbscan(&data, &cfg);
+        let seq = dbscan_with_runtime(&data, &cfg, &epc_runtime::RuntimeConfig::sequential());
         for threads in [2usize, 8] {
             let par = dbscan_with_runtime(&data, &cfg, &epc_runtime::RuntimeConfig::new(threads));
             assert_eq!(par, seq, "threads = {threads}");

@@ -10,17 +10,8 @@ use crate::matrix::Matrix;
 /// Computes the `(k, SSE)` curve for every `k` in `ks`, fitting a fresh
 /// K-means per point with `base` (its `k` field is overridden). Ks that
 /// cannot be fitted (e.g. larger than the number of points) are skipped.
-pub fn sse_curve(
-    data: &Matrix,
-    ks: impl IntoIterator<Item = usize>,
-    base: &KMeansConfig,
-) -> Vec<(usize, f64)> {
-    sse_curve_with_runtime(data, ks, base, &epc_runtime::RuntimeConfig::sequential())
-}
-
-/// [`sse_curve`] with an explicit execution runtime, forwarded to each
-/// K-means fit (the per-K fits themselves run one after another so the
-/// curve's order never changes).
+/// `runtime` is forwarded to each K-means fit (the per-K fits themselves
+/// run one after another so the curve's order never changes).
 pub fn sse_curve_with_runtime(
     data: &Matrix,
     ks: impl IntoIterator<Item = usize>,
@@ -31,8 +22,8 @@ pub fn sse_curve_with_runtime(
         .filter_map(|k| {
             let cfg = KMeansConfig { k, ..base.clone() };
             KMeans::new(cfg)
-                .fit_with_runtime(data, runtime)
-                .map(|m| (k, m.sse))
+                .fit_traced(data, runtime)
+                .map(|(m, _)| (k, m.sse))
         })
         .collect()
 }
@@ -42,7 +33,8 @@ pub fn sse_curve_with_runtime(
 /// largest *relative to* its outgoing drop (after this K, adding clusters
 /// stops paying off). Requires at least 3 points; `None` otherwise.
 ///
-/// The curve must be sorted by ascending `k` (as [`sse_curve`] produces).
+/// The curve must be sorted by ascending `k` (as [`sse_curve_with_runtime`]
+/// produces).
 pub fn elbow_k(curve: &[(usize, f64)]) -> Option<usize> {
     if curve.len() < 3 {
         return None;
@@ -89,22 +81,10 @@ pub fn elbow_k_by_distance(curve: &[(usize, f64)]) -> Option<usize> {
     Some(best.0)
 }
 
-/// Convenience: sweep `k_min..=k_max`, return `(chosen_k, curve)` using the
-/// paper's marginal-decrease criterion.
-pub fn select_k(
-    data: &Matrix,
-    k_min: usize,
-    k_max: usize,
-    base: &KMeansConfig,
-) -> Option<(usize, Vec<(usize, f64)>)> {
-    let curve = sse_curve(data, k_min..=k_max, base);
-    let k = elbow_k(&curve)?;
-    Some((k, curve))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epc_runtime::RuntimeConfig;
 
     fn blobs(k_true: usize, per: usize) -> Matrix {
         let mut rows = Vec::new();
@@ -123,7 +103,12 @@ mod tests {
     #[test]
     fn curve_is_decreasing_for_blobs() {
         let data = blobs(3, 40);
-        let curve = sse_curve(&data, 1..=6, &KMeansConfig::default());
+        let curve = sse_curve_with_runtime(
+            &data,
+            1..=6,
+            &KMeansConfig::default(),
+            &RuntimeConfig::sequential(),
+        );
         assert_eq!(curve.len(), 6);
         for w in curve.windows(2) {
             assert!(w[1].1 <= w[0].1 + 1e-6, "{curve:?}");
@@ -133,8 +118,13 @@ mod tests {
     #[test]
     fn elbow_finds_true_k_on_blobs() {
         let data = blobs(3, 40);
-        let (k, curve) = select_k(&data, 1, 8, &KMeansConfig::default()).unwrap();
-        assert_eq!(k, 3, "curve: {curve:?}");
+        let curve = sse_curve_with_runtime(
+            &data,
+            1..=8,
+            &KMeansConfig::default(),
+            &RuntimeConfig::sequential(),
+        );
+        assert_eq!(elbow_k(&curve), Some(3), "curve: {curve:?}");
         assert_eq!(elbow_k_by_distance(&curve), Some(3));
     }
 
@@ -156,7 +146,12 @@ mod tests {
     #[test]
     fn unfittable_ks_are_skipped() {
         let data = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0]]);
-        let curve = sse_curve(&data, 1..=10, &KMeansConfig::default());
+        let curve = sse_curve_with_runtime(
+            &data,
+            1..=10,
+            &KMeansConfig::default(),
+            &RuntimeConfig::sequential(),
+        );
         assert_eq!(curve.len(), 3, "only k = 1..=3 fit 3 points");
     }
 

@@ -146,7 +146,7 @@ pub fn estimate_dbscan_params(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbscan::dbscan;
+    use crate::dbscan::dbscan_with_runtime;
 
     fn k_distance_curve(data: &Matrix, k: usize) -> Vec<f64> {
         k_distance_curves(data, &[k]).remove(0)
@@ -213,7 +213,7 @@ mod tests {
     fn estimated_params_make_dbscan_flag_the_noise() {
         let data = blobs_with_noise();
         let cfg = estimate_dbscan_params(&data, &[3, 4, 5, 6], 0.15).unwrap();
-        let res = dbscan(&data, &cfg);
+        let res = dbscan_with_runtime(&data, &cfg, &epc_runtime::RuntimeConfig::sequential());
         let noise = res.noise_indices();
         assert!(
             noise.contains(&100) && noise.contains(&101),

@@ -122,29 +122,14 @@ impl KMeans {
         KMeans { config }
     }
 
-    /// Fits the model. Returns `None` when `k == 0`, the matrix is empty,
-    /// or there are fewer points than clusters.
-    pub fn fit(&self, data: &Matrix) -> Option<KMeansModel> {
-        self.fit_with_runtime(data, &epc_runtime::RuntimeConfig::sequential())
-    }
-
-    /// [`KMeans::fit`] with an explicit execution runtime.
+    /// Fits the model, returning it with the per-round [`KMeansFitTrace`].
+    /// Returns `None` when `k == 0`, the matrix is empty, or there are
+    /// fewer points than clusters.
     ///
     /// The Lloyd *assignment* step (nearest centroid per point — the O(nkd)
-    /// hot loop) runs data-parallel; the centroid update and the SSE
-    /// accumulation stay sequential in row order, so the fitted model is
-    /// bitwise identical for any thread budget.
-    pub fn fit_with_runtime(
-        &self,
-        data: &Matrix,
-        runtime: &epc_runtime::RuntimeConfig,
-    ) -> Option<KMeansModel> {
-        self.fit_traced(data, runtime).map(|(model, _)| model)
-    }
-
-    /// [`KMeans::fit_with_runtime`], additionally returning the per-round
-    /// [`KMeansFitTrace`] for observability. The fitted model is exactly
-    /// what the untraced fit produces.
+    /// hot loop) runs data-parallel under `runtime`; the centroid update
+    /// and the SSE accumulation stay sequential in row order, so the fitted
+    /// model and its trace are bitwise identical for any thread budget.
     pub fn fit_traced(
         &self,
         data: &Matrix,
@@ -323,6 +308,7 @@ fn init_plusplus(data: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epc_runtime::RuntimeConfig;
 
     /// Three well-separated blobs of 30 points each (deterministic).
     fn blobs() -> Matrix {
@@ -344,8 +330,9 @@ mod tests {
             k: 3,
             ..KMeansConfig::default()
         })
-        .fit(&blobs())
-        .unwrap();
+        .fit_traced(&blobs(), &RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         assert!(model.converged);
         let sizes = model.cluster_sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 90);
@@ -368,8 +355,9 @@ mod tests {
             k: 3,
             ..Default::default()
         })
-        .fit(&data)
-        .unwrap();
+        .fit_traced(&data, &RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         for (i, row) in data.rows().enumerate() {
             let assigned = model.assignments[i];
             let d_assigned = sq_euclidean(row, model.centroids.row(assigned));
@@ -390,8 +378,9 @@ mod tests {
                 seed: 7,
                 ..Default::default()
             })
-            .fit(&data)
-            .unwrap();
+            .fit_traced(&data, &RuntimeConfig::sequential())
+            .unwrap()
+            .0;
             assert!(
                 m.sse <= prev + 1e-9,
                 "SSE must not increase with k: k={k}, sse={}, prev={prev}",
@@ -408,8 +397,9 @@ mod tests {
             k: 1,
             ..Default::default()
         })
-        .fit(&data)
-        .unwrap();
+        .fit_traced(&data, &RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         assert!((m.centroids.get(0, 0) - 2.0).abs() < 1e-12);
         // SSE = 4 + 0 + 4
         assert!((m.sse - 8.0).abs() < 1e-12);
@@ -422,8 +412,9 @@ mod tests {
             k: 3,
             ..Default::default()
         })
-        .fit(&data)
-        .unwrap();
+        .fit_traced(&data, &RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         assert!(m.sse < 1e-18);
     }
 
@@ -435,8 +426,14 @@ mod tests {
             seed: 123,
             ..Default::default()
         };
-        let a = KMeans::new(cfg.clone()).fit(&data).unwrap();
-        let b = KMeans::new(cfg).fit(&data).unwrap();
+        let a = KMeans::new(cfg.clone())
+            .fit_traced(&data, &RuntimeConfig::sequential())
+            .unwrap()
+            .0;
+        let b = KMeans::new(cfg)
+            .fit_traced(&data, &RuntimeConfig::sequential())
+            .unwrap()
+            .0;
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.sse, b.sse);
     }
@@ -449,11 +446,14 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let seq = KMeans::new(cfg.clone()).fit(&data).unwrap();
+        let (seq, seq_trace) = KMeans::new(cfg.clone())
+            .fit_traced(&data, &RuntimeConfig::sequential())
+            .unwrap();
         for threads in [2usize, 4, 8] {
-            let par = KMeans::new(cfg.clone())
-                .fit_with_runtime(&data, &epc_runtime::RuntimeConfig::new(threads))
+            let (par, par_trace) = KMeans::new(cfg.clone())
+                .fit_traced(&data, &RuntimeConfig::new(threads))
                 .unwrap();
+            assert_eq!(par_trace, seq_trace, "threads = {threads}");
             assert_eq!(par.assignments, seq.assignments, "threads = {threads}");
             assert_eq!(par.sse.to_bits(), seq.sse.to_bits(), "threads = {threads}");
             assert_eq!(par.centroids, seq.centroids, "threads = {threads}");
@@ -469,9 +469,12 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let plain = KMeans::new(cfg.clone()).fit(&data).unwrap();
+        let plain = KMeans::new(cfg.clone())
+            .fit_traced(&data, &RuntimeConfig::sequential())
+            .unwrap()
+            .0;
         for threads in [1usize, 2, 8] {
-            let rt = epc_runtime::RuntimeConfig::new(threads);
+            let rt = RuntimeConfig::new(threads);
             let (model, trace) = KMeans::new(cfg.clone()).fit_traced(&data, &rt).unwrap();
             assert_eq!(model, plain, "threads = {threads}");
             assert_eq!(trace.round_inertia.len(), model.n_iter);
@@ -490,16 +493,19 @@ mod tests {
             k: 0,
             ..Default::default()
         })
-        .fit(&data)
+        .fit_traced(&data, &RuntimeConfig::sequential())
         .is_none());
         assert!(KMeans::new(KMeansConfig {
             k: 100,
             ..Default::default()
         })
-        .fit(&Matrix::from_rows(&[vec![1.0]]))
+        .fit_traced(
+            &Matrix::from_rows(&[vec![1.0]]),
+            &RuntimeConfig::sequential()
+        )
         .is_none());
         assert!(KMeans::new(KMeansConfig::default())
-            .fit(&Matrix::zeros(0, 2))
+            .fit_traced(&Matrix::zeros(0, 2), &RuntimeConfig::sequential())
             .is_none());
     }
 
@@ -511,8 +517,9 @@ mod tests {
             seed: 5,
             ..Default::default()
         })
-        .fit(&blobs())
-        .unwrap();
+        .fit_traced(&blobs(), &RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         let mut sizes = m.cluster_sizes();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![30, 30, 30]);
@@ -524,8 +531,9 @@ mod tests {
             k: 3,
             ..Default::default()
         })
-        .fit(&blobs())
-        .unwrap();
+        .fit_traced(&blobs(), &RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         let c = m.predict(&[10.0, 10.0]);
         assert_eq!(c, m.assignments[30], "near blob 1's points");
     }
@@ -536,8 +544,9 @@ mod tests {
             k: 3,
             ..Default::default()
         })
-        .fit(&blobs())
-        .unwrap();
+        .fit_traced(&blobs(), &RuntimeConfig::sequential())
+        .unwrap()
+        .0;
         let total: usize = (0..3).map(|c| m.members_of(c).len()).sum();
         assert_eq!(total, 90);
     }
@@ -549,7 +558,8 @@ mod tests {
             k: 3,
             ..Default::default()
         })
-        .fit(&data);
+        .fit_traced(&data, &RuntimeConfig::sequential())
+        .map(|(m, _)| m);
         // All identical: model exists, SSE 0.
         let m = m.unwrap();
         assert!(m.sse < 1e-18);

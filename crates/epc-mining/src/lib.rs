@@ -21,9 +21,7 @@
 //!   categories for rule mining;
 //! * [`apriori`] — frequent-itemset mining (Apriori);
 //! * [`rules`] — association-rule generation with the four quality indices
-//!   the paper uses: support, confidence, lift, conviction;
-//! * [`support`] — mergeable per-region support counts, so incremental
-//!   ingest can fold sealed generations' frequencies without re-scanning.
+//!   the paper uses: support, confidence, lift, conviction.
 //!
 //! The future-work section of the paper (§4) plans "other analytics
 //! techniques (both supervised and unsupervised)"; this crate ships two:
@@ -48,14 +46,15 @@ pub mod naive_bayes;
 pub mod normalize;
 pub mod rules;
 pub mod silhouette;
-pub mod support;
 
 pub use apriori::{Apriori, ItemDictionary, Itemset, TransactionSet};
 pub use cart::{CartConfig, RegressionTree};
 pub use columnar::feature_matrix;
-pub use dbscan::{dbscan, dbscan_noise, DbscanConfig, DbscanLabel, DbscanNoise, DbscanResult};
+pub use dbscan::{
+    dbscan_noise, dbscan_with_runtime, DbscanConfig, DbscanLabel, DbscanNoise, DbscanResult,
+};
 pub use discretize::Discretizer;
-pub use elbow::{elbow_k, sse_curve};
+pub use elbow::{elbow_k, sse_curve_with_runtime};
 pub use hierarchical::{agglomerative, hierarchical_clusters, Dendrogram, Linkage};
 pub use kmeans::{KMeans, KMeansConfig, KMeansInit, KMeansModel};
 pub use matrix::Matrix;
@@ -63,4 +62,3 @@ pub use naive_bayes::GaussianNb;
 pub use normalize::{MinMaxScaler, ZScoreScaler};
 pub use rules::{AssociationRule, RuleConfig};
 pub use silhouette::silhouette_score;
-pub use support::{RegionSupport, SupportLedger};

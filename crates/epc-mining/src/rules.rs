@@ -65,25 +65,11 @@ impl Default for RuleConfig {
 /// Mines association rules from a transaction set: Apriori for frequent
 /// itemsets, then rule generation over every non-trivial split of each
 /// itemset, filtered by the thresholds in `config` and sorted by lift
-/// (descending), then confidence, then support.
-pub fn mine_rules(data: &TransactionSet, config: &RuleConfig) -> Vec<AssociationRule> {
-    mine_rules_with_runtime(data, config, &epc_runtime::RuntimeConfig::sequential())
-}
-
-/// [`mine_rules`] with an explicit execution runtime (forwarded to the
-/// Apriori support-counting pass; rule generation itself is cheap and runs
-/// sequentially).
-pub fn mine_rules_with_runtime(
-    data: &TransactionSet,
-    config: &RuleConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-) -> Vec<AssociationRule> {
-    mine_rules_traced_with_runtime(data, config, runtime).0
-}
-
-/// [`mine_rules_with_runtime`], additionally returning the Apriori
-/// per-level [`AprioriTrace`] for observability. The rules are exactly
-/// what the untraced call produces.
+/// (descending), then confidence, then support. Also returns the Apriori
+/// per-level [`AprioriTrace`] for observability.
+///
+/// `runtime` is forwarded to the Apriori support-counting pass; rule
+/// generation itself is cheap and runs sequentially.
 pub fn mine_rules_traced_with_runtime(
     data: &TransactionSet,
     config: &RuleConfig,
@@ -93,7 +79,7 @@ pub fn mine_rules_traced_with_runtime(
         min_support: config.min_support,
         max_len: config.max_len,
     }
-    .mine_traced_with_runtime(data, runtime);
+    .mine(data, runtime);
     let rules = rules_from_frequent(&frequent, &data.dict, data.len(), config);
     (rules, trace)
 }
@@ -176,6 +162,7 @@ pub fn top_k(rules: &[AssociationRule], k: usize) -> Vec<AssociationRule> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epc_runtime::RuntimeConfig;
 
     fn market() -> TransactionSet {
         let mut t = TransactionSet::new();
@@ -200,7 +187,7 @@ mod tests {
 
     #[test]
     fn beer_to_diapers_textbook_rule() {
-        let rules = mine_rules(
+        let rules = mine_rules_traced_with_runtime(
             &market(),
             &RuleConfig {
                 min_support: 0.4,
@@ -208,7 +195,9 @@ mod tests {
                 min_lift: 0.0,
                 max_len: 2,
             },
-        );
+            &RuntimeConfig::sequential(),
+        )
+        .0;
         let r = get(&rules, &["beer"], &["diapers"]).expect("rule must exist");
         // supp({beer, diapers}) = 3/5; conf = 3/3 = 1; lift = 1 / (4/5) = 1.25
         assert!((r.support - 0.6).abs() < 1e-12);
@@ -223,7 +212,7 @@ mod tests {
 
     #[test]
     fn diapers_to_beer_has_lower_confidence() {
-        let rules = mine_rules(
+        let rules = mine_rules_traced_with_runtime(
             &market(),
             &RuleConfig {
                 min_support: 0.4,
@@ -231,7 +220,9 @@ mod tests {
                 min_lift: 0.0,
                 max_len: 2,
             },
-        );
+            &RuntimeConfig::sequential(),
+        )
+        .0;
         let r = get(&rules, &["diapers"], &["beer"]).unwrap();
         // conf = 3/4 = 0.75; lift = 0.75 / 0.6 = 1.25;
         // conviction = (1 − 0.6)/(1 − 0.75) = 1.6
@@ -242,7 +233,7 @@ mod tests {
 
     #[test]
     fn confidence_threshold_filters() {
-        let strict = mine_rules(
+        let strict = mine_rules_traced_with_runtime(
             &market(),
             &RuleConfig {
                 min_support: 0.4,
@@ -250,14 +241,16 @@ mod tests {
                 min_lift: 0.0,
                 max_len: 2,
             },
-        );
+            &RuntimeConfig::sequential(),
+        )
+        .0;
         assert!(get(&strict, &["diapers"], &["beer"]).is_none());
         assert!(get(&strict, &["beer"], &["diapers"]).is_some());
     }
 
     #[test]
     fn lift_threshold_removes_negative_correlations() {
-        let rules = mine_rules(
+        let rules = mine_rules_traced_with_runtime(
             &market(),
             &RuleConfig {
                 min_support: 0.2,
@@ -265,7 +258,9 @@ mod tests {
                 min_lift: 1.0,
                 max_len: 2,
             },
-        );
+            &RuntimeConfig::sequential(),
+        )
+        .0;
         for r in &rules {
             assert!(r.lift >= 1.0, "rule {} has lift {}", r.display(), r.lift);
         }
@@ -273,7 +268,12 @@ mod tests {
 
     #[test]
     fn rules_are_sorted_by_lift_then_confidence() {
-        let rules = mine_rules(&market(), &RuleConfig::default());
+        let rules = mine_rules_traced_with_runtime(
+            &market(),
+            &RuleConfig::default(),
+            &RuntimeConfig::sequential(),
+        )
+        .0;
         for w in rules.windows(2) {
             assert!(
                 w[0].lift > w[1].lift
@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn multi_item_antecedents_appear() {
-        let rules = mine_rules(
+        let rules = mine_rules_traced_with_runtime(
             &market(),
             &RuleConfig {
                 min_support: 0.3,
@@ -292,7 +292,9 @@ mod tests {
                 min_lift: 0.0,
                 max_len: 3,
             },
-        );
+            &RuntimeConfig::sequential(),
+        )
+        .0;
         assert!(
             rules.iter().any(|r| r.antecedent.len() == 2),
             "3-itemsets must generate 2-item antecedents"
@@ -301,7 +303,7 @@ mod tests {
 
     #[test]
     fn top_k_truncates() {
-        let rules = mine_rules(
+        let rules = mine_rules_traced_with_runtime(
             &market(),
             &RuleConfig {
                 min_support: 0.2,
@@ -309,7 +311,9 @@ mod tests {
                 min_lift: 0.0,
                 max_len: 3,
             },
-        );
+            &RuntimeConfig::sequential(),
+        )
+        .0;
         assert!(rules.len() > 3);
         let t = top_k(&rules, 3);
         assert_eq!(t.len(), 3);
@@ -318,7 +322,7 @@ mod tests {
 
     #[test]
     fn display_renders_arrow_notation() {
-        let rules = mine_rules(
+        let rules = mine_rules_traced_with_runtime(
             &market(),
             &RuleConfig {
                 min_support: 0.4,
@@ -326,20 +330,27 @@ mod tests {
                 min_lift: 0.0,
                 max_len: 2,
             },
-        );
+            &RuntimeConfig::sequential(),
+        )
+        .0;
         let r = get(&rules, &["beer"], &["diapers"]).unwrap();
         assert_eq!(r.display(), "beer => diapers");
     }
 
     #[test]
     fn empty_data_yields_no_rules() {
-        let rules = mine_rules(&TransactionSet::new(), &RuleConfig::default());
+        let rules = mine_rules_traced_with_runtime(
+            &TransactionSet::new(),
+            &RuleConfig::default(),
+            &RuntimeConfig::sequential(),
+        )
+        .0;
         assert!(rules.is_empty());
     }
 
     #[test]
     fn support_of_rule_equals_support_of_union() {
-        let rules = mine_rules(
+        let rules = mine_rules_traced_with_runtime(
             &market(),
             &RuleConfig {
                 min_support: 0.3,
@@ -347,7 +358,9 @@ mod tests {
                 min_lift: 0.0,
                 max_len: 3,
             },
-        );
+            &RuntimeConfig::sequential(),
+        )
+        .0;
         for r in &rules {
             // support ≤ confidence always; equality iff antecedent support
             // equals union support.

@@ -4,7 +4,7 @@
 //! (grid noise DBSCAN and one-pass k-distance) against brute-force oracles.
 
 use epc_mining::apriori::{is_subset, Apriori, TransactionSet};
-use epc_mining::dbscan::{dbscan, dbscan_noise, DbscanConfig, DbscanLabel};
+use epc_mining::dbscan::{dbscan_noise, dbscan_with_runtime, DbscanConfig, DbscanLabel};
 use epc_mining::discretize::Discretizer;
 use epc_mining::kdistance::{
     curve_difference, curve_elbow_value, estimate_dbscan_params, k_distance_curves,
@@ -30,8 +30,9 @@ proptest! {
         prop_assume!(rows.len() >= k);
         let m = Matrix::from_rows(&rows);
         let model = KMeans::new(KMeansConfig { k, seed, ..Default::default() })
-            .fit(&m)
-            .unwrap();
+            .fit_traced(&m, &RuntimeConfig::sequential())
+            .unwrap()
+            .0;
         for (i, row) in m.rows().enumerate() {
             let assigned = sq_euclidean(row, model.centroids.row(model.assignments[i]));
             for c in 0..k {
@@ -51,7 +52,7 @@ proptest! {
     fn kmeans_partitions_everything(rows in points(60), k in 1usize..6) {
         prop_assume!(rows.len() >= k);
         let m = Matrix::from_rows(&rows);
-        let model = KMeans::new(KMeansConfig { k, ..Default::default() }).fit(&m).unwrap();
+        let model = KMeans::new(KMeansConfig { k, ..Default::default() }).fit_traced(&m, &RuntimeConfig::sequential()).unwrap().0;
         prop_assert_eq!(model.assignments.len(), m.n_rows());
         prop_assert!(model.assignments.iter().all(|&a| a < k));
         prop_assert_eq!(model.cluster_sizes().iter().sum::<usize>(), m.n_rows());
@@ -88,7 +89,7 @@ proptest! {
     #[test]
     fn dbscan_labels_are_dense_and_complete(rows in points(60), eps in 1.0f64..50.0, min_pts in 1usize..6) {
         let m = Matrix::from_rows(&rows);
-        let res = dbscan(&m, &DbscanConfig { eps, min_points: min_pts });
+        let res = dbscan_with_runtime(&m, &DbscanConfig { eps, min_points: min_pts }, &RuntimeConfig::sequential());
         prop_assert_eq!(res.labels.len(), m.n_rows());
         for l in &res.labels {
             if let DbscanLabel::Cluster(c) = l {
@@ -144,7 +145,7 @@ proptest! {
             let items: Vec<String> = t.iter().map(|i| format!("item{i}")).collect();
             tset.push_owned(&items);
         }
-        let frequent = Apriori { min_support, max_len: 4 }.mine(&tset);
+        let frequent = Apriori { min_support, max_len: 4 }.mine(&tset, &RuntimeConfig::sequential()).0;
         let by_items: HashMap<&[u32], usize> =
             frequent.iter().map(|f| (f.items.as_slice(), f.count)).collect();
         let min_count = (min_support * transactions.len() as f64).ceil().max(1.0) as usize;
@@ -322,7 +323,7 @@ proptest! {
         let (m, eps) = hostile_cloud(seed, d, n);
         let config = DbscanConfig { eps, min_points };
         let grid = dbscan_noise(&m, &config, &RuntimeConfig::sequential());
-        prop_assert_eq!(&grid.noise, &dbscan(&m, &config).noise_indices(), "eps {}", eps);
+        prop_assert_eq!(&grid.noise, &dbscan_with_runtime(&m, &config, &RuntimeConfig::sequential()).noise_indices(), "eps {}", eps);
         let core = (0..n)
             .filter(|&p| (0..n).filter(|&q| euclidean(m.row(p), m.row(q)) <= eps).count() >= min_points)
             .count();

@@ -143,14 +143,6 @@ impl TraceEvent {
         self.encode(&mut out, true);
         out
     }
-
-    /// Logical projection: identical to [`TraceEvent::to_json`] minus the
-    /// `wall_ms` field. This is the representation golden tests hash.
-    pub fn to_logical_json(&self) -> String {
-        let mut out = String::new();
-        self.encode(&mut out, false);
-        out
-    }
 }
 
 /// Append-only in-memory event log; written out as `trace.jsonl`.

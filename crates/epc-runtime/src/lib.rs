@@ -34,7 +34,7 @@ pub use report::{
 
 use std::num::NonZeroUsize;
 
-/// Environment variable consulted by [`RuntimeConfig::from_env`].
+/// Environment variable consulted by [`RuntimeConfig::try_from_env`].
 pub const THREADS_ENV_VAR: &str = "INDICE_THREADS";
 
 /// Environment variable selecting the storage engine ([`Engine`]).
@@ -119,25 +119,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Reads the thread budget from the `INDICE_THREADS` environment
-    /// variable; unset, empty, or unparsable values fall back to the
-    /// machine default. `INDICE_THREADS=1` forces sequential execution.
-    /// The storage engine is read from `INDICE_ENGINE` the same way,
-    /// falling back to the row engine on malformed values.
-    ///
-    /// Prefer [`RuntimeConfig::try_from_env`] in user-facing entry points:
-    /// it reports malformed values instead of silently ignoring them.
-    pub fn from_env() -> Self {
-        let base = match std::env::var(THREADS_ENV_VAR) {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => RuntimeConfig::new(n),
-                _ => RuntimeConfig::default(),
-            },
-            Err(_) => RuntimeConfig::default(),
-        };
-        base.with_engine(Engine::try_from_env().unwrap_or_default())
-    }
-
     /// Strictly validates an `INDICE_THREADS` value: `None` (unset) is the
     /// machine default, anything set must be a positive integer. Pure, so
     /// rejection paths are unit-testable without touching process state.
@@ -156,9 +137,10 @@ impl RuntimeConfig {
         }
     }
 
-    /// Like [`RuntimeConfig::from_env`], but malformed values (for either
-    /// `INDICE_THREADS` or `INDICE_ENGINE`) are an error instead of a
-    /// silent fallback.
+    /// Reads the thread budget from `INDICE_THREADS` (see
+    /// [`RuntimeConfig::parse_threads`]; `1` forces sequential execution)
+    /// and the storage engine from `INDICE_ENGINE`. A malformed value of
+    /// either is an error, never a silent fallback.
     pub fn try_from_env() -> Result<Self, String> {
         let raw = std::env::var(THREADS_ENV_VAR).ok();
         let base = RuntimeConfig::parse_threads(raw.as_deref())?;

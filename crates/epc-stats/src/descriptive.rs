@@ -2,7 +2,7 @@
 //! "for numeric data, INDICE includes count, mean, standard deviation and
 //! the three quartiles" (§2.3).
 
-use crate::quantile::{quantile_sorted, quartiles};
+use crate::quantile::quartiles;
 
 /// Arithmetic mean; `None` for empty input.
 pub fn mean(data: &[f64]) -> Option<f64> {
@@ -134,12 +134,6 @@ impl NumericSummary {
     /// Interquartile range.
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
-    }
-
-    /// `p`-quantile recomputed from the summary is impossible; this helper
-    /// exists for sorted payloads kept alongside the summary.
-    pub fn quantile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-        quantile_sorted(sorted, p)
     }
 }
 

@@ -44,37 +44,7 @@ pub enum Command {
         data: String,
     },
     /// Run the full pipeline and write the dashboards.
-    Run {
-        /// Path to the EPC CSV.
-        data: String,
-        /// Path to the referenced street map.
-        streets: String,
-        /// Path to the region-hierarchy JSON.
-        regions: String,
-        /// Target stakeholder.
-        stakeholder: Stakeholder,
-        /// The run directory (journal, checkpoints, and artifacts).
-        out_dir: String,
-        /// Resume from the run directory's journal instead of starting
-        /// over (`--resume DIR` instead of `--out-dir DIR`).
-        resume: bool,
-        /// Seed of the deterministic fault injector (chaos testing).
-        fault_seed: u64,
-        /// Fraction of records the injector corrupts (0 disables).
-        fault_rate: f64,
-        /// Fraction of geocoder calls the injector fails transiently.
-        geocode_fail_rate: f64,
-        /// Abort (exit 1) when more than this fraction of input records
-        /// ends up quarantined.
-        max_quarantine_frac: Option<f64>,
-        /// Injected crash point for durability testing (`stage:point`).
-        crash_at: Option<CrashSpec>,
-        /// Write a metrics snapshot here after the run (`.json` selects
-        /// the JSON codec, anything else the Prometheus-style text).
-        metrics_out: Option<String>,
-        /// Write the structured span/point trace here (JSON Lines).
-        trace_out: Option<String>,
-    },
+    Run(RunArgs),
     /// Run an in-memory synthetic pipeline and emit a benchmark snapshot.
     Bench {
         /// Collection sizes to benchmark (from `--records N[,M...]`).
@@ -103,68 +73,112 @@ pub enum Command {
         out: String,
     },
     /// Fold micro-batches into a generation-journaled run directory.
-    Ingest {
-        /// Batch CSV paths in ingest order (from `--append a.csv,b.csv`).
-        append: Vec<String>,
-        /// Path to the referenced street map.
-        streets: String,
-        /// Path to the region-hierarchy JSON.
-        regions: String,
-        /// Target stakeholder.
-        stakeholder: Stakeholder,
-        /// The ingest run directory (`gens/`, manifest, and `current/`).
-        run_dir: String,
-        /// Fold into a directory that already holds sealed generations
-        /// (`--resume DIR` instead of `--into DIR`).
-        resume: bool,
-        /// Injected crash at a batch boundary (`N:before|after|torn`).
-        crash_at_batch: Option<IngestCrash>,
-        /// Seed of the deterministic fault injector (chaos testing).
-        fault_seed: u64,
-        /// Fraction of records the injector corrupts (0 disables).
-        fault_rate: f64,
-        /// Restrict the injector to these batch indices (`all` or
-        /// `0,2-4`); `None` corrupts every batch when a rate is set.
-        corrupt_batches: Option<BatchScope>,
-    },
+    Ingest(IngestArgs),
     /// Run a multi-city fleet under the shard coordinator.
-    Fleet {
-        /// Number of cities in the fleet plan.
-        cities: usize,
-        /// Base records per city (scaled by each city's size class).
-        records: usize,
-        /// Fleet seed (city plans and synthesis derive from it).
-        seed: u64,
-        /// The fleet directory (fleet journal, per-city run dirs, merged
-        /// artifacts).
-        out_dir: String,
-        /// Resume from the fleet journal instead of starting fresh.
-        resume: bool,
-        /// Target stakeholder for every shard.
-        stakeholder: Stakeholder,
-        /// Tolerate at most this many abandoned cities before the fleet
-        /// fails outright (exit 1 instead of 3).
-        max_failed_cities: Option<usize>,
-        /// Shard attempts per city (>= 1).
-        retry_budget: u32,
-        /// Kill a stage of this city's shard (chaos testing).
-        kill_city: Option<usize>,
-        /// Stage to kill (`preprocess`/`analytics`/`dashboard`).
-        kill_stage: String,
-        /// Kill only on this attempt; `None` kills every attempt.
-        kill_attempt: Option<u32>,
-        /// Corrupt only this city's records (chaos testing).
-        corrupt_city: Option<usize>,
-        /// Record-corruption rate for the corrupted city.
-        fault_rate: f64,
-        /// Fault-plan seed.
-        fault_seed: u64,
-        /// Crash the coordinator at a city boundary
-        /// (`IDX:before` / `IDX:after`; durability testing, exit 70).
-        crash_at_city: Option<(usize, String)>,
-    },
+    Fleet(FleetArgs),
     /// Print usage.
     Help,
+}
+
+/// `indice run` options.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunArgs {
+    /// Path to the EPC CSV.
+    pub data: String,
+    /// Path to the referenced street map.
+    pub streets: String,
+    /// Path to the region-hierarchy JSON.
+    pub regions: String,
+    /// Target stakeholder.
+    pub stakeholder: Stakeholder,
+    /// The run directory (journal, checkpoints, and artifacts).
+    pub out_dir: String,
+    /// Resume from the run directory's journal instead of starting
+    /// over (`--resume DIR` instead of `--out-dir DIR`).
+    pub resume: bool,
+    /// Seed of the deterministic fault injector (chaos testing).
+    pub fault_seed: u64,
+    /// Fraction of records the injector corrupts (0 disables).
+    pub fault_rate: f64,
+    /// Fraction of geocoder calls the injector fails transiently.
+    pub geocode_fail_rate: f64,
+    /// Abort (exit 1) when more than this fraction of input records
+    /// ends up quarantined.
+    pub max_quarantine_frac: Option<f64>,
+    /// Injected crash point for durability testing (`stage:point`).
+    pub crash_at: Option<CrashSpec>,
+    /// Write a metrics snapshot here after the run (`.json` selects
+    /// the JSON codec, anything else the Prometheus-style text).
+    pub metrics_out: Option<String>,
+    /// Write the structured span/point trace here (JSON Lines).
+    pub trace_out: Option<String>,
+}
+
+/// `indice ingest` options.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IngestArgs {
+    /// Batch CSV paths in ingest order (from `--append a.csv,b.csv`).
+    pub append: Vec<String>,
+    /// Path to the referenced street map.
+    pub streets: String,
+    /// Path to the region-hierarchy JSON.
+    pub regions: String,
+    /// Target stakeholder.
+    pub stakeholder: Stakeholder,
+    /// The ingest run directory (`gens/`, manifest, and `current/`).
+    pub run_dir: String,
+    /// Fold into a directory that already holds sealed generations
+    /// (`--resume DIR` instead of `--into DIR`).
+    pub resume: bool,
+    /// Injected crash at a batch boundary (`N:before|after|torn`, `N` an
+    /// index into `append`).
+    pub crash_at_batch: Option<IngestCrash>,
+    /// Seed of the deterministic fault injector (chaos testing).
+    pub fault_seed: u64,
+    /// Fraction of records the injector corrupts (0 disables).
+    pub fault_rate: f64,
+    /// Restrict the injector to these indices into `append` (`all` or
+    /// `0,2-4`); `None` corrupts every batch when a rate is set.
+    pub corrupt_batches: Option<BatchScope>,
+}
+
+/// `indice fleet run` options.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetArgs {
+    /// Number of cities in the fleet plan.
+    pub cities: usize,
+    /// Base records per city (scaled by each city's size class).
+    pub records: usize,
+    /// Fleet seed (city plans and synthesis derive from it).
+    pub seed: u64,
+    /// The fleet directory (fleet journal, per-city run dirs, merged
+    /// artifacts).
+    pub out_dir: String,
+    /// Resume from the fleet journal instead of starting fresh.
+    pub resume: bool,
+    /// Target stakeholder for every shard.
+    pub stakeholder: Stakeholder,
+    /// Tolerate at most this many abandoned cities before the fleet
+    /// fails outright (exit 1 instead of 3).
+    pub max_failed_cities: Option<usize>,
+    /// Shard attempts per city (>= 1).
+    pub retry_budget: u32,
+    /// Kill a stage of this city's shard (chaos testing).
+    pub kill_city: Option<usize>,
+    /// Stage to kill (`preprocess`/`analytics`/`dashboard`).
+    pub kill_stage: String,
+    /// Kill only on this attempt (`1..=retry_budget`); `None` kills every
+    /// attempt.
+    pub kill_attempt: Option<u32>,
+    /// Corrupt only this city's records (chaos testing).
+    pub corrupt_city: Option<usize>,
+    /// Record-corruption rate for the corrupted city.
+    pub fault_rate: f64,
+    /// Fault-plan seed.
+    pub fault_seed: u64,
+    /// Crash the coordinator at a city boundary
+    /// (`IDX:before` / `IDX:after`; durability testing, exit 70).
+    pub crash_at_city: Option<(usize, String)>,
 }
 
 /// Usage text.
@@ -365,7 +379,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if let Some(spec) = &crash_at {
                 check_stage("--crash-at", spec.stage())?;
             }
-            Ok(Command::Run {
+            Ok(Command::Run(RunArgs {
                 data: flags.required("data")?,
                 streets: flags.required("streets")?,
                 regions: flags.required("regions")?,
@@ -379,7 +393,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 crash_at,
                 metrics_out: flags.get("metrics-out").map(str::to_owned),
                 trace_out: flags.get("trace-out").map(str::to_owned),
-            })
+            }))
         }
         "bench" => {
             let flags = Flags::parse(cmd, &["records", "seed", "engines", "out"], rest)?;
@@ -459,7 +473,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             // the fleet's `--corrupt-city`.
             let default_rate = if corrupt_batches.is_some() { 0.2 } else { 0.0 };
             let fault_rate = flags.rate("fault-rate")?.unwrap_or(default_rate);
-            Ok(Command::Ingest {
+            let args = IngestArgs {
                 append,
                 streets: flags.required("streets")?,
                 regions: flags.required("regions")?,
@@ -470,7 +484,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 fault_seed,
                 fault_rate,
                 corrupt_batches,
-            })
+            };
+            let batches = args.append.len();
+            if let Some(spec) = &args.crash_at_batch {
+                check_index("crash-at-batch", spec.batch(), "ingest", batches, "batches")?;
+            }
+            if let Some(BatchScope::Only(indices)) = &args.corrupt_batches {
+                for &i in indices {
+                    check_index("corrupt-batches", i, "ingest", batches, "batches")?;
+                }
+            }
+            Ok(Command::Ingest(args))
         }
         "suggest-config" => {
             let flags = Flags::parse(cmd, &["data"], rest)?;
@@ -585,14 +609,19 @@ fn parse_fleet(args: &[String]) -> Result<Command, String> {
         ("corrupt-city", corrupt_city),
         ("crash-at-city", crash_at_city.as_ref().map(|(i, _)| *i)),
     ] {
-        if idx.is_some_and(|i| i >= cities) {
-            return Err(format!(
-                "--{flag} index out of range (fleet has {cities} cities, indices 0..{})",
-                cities - 1
-            ));
+        if let Some(i) = idx {
+            check_index(flag, i, "fleet", cities, "cities")?;
         }
     }
-    Ok(Command::Fleet {
+    // Attempts are 1-based and capped by the budget: any other value
+    // would never fire.
+    if kill_attempt.is_some_and(|a| a == 0 || a > retry_budget) {
+        return Err(format!(
+            "--kill-attempt out of range (--retry-budget allows {retry_budget} attempts, \
+             attempts 1..{retry_budget})"
+        ));
+    }
+    Ok(Command::Fleet(FleetArgs {
         cities,
         records,
         seed,
@@ -608,7 +637,19 @@ fn parse_fleet(args: &[String]) -> Result<Command, String> {
         fault_rate,
         fault_seed,
         crash_at_city,
-    })
+    }))
+}
+
+/// Rejects a chaos `--{flag}` index that names none of the `n` items of
+/// the `owner` (`n >= 1`): such a fault would silently never fire.
+fn check_index(flag: &str, index: usize, owner: &str, n: usize, items: &str) -> Result<(), String> {
+    if index < n {
+        return Ok(());
+    }
+    Err(format!(
+        "--{flag} index out of range ({owner} has {n} {items}, indices 0..{})",
+        n - 1
+    ))
 }
 
 /// Strictly validates an `INDICE_STAGE_DEADLINE_MS` value: `None` (unset)
@@ -840,7 +881,7 @@ mod tests {
             ]))
             .unwrap();
             match cmd {
-                Command::Run { stakeholder, .. } => assert_eq!(stakeholder, expected),
+                Command::Run(RunArgs { stakeholder, .. }) => assert_eq!(stakeholder, expected),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -862,10 +903,10 @@ mod tests {
         .unwrap();
         assert!(matches!(
             cmd,
-            Command::Run {
+            Command::Run(RunArgs {
                 stakeholder: Stakeholder::PublicAdministration,
                 ..
-            }
+            })
         ));
     }
 
@@ -890,12 +931,12 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Run {
+            Command::Run(RunArgs {
                 fault_seed,
                 fault_rate,
                 geocode_fail_rate,
                 ..
-            } => {
+            }) => {
                 assert_eq!(fault_seed, 99);
                 assert_eq!(fault_rate, 0.2);
                 assert_eq!(geocode_fail_rate, 0.1);
@@ -919,11 +960,11 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Run {
+            Command::Run(RunArgs {
                 fault_rate,
                 geocode_fail_rate,
                 ..
-            } => {
+            }) => {
                 assert_eq!(fault_rate, 0.0);
                 assert_eq!(geocode_fail_rate, 0.0);
             }
@@ -1071,18 +1112,18 @@ mod tests {
     #[test]
     fn run_resume_sets_the_run_dir() {
         match parse_args(&run_args(&["--resume", "runs/x"])).unwrap() {
-            Command::Run {
+            Command::Run(RunArgs {
                 out_dir, resume, ..
-            } => {
+            }) => {
                 assert_eq!(out_dir, "runs/x");
                 assert!(resume);
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse_args(&run_args(&["--out-dir", "runs/y"])).unwrap() {
-            Command::Run {
+            Command::Run(RunArgs {
                 out_dir, resume, ..
-            } => {
+            }) => {
                 assert_eq!(out_dir, "runs/y");
                 assert!(!resume);
             }
@@ -1100,17 +1141,17 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Run {
+            Command::Run(RunArgs {
                 max_quarantine_frac,
                 ..
-            } => assert_eq!(max_quarantine_frac, Some(0.25)),
+            }) => assert_eq!(max_quarantine_frac, Some(0.25)),
             other => panic!("unexpected {other:?}"),
         }
         match parse_args(&run_args(&["--out-dir", "o"])).unwrap() {
-            Command::Run {
+            Command::Run(RunArgs {
                 max_quarantine_frac,
                 ..
-            } => assert_eq!(max_quarantine_frac, None),
+            }) => assert_eq!(max_quarantine_frac, None),
             other => panic!("unexpected {other:?}"),
         }
         for bad in ["1.5", "-0.1", "abc"] {
@@ -1131,7 +1172,7 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Run { crash_at, .. } => {
+            Command::Run(RunArgs { crash_at, .. }) => {
                 assert_eq!(
                     crash_at,
                     Some(CrashSpec::Torn {
@@ -1204,22 +1245,22 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Run {
+            Command::Run(RunArgs {
                 metrics_out,
                 trace_out,
                 ..
-            } => {
+            }) => {
                 assert_eq!(metrics_out.as_deref(), Some("m.prom"));
                 assert_eq!(trace_out.as_deref(), Some("t.jsonl"));
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse_args(&run_args(&["--out-dir", "o"])).unwrap() {
-            Command::Run {
+            Command::Run(RunArgs {
                 metrics_out,
                 trace_out,
                 ..
-            } => {
+            }) => {
                 assert_eq!(metrics_out, None);
                 assert_eq!(trace_out, None);
             }
@@ -1281,7 +1322,7 @@ mod tests {
         let cmd = parse_args(&v(&["fleet", "run", "--cities", "3", "--out-dir", "f"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Fleet {
+            Command::Fleet(FleetArgs {
                 cities: 3,
                 records: 1200,
                 seed: 2024,
@@ -1297,7 +1338,7 @@ mod tests {
                 fault_rate: 0.0,
                 fault_seed: 2024,
                 crash_at_city: None,
-            }
+            })
         );
     }
 
@@ -1327,7 +1368,7 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Fleet {
+            Command::Fleet(FleetArgs {
                 resume,
                 retry_budget,
                 max_failed_cities,
@@ -1338,7 +1379,7 @@ mod tests {
                 fault_rate,
                 crash_at_city,
                 ..
-            } => {
+            }) => {
                 assert!(resume);
                 assert_eq!(retry_budget, 3);
                 assert_eq!(max_failed_cities, Some(1));
@@ -1397,7 +1438,7 @@ mod tests {
         let cmd = parse_args(&ingest_args(&["--into", "runs/x"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Ingest {
+            Command::Ingest(IngestArgs {
                 append: vec!["a.csv".into(), "b.csv".into()],
                 streets: "s.txt".into(),
                 regions: "r.json".into(),
@@ -1408,7 +1449,7 @@ mod tests {
                 fault_seed: 2024,
                 fault_rate: 0.0,
                 corrupt_batches: None,
-            }
+            })
         );
     }
 
@@ -1418,23 +1459,23 @@ mod tests {
             "--resume",
             "runs/x",
             "--crash-at-batch",
-            "2:torn",
+            "1:torn",
             "--corrupt-batches",
-            "1-2",
+            "0-1",
         ]))
         .unwrap()
         {
-            Command::Ingest {
+            Command::Ingest(IngestArgs {
                 resume,
                 crash_at_batch,
                 fault_rate,
                 corrupt_batches,
                 ..
-            } => {
+            }) => {
                 assert!(resume);
-                assert_eq!(crash_at_batch, Some(IngestCrash::TornBatch { batch: 2 }));
+                assert_eq!(crash_at_batch, Some(IngestCrash::TornBatch { batch: 1 }));
                 assert_eq!(fault_rate, 0.2, "corrupt-batches defaults the rate on");
-                assert_eq!(corrupt_batches, Some(BatchScope::Only(vec![1, 2])));
+                assert_eq!(corrupt_batches, Some(BatchScope::Only(vec![0, 1])));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1474,6 +1515,59 @@ mod tests {
         ]);
         empty.extend(v(&["--into", "x"]));
         assert!(parse_args(&empty).is_err(), "empty append list");
+    }
+
+    #[test]
+    fn ingest_rejects_a_crash_batch_outside_the_append_list() {
+        // A crash aimed past the last batch would never fire, and a
+        // kill/resume loop built on it would test nothing.
+        for spec in ["5:before", "2:after"] {
+            let err =
+                parse_args(&ingest_args(&["--into", "x", "--crash-at-batch", spec])).unwrap_err();
+            assert_eq!(
+                err,
+                "--crash-at-batch index out of range (ingest has 2 batches, indices 0..1)"
+            );
+        }
+        assert!(parse_args(&ingest_args(&["--into", "x", "--crash-at-batch", "1:torn"])).is_ok());
+    }
+
+    #[test]
+    fn ingest_rejects_corrupt_batches_outside_the_append_list() {
+        for scope in ["7", "0,2", "1-3"] {
+            let err =
+                parse_args(&ingest_args(&["--into", "x", "--corrupt-batches", scope])).unwrap_err();
+            assert_eq!(
+                err, "--corrupt-batches index out of range (ingest has 2 batches, indices 0..1)",
+                "{scope}"
+            );
+        }
+        for scope in ["all", "0-1", "1"] {
+            assert!(
+                parse_args(&ingest_args(&["--into", "x", "--corrupt-batches", scope])).is_ok(),
+                "{scope}"
+            );
+        }
+    }
+
+    #[test]
+    fn fleet_rejects_a_kill_attempt_outside_the_retry_budget() {
+        let f = |extra: &[&str]| {
+            let mut base = v(&["fleet", "run", "--cities", "2", "--out-dir", "f"]);
+            base.extend(v(&["--kill-city", "0"]));
+            base.extend(v(extra));
+            parse_args(&base)
+        };
+        // Attempts are 1-based and the default budget is 2.
+        for attempt in ["0", "3"] {
+            assert_eq!(
+                f(&["--kill-attempt", attempt]).unwrap_err(),
+                "--kill-attempt out of range (--retry-budget allows 2 attempts, attempts 1..2)"
+            );
+        }
+        assert!(f(&["--kill-attempt", "2"]).is_ok());
+        assert!(f(&["--kill-attempt", "all"]).is_ok());
+        assert!(f(&["--retry-budget", "3", "--kill-attempt", "3"]).is_ok());
     }
 
     #[test]

@@ -10,11 +10,12 @@
 
 mod args;
 
-use args::{parse_args, Command, NoisePreset, STAGE_DEADLINE_ENV_VAR, USAGE};
-use epc_coord::{CoordCrash, RetryPolicy, ShardStatus};
-use epc_faults::{
-    CityFaultSpec, Corruption, CrashSpec, DeterministicInjector, FleetFaults, StageKillSpec,
+use args::{
+    parse_args, parse_stage_deadline_ms, Command, FleetArgs, IngestArgs, NoisePreset, RunArgs,
+    STAGE_DEADLINE_ENV_VAR, USAGE,
 };
+use epc_coord::{CoordCrash, RetryPolicy, ShardStatus};
+use epc_faults::{CityFaultSpec, Corruption, DeterministicInjector, FleetFaults, StageKillSpec};
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
 use epc_journal::write_atomic_path;
@@ -69,91 +70,9 @@ fn execute(command: Command) -> Result<ExitCode, String> {
             print_out(&epc_query::report::describe_text(&dataset));
             Ok(ExitCode::SUCCESS)
         }
-        Command::Run {
-            data,
-            streets,
-            regions,
-            stakeholder,
-            out_dir,
-            resume,
-            fault_seed,
-            fault_rate,
-            geocode_fail_rate,
-            max_quarantine_frac,
-            crash_at,
-            metrics_out,
-            trace_out,
-        } => run(
-            &data,
-            &streets,
-            &regions,
-            stakeholder,
-            &out_dir,
-            resume,
-            fault_seed,
-            fault_rate,
-            geocode_fail_rate,
-            max_quarantine_frac,
-            crash_at.as_ref(),
-            metrics_out.as_deref(),
-            trace_out.as_deref(),
-        ),
-        Command::Ingest {
-            append,
-            streets,
-            regions,
-            stakeholder,
-            run_dir,
-            resume,
-            crash_at_batch,
-            fault_seed,
-            fault_rate,
-            corrupt_batches,
-        } => ingest(
-            &append,
-            &streets,
-            &regions,
-            stakeholder,
-            &run_dir,
-            resume,
-            crash_at_batch.as_ref(),
-            fault_seed,
-            fault_rate,
-            corrupt_batches.as_ref(),
-        ),
-        Command::Fleet {
-            cities,
-            records,
-            seed,
-            out_dir,
-            resume,
-            stakeholder,
-            max_failed_cities,
-            retry_budget,
-            kill_city,
-            kill_stage,
-            kill_attempt,
-            corrupt_city,
-            fault_rate,
-            fault_seed,
-            crash_at_city,
-        } => fleet(
-            cities,
-            records,
-            seed,
-            &out_dir,
-            resume,
-            stakeholder,
-            max_failed_cities,
-            retry_budget,
-            kill_city,
-            &kill_stage,
-            kill_attempt,
-            corrupt_city,
-            fault_rate,
-            fault_seed,
-            crash_at_city,
-        ),
+        Command::Run(args) => run(&args),
+        Command::Ingest(args) => ingest(&args),
+        Command::Fleet(args) => fleet(&args),
         Command::Bench {
             records,
             seed,
@@ -265,55 +184,32 @@ fn generate(records: usize, seed: u64, noise: NoisePreset, out_dir: &str) -> Res
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run(
-    data: &str,
-    streets: &str,
-    regions: &str,
-    stakeholder: epc_query::Stakeholder,
-    out_dir: &str,
-    resume: bool,
-    fault_seed: u64,
-    fault_rate: f64,
-    geocode_fail_rate: f64,
-    max_quarantine_frac: Option<f64>,
-    crash_at: Option<&CrashSpec>,
-    metrics_out: Option<&str>,
-    trace_out: Option<&str>,
-) -> Result<ExitCode, String> {
+fn run(args: &RunArgs) -> Result<ExitCode, String> {
+    let out_dir = &args.out_dir;
     // Strict environment validation: a typo in a tuning knob must fail
     // loudly up front, not silently fall back to a default.
     let runtime = epc_runtime::RuntimeConfig::try_from_env()?;
     let geocode_retries = epc_geo::geocode::try_geocode_retries_from_env()?;
     let deadline_ms =
-        args::parse_stage_deadline_ms(std::env::var(STAGE_DEADLINE_ENV_VAR).ok().as_deref())?;
+        parse_stage_deadline_ms(std::env::var(STAGE_DEADLINE_ENV_VAR).ok().as_deref())?;
 
     // Lenient load: unparsable CSV rows are quarantined, not fatal.
-    let (dataset, mut quarantine) = load_dataset_lenient(data)?;
+    let (dataset, mut quarantine) = load_dataset_lenient(&args.data)?;
     let input_rows = dataset.n_rows() + quarantine.len();
-    let street_text = fs::read_to_string(streets).map_err(|e| format!("reading {streets}: {e}"))?;
-    let street_map = StreetMap::from_text(&street_text)?;
-    let regions_text =
-        fs::read_to_string(regions).map_err(|e| format!("reading {regions}: {e}"))?;
-    let hierarchy: RegionHierarchy =
-        serde_json::from_str(&regions_text).map_err(|e| format!("parsing {regions}: {e}"))?;
-
-    let mut config = IndiceConfig::default();
-    // Retry budget for transient geocoder failures: INDICE_GEOCODE_RETRIES.
-    config.fault_tolerance.geocode_retries = geocode_retries;
+    let (street_map, hierarchy, config) = load_city(&args.streets, &args.regions, geocode_retries)?;
 
     // Thread budget comes from INDICE_THREADS (default: all hardware
     // threads); outputs are identical either way, only wall time changes.
     let engine = Indice::new(dataset, street_map, hierarchy, config).with_runtime(runtime);
 
-    let injector = if fault_rate > 0.0 || geocode_fail_rate > 0.0 {
+    let injector = if args.fault_rate > 0.0 || args.geocode_fail_rate > 0.0 {
         Some(
-            DeterministicInjector::new(fault_seed)
-                .with_record_rate(fault_rate)
+            DeterministicInjector::new(args.fault_seed)
+                .with_record_rate(args.fault_rate)
                 .with_corruption(Corruption::NonFinite {
                     attribute: epc_model::wellknown::ASPECT_RATIO.to_owned(),
                 })
-                .with_geocode_rate(geocode_fail_rate),
+                .with_geocode_rate(args.geocode_fail_rate),
         )
     } else {
         None
@@ -325,7 +221,7 @@ fn run(
     let clock = epc_runtime::WallClock::new();
     let obs = epc_obs::Obs::new(&clock);
     let mut opts = DurableOptions::new(out_dir).with_obs(&obs);
-    if resume {
+    if args.resume {
         opts = opts.resuming();
     }
     if let Some(budget_ms) = deadline_ms {
@@ -334,13 +230,13 @@ fn run(
             clock: &clock,
         });
     }
-    if let Some(spec) = crash_at {
+    if let Some(spec) = &args.crash_at {
         opts = opts.with_crash(spec);
     }
     if let Some(inj) = &injector {
         opts = opts.with_injector(inj);
     }
-    let output = match engine.run_durable(stakeholder, &opts) {
+    let output = match engine.run_durable(args.stakeholder, &opts) {
         Ok(output) => output,
         Err(IndiceError::CrashInjected { stage, point }) => {
             eprintln!(
@@ -353,10 +249,10 @@ fn run(
     };
     // Observability snapshots are written for every non-crashed run,
     // including failed ones — that is when they matter most.
-    if let Some(path) = metrics_out {
+    if let Some(path) = &args.metrics_out {
         write_metrics(path, &obs)?;
     }
-    if let Some(path) = trace_out {
+    if let Some(path) = &args.trace_out {
         write_atomic_path(Path::new(path), obs.tracer().to_jsonl().as_bytes())
             .map_err(|e| format!("writing {path}: {e}"))?;
     }
@@ -377,7 +273,7 @@ fn run(
 
     // Data-quality circuit breaker: refuse to bless a run that diverted
     // more than the allowed fraction of its input.
-    if let Some(max) = max_quarantine_frac {
+    if let Some(max) = args.max_quarantine_frac {
         let frac = if input_rows == 0 {
             0.0
         } else {
@@ -439,44 +335,25 @@ fn run(
 }
 
 /// Folds micro-batches into a generation-journaled ingest directory.
-#[allow(clippy::too_many_arguments)]
-fn ingest(
-    append: &[String],
-    streets: &str,
-    regions: &str,
-    stakeholder: epc_query::Stakeholder,
-    run_dir: &str,
-    resume: bool,
-    crash_at_batch: Option<&epc_faults::IngestCrash>,
-    fault_seed: u64,
-    fault_rate: f64,
-    corrupt_batches: Option<&epc_faults::BatchScope>,
-) -> Result<ExitCode, String> {
+fn ingest(args: &IngestArgs) -> Result<ExitCode, String> {
+    let run_dir = &args.run_dir;
     let runtime = epc_runtime::RuntimeConfig::try_from_env()?;
     let geocode_retries = epc_geo::geocode::try_geocode_retries_from_env()?;
 
     // Lenient batch loads: unparsable CSV rows are quarantined per batch,
     // not fatal — the batch still ingests whatever survives.
     let mut parse_quarantine = Quarantine::new();
-    let mut batches = Vec::with_capacity(append.len());
-    for path in append {
+    let mut batches = Vec::with_capacity(args.append.len());
+    for path in &args.append {
         let (dataset, q) = load_dataset_lenient(path)?;
         parse_quarantine.merge(q);
         batches.push(indice::IngestBatch::new(path.clone(), dataset));
     }
-    let street_text = fs::read_to_string(streets).map_err(|e| format!("reading {streets}: {e}"))?;
-    let street_map = StreetMap::from_text(&street_text)?;
-    let regions_text =
-        fs::read_to_string(regions).map_err(|e| format!("reading {regions}: {e}"))?;
-    let hierarchy: RegionHierarchy =
-        serde_json::from_str(&regions_text).map_err(|e| format!("parsing {regions}: {e}"))?;
+    let (street_map, hierarchy, config) = load_city(&args.streets, &args.regions, geocode_retries)?;
 
-    let mut config = IndiceConfig::default();
-    config.fault_tolerance.geocode_retries = geocode_retries;
-
-    let injector = (fault_rate > 0.0).then(|| {
-        DeterministicInjector::new(fault_seed)
-            .with_record_rate(fault_rate)
+    let injector = (args.fault_rate > 0.0).then(|| {
+        DeterministicInjector::new(args.fault_seed)
+            .with_record_rate(args.fault_rate)
             .with_corruption(Corruption::NonFinite {
                 attribute: epc_model::wellknown::ASPECT_RATIO.to_owned(),
             })
@@ -485,16 +362,16 @@ fn ingest(
     let clock = epc_runtime::WallClock::new();
     let obs = epc_obs::Obs::new(&clock);
     let mut opts = indice::IngestOptions::new(run_dir).with_obs(&obs);
-    if resume {
+    if args.resume {
         opts = opts.resuming();
     }
-    if let Some(spec) = crash_at_batch {
+    if let Some(spec) = &args.crash_at_batch {
         opts = opts.with_crash(spec);
     }
     if let Some(inj) = &injector {
         opts = opts.with_injector(inj);
     }
-    if let Some(scope) = corrupt_batches {
+    if let Some(scope) = &args.corrupt_batches {
         opts = opts.scoped_to(scope);
     }
 
@@ -504,7 +381,7 @@ fn ingest(
         config,
         runtime,
     };
-    let output = match indice::ingest(&batches, inputs, stakeholder, &opts) {
+    let output = match indice::ingest(&batches, inputs, args.stakeholder, &opts) {
         Ok(output) => output,
         Err(IndiceError::CrashInjected { stage, point }) => {
             eprintln!(
@@ -574,71 +451,55 @@ fn ingest(
 }
 
 /// Runs a multi-city fleet under the shard coordinator.
-#[allow(clippy::too_many_arguments)]
-fn fleet(
-    cities: usize,
-    records: usize,
-    seed: u64,
-    out_dir: &str,
-    resume: bool,
-    stakeholder: epc_query::Stakeholder,
-    max_failed_cities: Option<usize>,
-    retry_budget: u32,
-    kill_city: Option<usize>,
-    kill_stage: &str,
-    kill_attempt: Option<u32>,
-    corrupt_city: Option<usize>,
-    fault_rate: f64,
-    fault_seed: u64,
-    crash_at_city: Option<(usize, String)>,
-) -> Result<ExitCode, String> {
+fn fleet(args: &FleetArgs) -> Result<ExitCode, String> {
+    let (cities, out_dir) = (args.cities, &args.out_dir);
     let runtime = epc_runtime::RuntimeConfig::try_from_env()?;
     let plan = FleetConfig {
         n_cities: cities,
-        records_per_city: records,
-        seed,
+        records_per_city: args.records,
+        seed: args.seed,
     };
 
     // Chaos flags build a per-city fault plan; kill and corrupt specs
     // aimed at the same city compose into one spec.
     let mut specs: std::collections::BTreeMap<usize, CityFaultSpec> =
         std::collections::BTreeMap::new();
-    if let Some(idx) = kill_city {
+    if let Some(idx) = args.kill_city {
         specs.entry(idx).or_default().kill = Some(StageKillSpec {
-            stage: kill_stage.to_owned(),
-            attempt: kill_attempt,
+            stage: args.kill_stage.clone(),
+            attempt: args.kill_attempt,
         });
     }
-    if let Some(idx) = corrupt_city {
-        specs.entry(idx).or_default().record_rate = fault_rate;
+    if let Some(idx) = args.corrupt_city {
+        specs.entry(idx).or_default().record_rate = args.fault_rate;
     }
     let faults = if specs.is_empty() {
         None
     } else {
-        let mut plan_faults = FleetFaults::new(fault_seed);
+        let mut plan_faults = FleetFaults::new(args.fault_seed);
         for (idx, spec) in specs {
             plan_faults = plan_faults.with_city(&plan.city(idx).id, spec);
         }
         Some(plan_faults)
     };
 
-    let crash = crash_at_city.map(|(idx, point)| {
+    let crash = args.crash_at_city.as_ref().map(|(idx, point)| {
         if point == "before" {
-            CoordCrash::BeforeCity(idx)
+            CoordCrash::BeforeCity(*idx)
         } else {
-            CoordCrash::AfterCommit(idx)
+            CoordCrash::AfterCommit(*idx)
         }
     });
 
     let clock = epc_runtime::WallClock::new();
     let mut opts = indice::FleetRunOptions::new(out_dir, plan, &clock);
-    opts.resume = resume;
-    opts.stakeholder = stakeholder;
+    opts.resume = args.resume;
+    opts.stakeholder = args.stakeholder;
     opts.policy = RetryPolicy {
-        max_attempts: retry_budget,
+        max_attempts: args.retry_budget,
         ..RetryPolicy::default()
     };
-    opts.max_failed = max_failed_cities;
+    opts.max_failed = args.max_failed_cities;
     opts.faults = faults.as_ref();
     opts.crash = crash;
     opts.runtime = runtime;
@@ -702,6 +563,25 @@ fn fleet(
         epc_coord::FleetOutcome::Failed(reason) => eprintln!("fleet failed: {reason}"),
     }
     Ok(ExitCode::from(result.outcome.exit_code()))
+}
+
+/// Loads the city `run` and `ingest` clean against — the referenced street
+/// map and the region hierarchy — and the pipeline configuration carrying
+/// the `INDICE_GEOCODE_RETRIES` budget.
+fn load_city(
+    streets: &str,
+    regions: &str,
+    geocode_retries: u32,
+) -> Result<(StreetMap, RegionHierarchy, IndiceConfig), String> {
+    let street_text = fs::read_to_string(streets).map_err(|e| format!("reading {streets}: {e}"))?;
+    let street_map = StreetMap::from_text(&street_text)?;
+    let regions_text =
+        fs::read_to_string(regions).map_err(|e| format!("reading {regions}: {e}"))?;
+    let hierarchy: RegionHierarchy =
+        serde_json::from_str(&regions_text).map_err(|e| format!("parsing {regions}: {e}"))?;
+    let mut config = IndiceConfig::default();
+    config.fault_tolerance.geocode_retries = geocode_retries;
+    Ok((street_map, hierarchy, config))
 }
 
 /// Writes the metrics snapshot: `.json` selects the JSON codec, anything

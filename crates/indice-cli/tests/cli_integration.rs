@@ -265,6 +265,57 @@ fn misspelled_flag_fails_before_the_run_starts() {
 }
 
 #[test]
+fn out_of_range_crash_batch_fails_before_the_ingest_starts() {
+    let data_dir = tmp_dir("crash-batch");
+    let o = run_cli(&[
+        "generate",
+        "--records",
+        "600",
+        "--seed",
+        "7",
+        "--out-dir",
+        data_dir.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "generate failed: {}", stderr(&o));
+    // Two batch CSVs, each with the header.
+    let csv = std::fs::read_to_string(data_dir.join("epcs.csv")).unwrap();
+    let (header, body) = csv.split_once('\n').unwrap();
+    let rows: Vec<&str> = body.lines().collect();
+    let (first, second) = rows.split_at(rows.len() / 2);
+    let mut batches = Vec::new();
+    for (name, part) in [("a.csv", first), ("b.csv", second)] {
+        let path = data_dir.join(name);
+        std::fs::write(&path, format!("{header}\n{}\n", part.join("\n"))).unwrap();
+        batches.push(path.to_str().unwrap().to_owned());
+    }
+
+    // A crash at batch 5 of a 2-batch ingest would never fire; the ingest
+    // must not run at all.
+    let run_dir = data_dir.join("ingest");
+    let o = run_cli(&[
+        "ingest",
+        "--append",
+        &batches.join(","),
+        "--streets",
+        data_dir.join("street_map.txt").to_str().unwrap(),
+        "--regions",
+        data_dir.join("regions.json").to_str().unwrap(),
+        "--into",
+        run_dir.to_str().unwrap(),
+        "--crash-at-batch",
+        "5:before",
+    ]);
+    assert_eq!(o.status.code(), Some(1), "stderr: {}", stderr(&o));
+    let err = stderr(&o);
+    assert!(
+        err.contains("--crash-at-batch index out of range (ingest has 2 batches, indices 0..1)"),
+        "{err}"
+    );
+    assert!(!run_dir.exists(), "no run directory may be created");
+    cleanup(&data_dir);
+}
+
+#[test]
 fn corrupt_street_map_is_rejected() {
     let dir = tmp_dir("corrupt");
     let csv = dir.join("epcs.csv");

@@ -11,7 +11,7 @@ use epc_mining::elbow::{elbow_k_by_distance, sse_curve_with_runtime};
 use epc_mining::kmeans::{KMeans, KMeansConfig, KMeansModel};
 use epc_mining::matrix::Matrix;
 use epc_mining::normalize::MinMaxScaler;
-use epc_mining::rules::{mine_rules, mine_rules_traced_with_runtime, AssociationRule};
+use epc_mining::rules::{mine_rules_traced_with_runtime, AssociationRule};
 use epc_model::Dataset;
 use epc_obs::Obs;
 use epc_stats::correlation::{correlation_matrix, CorrelationMatrix};
@@ -68,25 +68,15 @@ impl AnalyticsOutput {
     }
 }
 
-/// Runs the analytics stage over a (cleaned) dataset.
-pub fn analyze(dataset: &Dataset, config: &IndiceConfig) -> Result<AnalyticsOutput, IndiceError> {
-    analyze_observed(
-        dataset,
-        config,
-        &epc_runtime::RuntimeConfig::sequential(),
-        None,
-    )
-}
-
-/// [`analyze`] under an explicit execution runtime, with an optional
-/// observability bundle. The K-means assignment loops (elbow sweep and
-/// final fit) and the Apriori support counting run data-parallel under
-/// `runtime`, with outputs bitwise identical to the sequential run.
-/// Per-round K-means inertia, the elbow SSE curve, and per-level Apriori
-/// candidate/pruned/frequent counts are recorded as trace points and
-/// counters; all emission happens orchestrator-side, after the kernels
-/// return, so the analytical output is exactly what the unobserved call
-/// produces.
+/// Runs the analytics stage over a (cleaned) dataset under an explicit
+/// execution runtime, with an optional observability bundle. The K-means
+/// assignment loops (elbow sweep and final fit) and the Apriori support
+/// counting run data-parallel under `runtime`, with outputs bitwise
+/// identical to the sequential run. Per-round K-means inertia, the elbow
+/// SSE curve, and per-level Apriori candidate/pruned/frequent counts are
+/// recorded as trace points and counters; all emission happens
+/// orchestrator-side, after the kernels return, so the analytical output
+/// is the same with or without `obs`.
 pub fn analyze_observed(
     dataset: &Dataset,
     config: &IndiceConfig,
@@ -369,7 +359,9 @@ pub fn rules_by_region(
                 }
                 transactions.push_owned(&items);
             }
-            mine_rules(&transactions, &config.rule_stage.rules)
+            // Regions are the parallel unit: each one mines on one thread.
+            let sequential = epc_runtime::RuntimeConfig::sequential();
+            mine_rules_traced_with_runtime(&transactions, &config.rule_stage.rules, &sequential).0
         });
 
     Ok(tasks
@@ -452,6 +444,7 @@ fn quantile_discretizer(
 mod tests {
     use super::*;
     use epc_model::wellknown as wk;
+    use epc_runtime::RuntimeConfig;
     use epc_synth::city::CityConfig;
     use epc_synth::epcgen::{EpcGenerator, SynthConfig};
 
@@ -474,7 +467,13 @@ mod tests {
     #[test]
     fn full_analytics_run_produces_everything() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         assert_eq!(out.feature_names.len(), 5);
         assert_eq!(out.correlation.len(), 5);
         assert!(out.chosen_k >= 2 && out.chosen_k <= 10);
@@ -494,7 +493,13 @@ mod tests {
         // The paper's Figure 3 message: the five features show no evident
         // linear correlation, so they are eligible for clustering.
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         assert!(out.eligible, "correlations: {:?}", out.correlation.values);
         let (_, _, max_rho) = out.correlation.max_abs_off_diagonal().unwrap();
         assert!(max_rho.abs() < 0.8, "max |rho| = {max_rho}");
@@ -503,7 +508,13 @@ mod tests {
     #[test]
     fn cluster_summaries_are_in_original_units() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         // Centroids must live in the attribute ranges (Uw is feature 2).
         for s in &out.cluster_summaries {
             let uw = s.centroid[2];
@@ -521,7 +532,13 @@ mod tests {
     fn clusters_separate_energy_performance() {
         // The whole point of the case study: clusters differ in EPH.
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         let mut means: Vec<f64> = out
             .cluster_summaries
             .iter()
@@ -537,7 +554,13 @@ mod tests {
     #[test]
     fn rules_connect_thermal_quality_to_consumption() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         // Expect at least one rule linking a footnote-4 item to an EPH bin.
         let found = out.rules.iter().any(|r| {
             let mentions_feature = r.antecedent.iter().any(|i| {
@@ -559,7 +582,7 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        let out = analyze(&ds, &cfg).unwrap();
+        let out = analyze_observed(&ds, &cfg, &RuntimeConfig::sequential(), None).unwrap();
         assert_eq!(out.chosen_k, 4);
         assert!(out.sse_curve.is_empty());
     }
@@ -567,7 +590,13 @@ mod tests {
     #[test]
     fn cluster_of_row_round_trips() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         let row = out.feature_rows[10];
         let c = out.cluster_of_row(row).unwrap();
         assert_eq!(c, out.kmeans.assignments[10]);
@@ -577,7 +606,13 @@ mod tests {
     #[test]
     fn response_discretizer_has_requested_bins() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         assert_eq!(out.response_discretizer.n_bins(), 3);
         assert_eq!(out.response_discretizer.attribute, wk::EPH);
     }
@@ -592,7 +627,10 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        assert!(matches!(analyze(&ds, &cfg), Err(IndiceError::Config(_))));
+        assert!(matches!(
+            analyze_observed(&ds, &cfg, &RuntimeConfig::sequential(), None),
+            Err(IndiceError::Config(_))
+        ));
 
         let cfg = IndiceConfig {
             analytics: crate::config::AnalyticsConfig {
@@ -601,7 +639,10 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        assert!(matches!(analyze(&ds, &cfg), Err(IndiceError::Config(_))));
+        assert!(matches!(
+            analyze_observed(&ds, &cfg, &RuntimeConfig::sequential(), None),
+            Err(IndiceError::Config(_))
+        ));
 
         let cfg = IndiceConfig {
             analytics: crate::config::AnalyticsConfig {
@@ -610,20 +651,29 @@ mod tests {
             },
             ..IndiceConfig::default()
         };
-        assert!(matches!(analyze(&ds, &cfg), Err(IndiceError::Model(_))));
+        assert!(matches!(
+            analyze_observed(&ds, &cfg, &RuntimeConfig::sequential(), None),
+            Err(IndiceError::Model(_))
+        ));
     }
 
     #[test]
     fn rules_differ_across_regions_but_share_vocabulary() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         let by_district = rules_by_region(
             &ds,
             &out,
             &IndiceConfig::default(),
             epc_model::Granularity::District,
             50,
-            &epc_runtime::RuntimeConfig::sequential(),
+            &RuntimeConfig::sequential(),
         )
         .unwrap();
         assert!(by_district.len() >= 2, "several districts expected");
@@ -651,14 +701,20 @@ mod tests {
     #[test]
     fn rules_by_region_rejects_housing_unit_level() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         let err = rules_by_region(
             &ds,
             &out,
             &IndiceConfig::default(),
             epc_model::Granularity::HousingUnit,
             10,
-            &epc_runtime::RuntimeConfig::sequential(),
+            &RuntimeConfig::sequential(),
         )
         .unwrap_err();
         assert!(matches!(err, IndiceError::Config(_)));
@@ -667,14 +723,20 @@ mod tests {
     #[test]
     fn tiny_regions_are_skipped() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         let by_district = rules_by_region(
             &ds,
             &out,
             &IndiceConfig::default(),
             epc_model::Granularity::District,
             usize::MAX,
-            &epc_runtime::RuntimeConfig::sequential(),
+            &RuntimeConfig::sequential(),
         )
         .unwrap();
         assert!(by_district.is_empty());
@@ -683,7 +745,13 @@ mod tests {
     #[test]
     fn footnote4_attributes_use_paper_bins() {
         let ds = dataset();
-        let out = analyze(&ds, &IndiceConfig::default()).unwrap();
+        let out = analyze_observed(
+            &ds,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         let uw = out
             .discretizers
             .iter()

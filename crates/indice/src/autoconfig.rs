@@ -209,7 +209,13 @@ mod tests {
     fn suggested_config_actually_runs() {
         let ds = dataset(700);
         let advice = suggest_config(&ds, &IndiceConfig::default());
-        let out = crate::analytics::analyze(&ds, &advice.config).unwrap();
+        let out = crate::analytics::analyze_observed(
+            &ds,
+            &advice.config,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         assert!(out.chosen_k >= 2);
     }
 

@@ -39,28 +39,10 @@ pub struct DashboardOutput {
 
 /// Builds the dashboard for a stakeholder, following the automatically
 /// proposed [`ReportSpec`] (overridable by passing a custom spec to
-/// [`build_dashboard_with_spec`]).
-pub fn build_dashboard(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    analytics: &AnalyticsOutput,
-    stakeholder: Stakeholder,
-    top_k_rules: usize,
-) -> Result<DashboardOutput, IndiceError> {
-    build_dashboard_with_engine(
-        dataset,
-        hierarchy,
-        analytics,
-        stakeholder,
-        top_k_rules,
-        Engine::Row,
-    )
-}
-
-/// [`build_dashboard`] with an explicit execution engine: under
-/// [`Engine::Columnar`] the per-area aggregations run as dictionary-id
-/// group-bys over a [`ColumnStore`]. The rendered dashboard and every
-/// artifact are byte-identical whichever engine produced them.
+/// [`build_dashboard_with_spec`]). Under [`Engine::Columnar`] the per-area
+/// aggregations run as dictionary-id group-bys over a [`ColumnStore`]. The
+/// rendered dashboard and every artifact are byte-identical whichever
+/// engine produced them.
 pub fn build_dashboard_with_engine(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,
@@ -346,33 +328,6 @@ pub(crate) fn build_dashboard_spec_core(
     })
 }
 
-/// Builds the *drill-down series*: one dashboard per spatial granularity,
-/// cross-linked so "the user can switch from one view to another, simply by
-/// changing the analysis zoom" (§2.3) — the static equivalent of the
-/// paper's interactive zoom navigation.
-///
-/// Returns `(file name, html)` pairs; file names follow
-/// `dashboard_<granularity>.html` and each page links to the other levels.
-pub fn drilldown_series(
-    dataset: &Dataset,
-    hierarchy: &RegionHierarchy,
-    analytics: &AnalyticsOutput,
-    stakeholder: Stakeholder,
-    top_k_rules: usize,
-) -> Result<BTreeMap<String, String>, IndiceError> {
-    Ok(drilldown_series_detailed_with_runtime(
-        dataset,
-        hierarchy,
-        analytics,
-        stakeholder,
-        top_k_rules,
-        &epc_runtime::RuntimeConfig::sequential(),
-    )?
-    .into_iter()
-    .map(|page| (page.file, page.html))
-    .collect())
-}
-
 /// One rendered page of the drill-down series, with its marker count.
 #[derive(Debug, Clone)]
 pub struct ZoomPage {
@@ -386,11 +341,16 @@ pub struct ZoomPage {
     pub markers: usize,
 }
 
-/// The drill-down series under an explicit execution runtime, with the
-/// per-zoom marker counts for observability: each zoom level renders as
-/// one coarse parallel task (the four dashboards share no state), and
-/// pages come back in the fixed [`Granularity::ALL`] order, so the output
-/// never depends on the thread budget.
+/// Builds the *drill-down series*: one dashboard per spatial granularity,
+/// cross-linked so "the user can switch from one view to another, simply by
+/// changing the analysis zoom" (§2.3) — the static equivalent of the
+/// paper's interactive zoom navigation. File names follow
+/// `dashboard_<granularity>.html` and each page links to the other levels.
+///
+/// Each zoom level renders as one coarse parallel task under `runtime`
+/// (the four dashboards share no state), and pages come back in the fixed
+/// [`Granularity::ALL`] order with their marker counts for observability,
+/// so the output never depends on the thread budget.
 pub fn drilldown_series_detailed_with_runtime(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,
@@ -590,8 +550,9 @@ fn cluster_summary_text(analytics: &AnalyticsOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analytics::analyze;
+    use crate::analytics::analyze_observed;
     use crate::config::IndiceConfig;
+    use epc_runtime::RuntimeConfig;
     use epc_synth::city::CityConfig;
     use epc_synth::epcgen::{EpcGenerator, SynthConfig};
 
@@ -608,19 +569,26 @@ mod tests {
             ..SynthConfig::default()
         })
         .generate();
-        let analytics = analyze(&c.dataset, &IndiceConfig::default()).unwrap();
+        let analytics = analyze_observed(
+            &c.dataset,
+            &IndiceConfig::default(),
+            &RuntimeConfig::sequential(),
+            None,
+        )
+        .unwrap();
         (c.dataset, c.city.hierarchy, analytics)
     }
 
     #[test]
     fn pa_dashboard_has_all_figure4_panels() {
         let (ds, hier, analytics) = setup();
-        let out = build_dashboard(
+        let out = build_dashboard_with_engine(
             &ds,
             &hier,
             &analytics,
             Stakeholder::PublicAdministration,
             10,
+            Engine::Row,
         )
         .unwrap();
         let titles: Vec<&str> = out
@@ -642,7 +610,15 @@ mod tests {
     #[test]
     fn citizen_dashboard_is_simpler() {
         let (ds, hier, analytics) = setup();
-        let out = build_dashboard(&ds, &hier, &analytics, Stakeholder::Citizen, 10).unwrap();
+        let out = build_dashboard_with_engine(
+            &ds,
+            &hier,
+            &analytics,
+            Stakeholder::Citizen,
+            10,
+            Engine::Row,
+        )
+        .unwrap();
         let titles: Vec<&str> = out
             .dashboard
             .panels()
@@ -657,12 +633,13 @@ mod tests {
     #[test]
     fn artifacts_include_geojson_and_svg() {
         let (ds, hier, analytics) = setup();
-        let out = build_dashboard(
+        let out = build_dashboard_with_engine(
             &ds,
             &hier,
             &analytics,
             Stakeholder::PublicAdministration,
             10,
+            Engine::Row,
         )
         .unwrap();
         assert!(out.artifacts.contains_key("clustermarkers_district.svg"));
@@ -694,11 +671,19 @@ mod tests {
     #[test]
     fn drilldown_series_links_every_level() {
         let (ds, hier, analytics) = setup();
-        let pages =
-            drilldown_series(&ds, &hier, &analytics, Stakeholder::PublicAdministration, 8).unwrap();
+        let pages = drilldown_series_detailed_with_runtime(
+            &ds,
+            &hier,
+            &analytics,
+            Stakeholder::PublicAdministration,
+            8,
+            &RuntimeConfig::sequential(),
+        )
+        .unwrap();
         assert_eq!(pages.len(), 4);
-        for level in Granularity::ALL {
-            let page = &pages[&format!("dashboard_{level}.html")];
+        for (page, level) in pages.iter().zip(Granularity::ALL) {
+            assert_eq!(page.file, format!("dashboard_{level}.html"));
+            let page = &page.html;
             // Each page links to the other three levels.
             for other in Granularity::ALL {
                 if other != level {
@@ -760,7 +745,15 @@ mod tests {
         let (mut ds, hier, analytics) = setup();
         let lat_id = ds.schema().require(wk::LATITUDE).unwrap();
         ds.set_value(0, lat_id, epc_model::Value::Missing).unwrap();
-        let out = build_dashboard(&ds, &hier, &analytics, Stakeholder::Citizen, 10).unwrap();
+        let out = build_dashboard_with_engine(
+            &ds,
+            &hier,
+            &analytics,
+            Stakeholder::Citizen,
+            10,
+            Engine::Row,
+        )
+        .unwrap();
         let svg = &out.artifacts["scatter_units.svg"];
         assert!(svg.contains(&format!("{} certificates", ds.n_rows() - 1)));
     }

@@ -95,11 +95,6 @@ impl Indice {
         self
     }
 
-    /// Replaces the execution runtime in place.
-    pub fn set_runtime(&mut self, runtime: RuntimeConfig) {
-        self.runtime = runtime;
-    }
-
     /// The engine's execution runtime.
     pub fn runtime(&self) -> RuntimeConfig {
         self.runtime

@@ -108,13 +108,6 @@ impl<'a> PipelineContext<'a> {
         }
     }
 
-    /// Swaps the clock stage timers read (deterministic timing under
-    /// [`epc_runtime::ManualClock`]).
-    pub fn with_clock(mut self, clock: &'a dyn Clock) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// Attaches an observability bundle. The bundle's clock becomes the
     /// context clock, so stage timers and trace events share one time
     /// source.

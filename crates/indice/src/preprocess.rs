@@ -16,8 +16,8 @@ use crate::error::IndiceError;
 use epc_faults::{corrupt_dataset, FaultInjector, FaultyGeocoder};
 use epc_geo::address::Address;
 use epc_geo::cleaning::{
-    clean_addresses_columnar, clean_addresses_degradable, AddressQuery, CleanedAddress,
-    CleaningOutcome, CleaningReport, DegradedFallback, StreetDedupStats,
+    clean_addresses, clean_addresses_columnar, AddressQuery, CleanedAddress, CleaningOutcome,
+    CleaningReport, DegradedFallback, StreetDedupStats,
 };
 use epc_geo::geocode::{Backoff, Geocoder, QuotaGeocoder, RetryGeocoder, SimulatedGeocoder};
 use epc_geo::point::GeoPoint;
@@ -553,7 +553,7 @@ fn clean_geospatial(
     ) {
         match runtime.engine {
             epc_runtime::Engine::Row => {
-                let (cleaned, report) = clean_addresses_degradable(
+                let (cleaned, report) = clean_addresses(
                     &queries,
                     street_map,
                     geocoder_ref,

@@ -76,7 +76,14 @@ fn main() {
             phi,
             ..CleaningConfig::default()
         };
-        let (cleaned, report) = clean_addresses(&queries, reference, None, &cfg);
+        let (cleaned, report) = clean_addresses(
+            &queries,
+            reference,
+            None,
+            &cfg,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         let (street_acc, zip_acc) = accuracy(&cleaned, truth);
         println!(
             "{phi:>6.2} {:>10} {:>10} {:>11.1}% {:>9.1}%",
@@ -98,7 +105,14 @@ fn main() {
         let geocoder = QuotaGeocoder::new(SimulatedGeocoder::new(reference, 0.55, 0.02), quota);
         let geo: Option<&dyn epc_geo::geocode::Geocoder> =
             if quota > 0 { Some(&geocoder) } else { None };
-        let (cleaned, report) = clean_addresses(&queries, reference, geo, &cfg);
+        let (cleaned, report) = clean_addresses(
+            &queries,
+            reference,
+            geo,
+            &cfg,
+            &epc_runtime::RuntimeConfig::sequential(),
+            None,
+        );
         let (street_acc, _) = accuracy(&cleaned, truth);
         println!(
             "{quota:>8} {:>10} {:>10} {:>10} {:>11.1}%",

@@ -101,7 +101,9 @@ fn main() {
             },
             ..IndiceConfig::default()
         };
-        let out = indice::analytics::analyze(engine.dataset(), &cfg).expect("analytics");
+        let out =
+            indice::analytics::analyze_observed(engine.dataset(), &cfg, &engine.runtime(), None)
+                .expect("analytics");
         println!(
             "K = {k}: SSE = {:.1}, cluster sizes = {:?}",
             out.kmeans.sse,

@@ -22,7 +22,7 @@ use epc_query::Stakeholder;
 use epc_synth::{EpcGenerator, NoiseConfig, SynthConfig};
 use epc_viz::rulestable::RulesTable;
 use indice::config::IndiceConfig;
-use indice::dashboard::{drilldown_series, figure2_maps};
+use indice::dashboard::{drilldown_series_detailed_with_runtime, figure2_maps};
 use indice::engine::Indice;
 use std::fs;
 use std::path::Path;
@@ -147,16 +147,17 @@ fn main() {
 
     // --- The zoom drill-down series: one cross-linked dashboard per
     //     granularity (the paper's interactive zoom navigation) ---
-    let pages = drilldown_series(
+    let pages = drilldown_series_detailed_with_runtime(
         &pre.dataset,
         engine.hierarchy(),
         &output.analytics,
         Stakeholder::PublicAdministration,
         12,
+        &engine.runtime(),
     )
     .expect("drill-down series renders");
-    for (name, html) in &pages {
-        fs::write(dir.join(name), html).expect("write drill-down page");
+    for page in &pages {
+        fs::write(dir.join(&page.file), &page.html).expect("write drill-down page");
     }
     println!(
         "drill-down series written ({}); open dashboard_city.html and zoom in",

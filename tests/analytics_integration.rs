@@ -6,10 +6,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use epc_model::wellknown as wk;
+use epc_runtime::RuntimeConfig;
 use epc_synth::archetype::ARCHETYPES;
 use epc_synth::city::CityConfig;
 use epc_synth::epcgen::{EpcGenerator, SynthConfig, SyntheticCollection};
-use indice::analytics::analyze;
+use indice::analytics::analyze_observed;
 use indice::config::{AnalyticsConfig, IndiceConfig, KSelection};
 
 fn collection() -> SyntheticCollection {
@@ -37,7 +38,7 @@ fn clusters_align_with_archetype_structure() {
         },
         ..IndiceConfig::default()
     };
-    let out = analyze(&c.dataset, &cfg).unwrap();
+    let out = analyze_observed(&c.dataset, &cfg, &RuntimeConfig::sequential(), None).unwrap();
 
     // Measure cluster→archetype purity: each cluster's dominant archetype
     // share, weighted by cluster size. Random assignment would give ~1/6;
@@ -66,7 +67,13 @@ fn clusters_align_with_archetype_structure() {
 #[test]
 fn elbow_k_lands_in_a_sane_range() {
     let c = collection();
-    let out = analyze(&c.dataset, &IndiceConfig::default()).unwrap();
+    let out = analyze_observed(
+        &c.dataset,
+        &IndiceConfig::default(),
+        &RuntimeConfig::sequential(),
+        None,
+    )
+    .unwrap();
     // The latent structure has 6 archetypes with overlap; an elbow between
     // 2 and 8 is credible, outside it something is broken.
     assert!(
@@ -88,7 +95,13 @@ fn elbow_k_lands_in_a_sane_range() {
 #[test]
 fn figure3_verdict_weak_pairwise_correlation() {
     let c = collection();
-    let out = analyze(&c.dataset, &IndiceConfig::default()).unwrap();
+    let out = analyze_observed(
+        &c.dataset,
+        &IndiceConfig::default(),
+        &RuntimeConfig::sequential(),
+        None,
+    )
+    .unwrap();
     assert!(out.eligible);
     // And the matrix is a proper correlation matrix.
     let m = &out.correlation;
@@ -105,7 +118,13 @@ fn figure3_verdict_weak_pairwise_correlation() {
 #[test]
 fn rules_recover_the_injected_physics() {
     let c = collection();
-    let out = analyze(&c.dataset, &IndiceConfig::default()).unwrap();
+    let out = analyze_observed(
+        &c.dataset,
+        &IndiceConfig::default(),
+        &RuntimeConfig::sequential(),
+        None,
+    )
+    .unwrap();
     // The generator's EPH law makes poor windows + poor efficiency imply
     // high consumption; the miner must surface that with lift > 1.
     let supporting = out
@@ -134,7 +153,13 @@ fn rules_recover_the_injected_physics() {
 fn contradictory_rules_do_not_survive() {
     // "Good windows → high consumption" must not appear with high lift.
     let c = collection();
-    let out = analyze(&c.dataset, &IndiceConfig::default()).unwrap();
+    let out = analyze_observed(
+        &c.dataset,
+        &IndiceConfig::default(),
+        &RuntimeConfig::sequential(),
+        None,
+    )
+    .unwrap();
     let contradiction = out.rules.iter().find(|r| {
         r.antecedent.iter().any(|i| i == "u_windows=Low")
             && r.antecedent.len() == 1
@@ -150,7 +175,13 @@ fn contradictory_rules_do_not_survive() {
 #[test]
 fn cluster_mean_response_orders_with_centroid_quality() {
     let c = collection();
-    let out = analyze(&c.dataset, &IndiceConfig::default()).unwrap();
+    let out = analyze_observed(
+        &c.dataset,
+        &IndiceConfig::default(),
+        &RuntimeConfig::sequential(),
+        None,
+    )
+    .unwrap();
     // Correlation between centroid Uw (index 2) and mean EPH across
     // clusters should be positive: worse windows → more consumption.
     let uw: Vec<f64> = out
@@ -177,7 +208,13 @@ fn analytics_is_robust_to_missing_feature_values() {
             .set_value(row, id, epc_model::Value::Missing)
             .unwrap();
     }
-    let out = analyze(&c.dataset, &IndiceConfig::default()).unwrap();
+    let out = analyze_observed(
+        &c.dataset,
+        &IndiceConfig::default(),
+        &RuntimeConfig::sequential(),
+        None,
+    )
+    .unwrap();
     assert_eq!(
         out.feature_rows.len(),
         c.dataset.n_rows() - c.dataset.n_rows().div_ceil(5),

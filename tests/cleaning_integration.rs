@@ -9,6 +9,7 @@ use epc_geo::cleaning::{clean_addresses, AddressQuery, CleaningConfig};
 use epc_geo::geocode::{Geocoder, QuotaGeocoder, SimulatedGeocoder};
 use epc_geo::point::GeoPoint;
 use epc_model::wellknown as wk;
+use epc_runtime::RuntimeConfig;
 use epc_synth::city::CityConfig;
 use epc_synth::epcgen::{EpcGenerator, SynthConfig, SyntheticCollection};
 use epc_synth::noise::{apply_noise, NoiseConfig};
@@ -83,6 +84,8 @@ fn default_phi_reconstructs_most_streets() {
         &c.city.street_map,
         None,
         &CleaningConfig::default(),
+        &RuntimeConfig::sequential(),
+        None,
     );
     let acc = street_accuracy(&cleaned, &c);
     assert!(acc > 0.9, "street accuracy {acc}");
@@ -99,6 +102,8 @@ fn coordinates_are_restored_close_to_truth() {
         &c.city.street_map,
         None,
         &CleaningConfig::default(),
+        &RuntimeConfig::sequential(),
+        None,
     );
     let mut errors_m = Vec::new();
     for x in &cleaned {
@@ -125,7 +130,14 @@ fn stricter_phi_resolves_fewer_by_reference() {
             phi,
             ..CleaningConfig::default()
         };
-        let (_, report) = clean_addresses(&queries, &c.city.street_map, None, &cfg);
+        let (_, report) = clean_addresses(
+            &queries,
+            &c.city.street_map,
+            None,
+            &cfg,
+            &RuntimeConfig::sequential(),
+            None,
+        );
         assert!(
             report.by_reference <= prev,
             "phi {phi}: {} > {prev}",
@@ -144,7 +156,14 @@ fn geocoder_quota_rescues_unresolved_addresses() {
         phi: 0.97,
         ..CleaningConfig::default()
     };
-    let (_, without) = clean_addresses(&queries, &c.city.street_map, None, &cfg);
+    let (_, without) = clean_addresses(
+        &queries,
+        &c.city.street_map,
+        None,
+        &cfg,
+        &RuntimeConfig::sequential(),
+        None,
+    );
     assert!(
         without.unresolved > 0,
         "need unresolved addresses for the test"
@@ -154,7 +173,14 @@ fn geocoder_quota_rescues_unresolved_addresses() {
         SimulatedGeocoder::new(&c.city.street_map, 0.55, 0.0),
         10_000,
     );
-    let (_, with) = clean_addresses(&queries, &c.city.street_map, Some(&geocoder), &cfg);
+    let (_, with) = clean_addresses(
+        &queries,
+        &c.city.street_map,
+        Some(&geocoder),
+        &cfg,
+        &RuntimeConfig::sequential(),
+        None,
+    );
     assert!(with.unresolved < without.unresolved);
     assert!(with.by_geocoder > 0);
     assert_eq!(with.geocoder_requests, geocoder.requests_made());
@@ -183,6 +209,8 @@ fn abbreviated_streets_are_exact_matches_after_normalization() {
         &c.city.street_map,
         None,
         &CleaningConfig::default(),
+        &RuntimeConfig::sequential(),
+        None,
     );
     match cleaned[0].outcome {
         epc_geo::cleaning::CleaningOutcome::ResolvedByReference { similarity } => {
@@ -207,6 +235,8 @@ fn unresolved_never_invents_data() {
         map,
         None,
         &CleaningConfig::default(),
+        &RuntimeConfig::sequential(),
+        None,
     );
     assert_eq!(report.unresolved, 1);
     assert_eq!(cleaned[0].address, garbage.address);

@@ -242,7 +242,7 @@ mod components_25k {
     fn cleaning_outcomes_match_row_path() {
         use epc_geo::address::Address;
         use epc_geo::cleaning::{
-            clean_addresses_columnar, clean_addresses_degradable, AddressQuery, CleaningConfig,
+            clean_addresses, clean_addresses_columnar, AddressQuery, CleaningConfig,
         };
         use epc_geo::geocode::{QuotaGeocoder, SimulatedGeocoder};
         use epc_geo::point::GeoPoint;
@@ -280,7 +280,7 @@ mod components_25k {
                 QuotaGeocoder::new(SimulatedGeocoder::new(&c.city.street_map, 0.55, 0.0), 500);
             let geo_col =
                 QuotaGeocoder::new(SimulatedGeocoder::new(&c.city.street_map, 0.55, 0.0), 500);
-            let (row_cleaned, row_report) = clean_addresses_degradable(
+            let (row_cleaned, row_report) = clean_addresses(
                 &queries,
                 &c.city.street_map,
                 Some(&geo_row),
@@ -359,8 +359,8 @@ mod components_25k {
             );
             let kmeans = KMeans::new(KMeansConfig::default());
             let runtime = RuntimeConfig::new(2);
-            let row_model = kmeans.fit_with_runtime(&row_matrix, &runtime).unwrap();
-            let col_model = kmeans.fit_with_runtime(&col_matrix, &runtime).unwrap();
+            let (row_model, _) = kmeans.fit_traced(&row_matrix, &runtime).unwrap();
+            let (col_model, _) = kmeans.fit_traced(&col_matrix, &runtime).unwrap();
             assert_eq!(row_model.centroids, col_model.centroids, "seed {seed}");
             assert_eq!(row_model.assignments, col_model.assignments, "seed {seed}");
         }

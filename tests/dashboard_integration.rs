@@ -8,7 +8,7 @@ use epc_model::{wellknown as wk, Granularity};
 use epc_query::stakeholder::{default_report_spec, ReportSpec, Stakeholder};
 use epc_synth::city::CityConfig;
 use epc_synth::epcgen::{EpcGenerator, SynthConfig};
-use indice::analytics::{analyze, AnalyticsOutput};
+use indice::analytics::{analyze_observed, AnalyticsOutput};
 use indice::config::IndiceConfig;
 use indice::dashboard::{build_dashboard_with_spec, figure2_maps};
 
@@ -29,7 +29,13 @@ fn setup() -> (
         ..SynthConfig::default()
     })
     .generate();
-    let analytics = analyze(&c.dataset, &IndiceConfig::default()).unwrap();
+    let analytics = analyze_observed(
+        &c.dataset,
+        &IndiceConfig::default(),
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
+    )
+    .unwrap();
     (c.dataset, c.city.hierarchy, analytics)
 }
 

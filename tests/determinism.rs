@@ -304,7 +304,8 @@ mod hash_order {
             min_support: 0.3,
             max_len: 3,
         }
-        .mine(&t);
+        .mine(&t, &epc_runtime::RuntimeConfig::sequential())
+        .0;
         frequent
             .iter()
             .map(|f| {

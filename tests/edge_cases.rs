@@ -114,12 +114,14 @@ fn constant_feature_does_not_break_clustering_or_correlation() {
     for row in 0..c.dataset.n_rows() {
         c.dataset.set_value(row, id, Value::num(0.5)).unwrap();
     }
-    let out = indice::analytics::analyze(
+    let out = indice::analytics::analyze_observed(
         &c.dataset,
         &IndiceConfig {
             building_category: None,
             ..IndiceConfig::default()
         },
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
     )
     .expect("constant feature tolerated");
     // Correlations with the constant feature are undefined, not crashes.
@@ -223,12 +225,14 @@ fn dataset_with_duplicated_rows_is_handled() {
         ds.append(&base.dataset).unwrap();
     }
     assert_eq!(ds.n_rows(), 300);
-    let out = indice::analytics::analyze(
+    let out = indice::analytics::analyze_observed(
         &ds,
         &IndiceConfig {
             building_category: None,
             ..IndiceConfig::default()
         },
+        &epc_runtime::RuntimeConfig::sequential(),
+        None,
     )
     .expect("duplicates tolerated");
     assert!(out.chosen_k >= 2);
