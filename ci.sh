@@ -7,6 +7,8 @@
 #   stage: lint | fmt | clippy | tier1 | chaos | crash | obs | fleet |
 #          ingest | columnar | bench
 #   (default: all, in order)
+#   bench = the perfbench smoke test, then one full-scale perfbench pass
+#   whose run trees must equal perfbench/golden.json.
 #   lint = the two-phase epc-lint audit: per-line rules D1-D6, then the
 #   call-graph taint rules D7-D9 (transitive panic / wall-clock / entropy
 #   reachability with witness chains), plus a --format json diff against
@@ -459,6 +461,20 @@ if want bench; then
   # so no other stage compiles it. Its test runs all three workloads at
   # 1/50 scale, untraced and traced, with every check.
   cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+  echo "== bench: full-scale run trees equal perfbench/golden.json =="
+  # The smoke test runs at --scale, which skips the golden-tree check. At
+  # full scale and seed 2024 every run directory must hash to its pinned
+  # value; perfbench reports that as "correct" on its last line.
+  bench_out="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 2024 --seconds 1)"
+  bench_last="$(printf '%s\n' "$bench_out" | tail -n 1)"
+  if ! printf '%s' "$bench_last" | grep -q '"correct":true' ||
+     ! printf '%s' "$bench_last" | grep -q '"failed":0'; then
+    printf '%s\n' "$bench_out" >&2
+    echo "FAIL: perfbench at full scale is not correct (see its last line above)" >&2
+    exit 1
+  fi
 fi
 
 echo "CI OK ($stage)"

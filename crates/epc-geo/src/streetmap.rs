@@ -11,6 +11,7 @@ use crate::levenshtein::{levenshtein_bounded, similarity, BitPattern};
 use crate::point::GeoPoint;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::io;
 
 /// One civic-number entry of the referenced street map.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -213,7 +214,17 @@ impl StreetMap {
     /// Fields containing `;` or newlines are rejected with an error — real
     /// odonyms never contain either.
     pub fn to_text(&self) -> Result<String, String> {
-        let mut out = String::from("street;house_number;zip;lat;lon;district;neighbourhood\n");
+        let mut out = Vec::new();
+        self.write_text(&mut out).map_err(|e| e.to_string())?;
+        String::from_utf8(out).map_err(|e| e.to_string())
+    }
+
+    /// Streams [`StreetMap::to_text`]'s text into `out`, one entry at a
+    /// time. A field containing a separator fails with
+    /// [`io::ErrorKind::InvalidData`] after the entries before it were
+    /// written.
+    pub fn write_text(&self, out: &mut impl io::Write) -> io::Result<()> {
+        out.write_all(b"street;house_number;zip;lat;lon;district;neighbourhood\n")?;
         for e in &self.entries {
             for field in [
                 &e.street,
@@ -223,11 +234,15 @@ impl StreetMap {
                 &e.neighbourhood,
             ] {
                 if field.contains(';') || field.contains('\n') {
-                    return Err(format!("field {field:?} contains a separator"));
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("field {field:?} contains a separator"),
+                    ));
                 }
             }
-            out.push_str(&format!(
-                "{};{};{};{};{};{};{}\n",
+            writeln!(
+                out,
+                "{};{};{};{};{};{};{}",
                 e.street,
                 e.house_number,
                 e.zip,
@@ -235,9 +250,9 @@ impl StreetMap {
                 e.point.lon,
                 e.district,
                 e.neighbourhood
-            ));
+            )?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Parses the [`StreetMap::to_text`] format.
@@ -528,7 +543,12 @@ mod tests {
     fn text_rejects_separator_in_fields() {
         let mut m = StreetMap::new();
         m.insert(entry("Via; Evil", "1", "10121", 45.0, 7.6));
-        assert!(m.to_text().is_err());
+        assert_eq!(
+            m.to_text().unwrap_err(),
+            "field \"Via; Evil\" contains a separator"
+        );
+        let err = m.write_text(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -273,3 +273,62 @@ proptest! {
         prop_assert!((actual - expected).abs() <= 0.01 * expected + 0.5);
     }
 }
+
+/// `StreetMap::to_text` as it was before it streamed: one `format!` per
+/// entry, appended to one `String`.
+fn oracle_to_text(map: &StreetMap) -> Result<String, String> {
+    let mut out = String::from("street;house_number;zip;lat;lon;district;neighbourhood\n");
+    for e in map.entries() {
+        for field in [
+            &e.street,
+            &e.house_number,
+            &e.zip,
+            &e.district,
+            &e.neighbourhood,
+        ] {
+            if field.contains(';') || field.contains('\n') {
+                return Err(format!("field {field:?} contains a separator"));
+            }
+        }
+        out.push_str(&format!(
+            "{};{};{};{};{};{};{}\n",
+            e.street, e.house_number, e.zip, e.point.lat, e.point.lon, e.district, e.neighbourhood
+        ));
+    }
+    Ok(out)
+}
+
+proptest! {
+    #[test]
+    fn write_text_streams_the_old_text(
+        entries in prop::collection::vec(
+            ("[a-zé ;]{0,12}", "[0-9/B]{1,4}", "[0-9]{5}", geo_point(), "[A-Dè]{1,3}", "[a-d\n]{1,3}"),
+            0..12,
+        ),
+    ) {
+        let map = StreetMap::from_entries(
+            entries
+                .into_iter()
+                .map(|(street, house_number, zip, point, district, neighbourhood)| StreetEntry {
+                    street,
+                    house_number,
+                    zip,
+                    point,
+                    district,
+                    neighbourhood,
+                })
+                .collect(),
+        );
+        let expected = oracle_to_text(&map);
+        prop_assert_eq!(map.to_text(), expected.clone());
+        let mut streamed = Vec::new();
+        let written = map.write_text(&mut streamed);
+        match expected {
+            Ok(text) => {
+                prop_assert!(written.is_ok());
+                prop_assert_eq!(String::from_utf8(streamed).unwrap(), text);
+            }
+            Err(msg) => prop_assert_eq!(written.unwrap_err().to_string(), msg),
+        }
+    }
+}

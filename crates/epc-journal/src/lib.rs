@@ -35,4 +35,4 @@ mod sha256;
 
 pub use atomic::{write_atomic, write_atomic_path, ArtifactRecord};
 pub use journal::{encode_lines, Journal, JournalEntry, Loaded, Log, StageEntry, MANIFEST_FILE};
-pub use sha256::hash_hex;
+pub use sha256::{hash_hex, Sha256};

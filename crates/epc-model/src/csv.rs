@@ -11,60 +11,99 @@
 //! into a [`Quarantine`] and keeps going — the ingest mode of the
 //! fault-tolerant pipeline.
 
-use crate::dataset::{Dataset, Record};
+use crate::attribute::AttrId;
+use crate::dataset::{ColumnData, Dataset, Record};
 use crate::error::ModelError;
 use crate::fault::{Quarantine, RecordFault};
 use crate::schema::Schema;
 use crate::value::Value;
+use std::fmt::Write as _;
+use std::io;
 use std::sync::Arc;
 
 /// Serializes a dataset to CSV with a header row.
 pub fn to_csv(ds: &Dataset) -> String {
     let mut out = String::new();
-    let header: Vec<&str> = ds.schema().iter().map(|(_, d)| d.name.as_str()).collect();
-    write_row(&mut out, header.iter().map(|s| s.to_string()));
-    for row in ds.rows() {
-        let fields =
-            (0..ds.n_cols()).map(|i| match row.value(crate::attribute::AttrId(i as u32)) {
-                Value::Num(x) => format_num(x),
-                Value::Cat(s) => s,
-                Value::Missing => String::new(),
-            });
-        write_row(&mut out, fields);
-    }
+    // Appending to a String cannot fail, so neither can the walk.
+    let _ = for_each_line(ds, |line| {
+        out.push_str(line);
+        Ok(())
+    });
     out
 }
 
-/// Formats a float without trailing noise (integers render without ".0").
-fn format_num(x: f64) -> String {
+/// Streams [`to_csv`]'s text into `out` one line at a time, reading the
+/// columns directly: no per-cell `String`, no document-sized buffer.
+pub fn write_csv(ds: &Dataset, out: &mut impl io::Write) -> io::Result<()> {
+    for_each_line(ds, |line| out.write_all(line.as_bytes()))
+}
+
+/// Renders the header and every row into one reused line buffer and hands
+/// each finished line (newline included) to `emit`.
+fn for_each_line(ds: &Dataset, mut emit: impl FnMut(&str) -> io::Result<()>) -> io::Result<()> {
+    let mut line = String::new();
+    for (i, (_, def)) in ds.schema().iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        push_field(&mut line, &def.name);
+    }
+    line.push('\n');
+    emit(&line)?;
+    let columns: Vec<&ColumnData> = (0..ds.n_cols())
+        .filter_map(|i| ds.column(AttrId(i as u32)))
+        .map(|c| c.data())
+        .collect();
+    for row in 0..ds.n_rows() {
+        line.clear();
+        for (i, column) in columns.iter().enumerate() {
+            if i > 0 {
+                line.push(',');
+            }
+            match column {
+                ColumnData::Numeric(v) => {
+                    if let Some(&Some(x)) = v.get(row) {
+                        push_num(&mut line, x);
+                    }
+                }
+                ColumnData::Categorical(c) => {
+                    if let Some(label) = c.get(row) {
+                        push_field(&mut line, label);
+                    }
+                }
+            }
+        }
+        line.push('\n');
+        emit(&line)?;
+    }
+    Ok(())
+}
+
+/// Formats a float without trailing noise: integers below 1e15 render as
+/// `i64` (so without ".0", and `-0.0` as `0`), everything else with `{}`.
+fn push_num(out: &mut String, x: f64) {
     if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{}", x as i64)
+        let _ = write!(out, "{}", x as i64);
     } else {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     }
 }
 
-fn write_row(out: &mut String, fields: impl Iterator<Item = String>) {
-    let mut first = true;
-    for field in fields {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        if field.contains(',') || field.contains('"') || field.contains('\n') {
-            out.push('"');
-            for ch in field.chars() {
-                if ch == '"' {
-                    out.push('"');
-                }
-                out.push(ch);
+/// Appends one field, quoted (with `"` doubled) when it contains a comma,
+/// a quote or a newline.
+fn push_field(out: &mut String, field: &str) {
+    if field.contains([',', '"', '\n']) {
+        out.push('"');
+        for (i, part) in field.split('"').enumerate() {
+            if i > 0 {
+                out.push_str("\"\"");
             }
-            out.push('"');
-        } else {
-            out.push_str(&field);
+            out.push_str(part);
         }
+        out.push('"');
+    } else {
+        out.push_str(field);
     }
-    out.push('\n');
 }
 
 /// Parses a CSV document into a dataset over `schema`.

@@ -61,6 +61,130 @@ impl CatColumn {
             .flatten()
             .and_then(|c| self.label(c))
     }
+
+    /// A new column holding the cells at `rows` (every row in range). Its
+    /// dictionary holds only the labels those cells use, in order of first
+    /// appearance — the dictionary interning them cell by cell builds.
+    fn gather(&self, rows: &[usize]) -> CatColumn {
+        let mut renumber = Renumber::new(self.dict.len());
+        let codes = rows
+            .iter()
+            .map(|&row| {
+                let code = self.codes.get(row).copied().flatten()?;
+                renumber.code(code)
+            })
+            .collect();
+        let dict: Vec<String> = renumber
+            .old_of
+            .iter()
+            .filter_map(|&code| self.label(code).map(str::to_owned))
+            .collect();
+        let index = dict.iter().cloned().zip(0..).collect();
+        CatColumn { dict, index, codes }
+    }
+
+    /// Keeps the cells where `mask` (one flag per cell) is `true`, in
+    /// place, and renumbers the dictionary the way [`CatColumn::gather`]
+    /// does: unused labels are dropped and the rest move, uncloned, into
+    /// first-appearance order.
+    fn retain(&mut self, mask: &[bool]) {
+        let mut keep = mask.iter().copied();
+        self.codes.retain(|_| keep.next().unwrap_or(false));
+        let mut renumber = Renumber::new(self.dict.len());
+        for code in self.codes.iter_mut().flatten() {
+            if let Some(new) = renumber.code(*code) {
+                *code = new;
+            }
+        }
+        let mut old: Vec<Option<String>> = std::mem::take(&mut self.dict)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.dict = renumber
+            .old_of
+            .iter()
+            .filter_map(|&code| old.get_mut(code as usize).and_then(Option::take))
+            .collect();
+        self.index.retain(
+            |_, code| match renumber.new_of.get(*code as usize).copied().flatten() {
+                Some(new) => {
+                    *code = new;
+                    true
+                }
+                None => false,
+            },
+        );
+    }
+
+    /// Appends `other`'s cells, interning each of its labels the first
+    /// time one of its codes appears — what pushing its cells one by one
+    /// does.
+    fn extend_from(&mut self, other: &CatColumn) {
+        let mut table: Vec<Option<u32>> = vec![None; other.dict.len()];
+        for &code in other.codes.iter().flatten() {
+            if let Some(slot) = table.get_mut(code as usize) {
+                if slot.is_none() {
+                    *slot = other.label(code).map(|label| self.intern(label));
+                }
+            }
+        }
+        self.codes.extend(
+            other
+                .codes
+                .iter()
+                .map(|code| code.and_then(|c| table.get(c as usize).copied().flatten())),
+        );
+    }
+
+    /// The column's checkpoint JSON: `{"codes": [..], "dict": [..]}`.
+    fn to_json_value(&self) -> serde::Value {
+        use serde::Value as J;
+        let dict = J::Array(self.dict.iter().cloned().map(J::Str).collect());
+        let codes = J::Array(
+            self.codes
+                .iter()
+                .map(|c| match c {
+                    Some(code) => J::Num(*code as f64),
+                    None => J::Null,
+                })
+                .collect(),
+        );
+        J::Object(
+            [("codes".to_owned(), codes), ("dict".to_owned(), dict)]
+                .into_iter()
+                .collect(),
+        )
+    }
+}
+
+/// First-appearance renumbering of dictionary codes: codes are numbered
+/// in the order [`Renumber::code`] first sees them, which is the order
+/// interning their labels one by one assigns.
+struct Renumber {
+    /// Old code → new code, `None` until first seen.
+    new_of: Vec<Option<u32>>,
+    /// New code → old code.
+    old_of: Vec<u32>,
+}
+
+impl Renumber {
+    fn new(cardinality: usize) -> Self {
+        Renumber {
+            new_of: vec![None; cardinality],
+            old_of: Vec::new(),
+        }
+    }
+
+    /// The new code of `old`, assigning the next one on first sight;
+    /// `None` only for a code outside the dictionary.
+    fn code(&mut self, old: u32) -> Option<u32> {
+        let slot = self.new_of.get_mut(old as usize)?;
+        let old_of = &mut self.old_of;
+        Some(*slot.get_or_insert_with(|| {
+            old_of.push(old);
+            old_of.len() as u32 - 1
+        }))
+    }
 }
 
 /// The payload of a column.
@@ -86,6 +210,71 @@ impl Column {
             AttrKind::Categorical => ColumnData::Categorical(CatColumn::default()),
         };
         Column { data, missing: 0 }
+    }
+
+    fn recount_missing(&mut self) {
+        self.missing = match &self.data {
+            ColumnData::Numeric(v) => v.iter().filter(|x| x.is_none()).count(),
+            ColumnData::Categorical(c) => c.codes.iter().filter(|x| x.is_none()).count(),
+        };
+    }
+
+    /// A new column holding the cells at `rows` (every row in range).
+    fn gather(&self, rows: &[usize]) -> Column {
+        let data = match &self.data {
+            ColumnData::Numeric(v) => {
+                ColumnData::Numeric(rows.iter().map(|&r| v.get(r).copied().flatten()).collect())
+            }
+            ColumnData::Categorical(c) => ColumnData::Categorical(c.gather(rows)),
+        };
+        let mut column = Column { data, missing: 0 };
+        column.recount_missing();
+        column
+    }
+
+    /// Keeps the cells where `mask` (one flag per cell) is `true`, in place.
+    fn retain(&mut self, mask: &[bool]) {
+        match &mut self.data {
+            ColumnData::Numeric(v) => {
+                let mut keep = mask.iter().copied();
+                v.retain(|_| keep.next().unwrap_or(false));
+            }
+            ColumnData::Categorical(c) => c.retain(mask),
+        }
+        self.recount_missing();
+    }
+
+    fn same_kind(&self, other: &Column) -> bool {
+        std::mem::discriminant(&self.data) == std::mem::discriminant(&other.data)
+    }
+
+    /// Appends `other`'s cells (a column of the same kind; a column of
+    /// another kind appends nothing).
+    fn extend_from(&mut self, other: &Column) {
+        match (&mut self.data, &other.data) {
+            (ColumnData::Numeric(v), ColumnData::Numeric(o)) => v.extend_from_slice(o),
+            (ColumnData::Categorical(c), ColumnData::Categorical(o)) => c.extend_from(o),
+            _ => return,
+        }
+        self.missing += other.missing;
+    }
+
+    /// The column's checkpoint JSON: `{"num": [..]}` with `null` for
+    /// missing cells, or `{"cat": {"codes": [..], "dict": [..]}}`.
+    fn to_json_value(&self) -> serde::Value {
+        use serde::Value as J;
+        let (tag, body) = match &self.data {
+            ColumnData::Numeric(vals) => (
+                "num",
+                J::Array(
+                    vals.iter()
+                        .map(|v| crate::jsonnum::encode_opt_f64(*v))
+                        .collect(),
+                ),
+            ),
+            ColumnData::Categorical(cat) => ("cat", cat.to_json_value()),
+        };
+        J::Object([(tag.to_owned(), body)].into_iter().collect())
     }
 
     /// The column payload.
@@ -467,53 +656,78 @@ impl Dataset {
     }
 
     /// New dataset containing the rows at `indices`, in that order.
+    ///
+    /// Works column by column. Each categorical dictionary keeps only the
+    /// labels the selected rows use, in order of first appearance — so the
+    /// result equals pushing the selected rows one by one into an empty
+    /// dataset, dictionaries included.
     pub fn select_rows(&self, indices: &[usize]) -> Result<Dataset, ModelError> {
-        let mut out = Dataset::new(self.schema_arc());
-        for &row in indices {
-            if row >= self.n_rows {
-                return Err(ModelError::RowOutOfBounds {
-                    row,
-                    n_rows: self.n_rows,
-                });
-            }
-            let values: Vec<Value> = (0..self.schema.len())
-                .map(|i| self.value(row, AttrId(i as u32)))
-                .collect();
-            out.push_record(Record::from_values(values))?;
+        if let Some(&row) = indices.iter().find(|&&row| row >= self.n_rows) {
+            return Err(ModelError::RowOutOfBounds {
+                row,
+                n_rows: self.n_rows,
+            });
         }
-        Ok(out)
+        Ok(Dataset {
+            schema: self.schema_arc(),
+            columns: self.columns.iter().map(|c| c.gather(indices)).collect(),
+            n_rows: indices.len(),
+        })
     }
 
-    /// New dataset keeping rows where `mask[row]` is `true`.
+    /// Keeps the rows where `mask[row]` is `true`, in place: the dataset
+    /// becomes what [`Dataset::select_rows`] over the kept rows returns.
     ///
-    /// `mask` must have exactly `n_rows` entries.
-    pub fn filter_mask(&self, mask: &[bool]) -> Result<Dataset, ModelError> {
+    /// `mask` must have exactly `n_rows` entries; otherwise nothing
+    /// changes.
+    pub fn retain_mask(&mut self, mask: &[bool]) -> Result<(), ModelError> {
         if mask.len() != self.n_rows {
             return Err(ModelError::ArityMismatch {
                 expected: self.n_rows,
                 got: mask.len(),
             });
         }
-        let indices: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, keep)| keep.then_some(i))
-            .collect();
-        self.select_rows(&indices)
+        for column in &mut self.columns {
+            column.retain(mask);
+        }
+        self.n_rows = mask.iter().filter(|&&keep| keep).count();
+        Ok(())
     }
 
-    /// Appends all rows of `other` (same schema required).
+    /// Appends all rows of `other` (same schema required), column by
+    /// column: the result equals pushing `other`'s rows one by one.
     pub fn append(&mut self, other: &Dataset) -> Result<(), ModelError> {
-        if *self.schema != *other.schema {
+        let same_kinds = self
+            .columns
+            .iter()
+            .zip(&other.columns)
+            .all(|(a, b)| a.same_kind(b));
+        if *self.schema != *other.schema || !same_kinds {
             return Err(ModelError::SchemaMismatch);
         }
-        for row in other.rows() {
-            let values: Vec<Value> = (0..self.schema.len())
-                .map(|i| row.value(AttrId(i as u32)))
-                .collect();
-            self.push_record(Record::from_values(values))?;
+        for (column, theirs) in self.columns.iter_mut().zip(&other.columns) {
+            column.extend_from(theirs);
         }
+        self.n_rows += other.n_rows;
         Ok(())
+    }
+
+    /// Appends the compact JSON text of [`serde::Serialize::to_json_value`]
+    /// to `out`, building one column's JSON tree at a time instead of the
+    /// whole dataset's.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"columns\":[");
+        for (i, column) in self.columns.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&column.to_json_value().to_compact_string());
+        }
+        out.push_str("],\"n_rows\":");
+        out.push_str(&serde::Value::Num(self.n_rows as f64).to_compact_string());
+        out.push_str(",\"schema\":");
+        out.push_str(&serde::Serialize::to_json_value(&*self.schema).to_compact_string());
+        out.push('}');
     }
 
     /// Total number of missing cells across all columns.
@@ -532,43 +746,11 @@ impl Dataset {
 impl serde::Serialize for Dataset {
     fn to_json_value(&self) -> serde::Value {
         use serde::Value as J;
-        let columns: Vec<J> = self
-            .columns
-            .iter()
-            .map(|col| match &col.data {
-                ColumnData::Numeric(vals) => J::Object(
-                    [(
-                        "num".to_owned(),
-                        J::Array(
-                            vals.iter()
-                                .map(|v| crate::jsonnum::encode_opt_f64(*v))
-                                .collect(),
-                        ),
-                    )]
-                    .into_iter()
-                    .collect(),
-                ),
-                ColumnData::Categorical(cat) => {
-                    let dict = J::Array(cat.dict.iter().cloned().map(J::Str).collect());
-                    let codes = J::Array(
-                        cat.codes
-                            .iter()
-                            .map(|c| match c {
-                                Some(code) => J::Num(*code as f64),
-                                None => J::Null,
-                            })
-                            .collect(),
-                    );
-                    let body: serde::Map<String, J> =
-                        [("codes".to_owned(), codes), ("dict".to_owned(), dict)]
-                            .into_iter()
-                            .collect();
-                    J::Object([("cat".to_owned(), J::Object(body))].into_iter().collect())
-                }
-            })
-            .collect();
         let map: serde::Map<String, J> = [
-            ("columns".to_owned(), J::Array(columns)),
+            (
+                "columns".to_owned(),
+                J::Array(self.columns.iter().map(Column::to_json_value).collect()),
+            ),
             ("n_rows".to_owned(), J::Num(self.n_rows as f64)),
             ("schema".to_owned(), self.schema.to_json_value()),
         ]
@@ -832,18 +1014,51 @@ mod tests {
         assert_eq!(sel.num(1, AttrId(0)), Some(0.0));
 
         let mask: Vec<bool> = (0..5).map(|i| i % 2 == 0).collect();
-        let filtered = ds.filter_mask(&mask).unwrap();
+        let mut filtered = ds.clone();
+        filtered.retain_mask(&mask).unwrap();
         assert_eq!(filtered.n_rows(), 3);
         for row in filtered.rows() {
             assert_eq!(row.cat(AttrId(1)), Some("even"));
         }
+        assert_eq!(filtered, ds.select_rows(&[0, 2, 4]).unwrap());
     }
 
     #[test]
-    fn filter_mask_requires_full_length() {
+    fn retain_mask_requires_full_length() {
         let mut ds = Dataset::new(small_schema());
         push(&mut ds, Some(1.0), None, None);
-        assert!(ds.filter_mask(&[]).is_err());
+        let before = ds.clone();
+        assert!(ds.retain_mask(&[]).is_err());
+        assert_eq!(ds, before, "a rejected mask changes nothing");
+    }
+
+    #[test]
+    fn selection_renumbers_dictionaries_in_first_appearance_order() {
+        let mut ds = Dataset::new(small_schema());
+        for label in ["a", "b", "c", "b"] {
+            push(&mut ds, None, Some(label), None);
+        }
+        // Repair row 0 in place: "a" stays in the dictionary, unused.
+        ds.set_value(0, AttrId(1), Value::cat("c")).unwrap();
+        let dict = |d: &Dataset| match d.column(AttrId(1)).unwrap().data() {
+            ColumnData::Categorical(c) => (0..c.cardinality() as u32)
+                .map(|code| c.label(code).unwrap().to_owned())
+                .collect::<Vec<_>>(),
+            _ => panic!("expected categorical"),
+        };
+        assert_eq!(dict(&ds), ["a", "b", "c"]);
+
+        let sel = ds.select_rows(&[1, 0, 3]).unwrap();
+        assert_eq!(dict(&sel), ["b", "c"], "unused labels drop out");
+        let mut kept = ds.clone();
+        kept.retain_mask(&[true, true, false, true]).unwrap();
+        assert_eq!(dict(&kept), ["c", "b"]);
+        assert_eq!(kept, ds.select_rows(&[0, 1, 3]).unwrap());
+
+        let mut appended = sel.clone();
+        appended.append(&ds).unwrap();
+        assert_eq!(dict(&appended), ["b", "c"], "only used labels are interned");
+        assert_eq!(appended.cat(3, AttrId(1)), Some("c"));
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! Property-based tests of the data-model layer: CSV round-trips over
 //! arbitrary content, dataset selection invariants, and schema lookups.
+//!
+//! The column-wise `select_rows`, `retain_mask`, `append` and the
+//! streaming CSV writer are checked against the row-wise implementations
+//! they replaced, kept below as oracles: whole-`Dataset` equality
+//! (dictionaries, their index, codes and missing counts) and equal bytes.
 // Test code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_model::{csv, AttrId, AttributeDef, Dataset, Record, Schema, Value};
+use epc_model::{csv, AttrId, AttributeDef, Dataset, ModelError, Record, Schema, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -81,10 +86,11 @@ proptest! {
     }
 
     #[test]
-    fn filter_mask_keeps_exactly_true_rows(rows in prop::collection::vec(row_strategy(), 1..30), seed in 0u64..1000) {
+    fn retain_mask_keeps_exactly_true_rows(rows in prop::collection::vec(row_strategy(), 1..30), seed in 0u64..1000) {
         let ds = build(&rows);
         let mask: Vec<bool> = (0..ds.n_rows()).map(|i| !(i as u64 + seed).is_multiple_of(3)).collect();
-        let filtered = ds.filter_mask(&mask).unwrap();
+        let mut filtered = ds.clone();
+        filtered.retain_mask(&mask).unwrap();
         prop_assert_eq!(filtered.n_rows(), mask.iter().filter(|&&b| b).count());
     }
 
@@ -123,4 +129,261 @@ proptest! {
         ok.set(AttrId(0), Value::num(x)).unwrap();
         prop_assert!(ds.push_record(ok).is_ok());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Oracles: the row-wise implementations the column-wise ones replaced.
+// ---------------------------------------------------------------------------
+
+/// Every cell of `row` as a `Value` (categorical labels cloned).
+fn row_values(ds: &Dataset, row: usize) -> Vec<Value> {
+    (0..ds.n_cols())
+        .map(|i| ds.value(row, AttrId(i as u32)))
+        .collect()
+}
+
+/// `select_rows` as a row-by-row rebuild through `Value` and interning.
+fn oracle_select_rows(ds: &Dataset, indices: &[usize]) -> Result<Dataset, ModelError> {
+    let mut out = Dataset::new(ds.schema_arc());
+    for &row in indices {
+        if row >= ds.n_rows() {
+            return Err(ModelError::RowOutOfBounds {
+                row,
+                n_rows: ds.n_rows(),
+            });
+        }
+        out.push_record(Record::from_values(row_values(ds, row)))?;
+    }
+    Ok(out)
+}
+
+/// `append` as pushing `other`'s rows one by one.
+fn oracle_append(ds: &mut Dataset, other: &Dataset) {
+    for row in 0..other.n_rows() {
+        ds.push_record(Record::from_values(row_values(other, row)))
+            .unwrap();
+    }
+}
+
+/// `to_csv` as one `String` per cell, quoted field by field.
+fn oracle_to_csv(ds: &Dataset) -> String {
+    fn format_num(x: f64) -> String {
+        if x.fract() == 0.0 && x.abs() < 1e15 {
+            format!("{}", x as i64)
+        } else {
+            format!("{x}")
+        }
+    }
+    fn write_row(out: &mut String, fields: impl Iterator<Item = String>) {
+        let mut first = true;
+        for field in fields {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            if field.contains(',') || field.contains('"') || field.contains('\n') {
+                out.push('"');
+                for ch in field.chars() {
+                    if ch == '"' {
+                        out.push('"');
+                    }
+                    out.push(ch);
+                }
+                out.push('"');
+            } else {
+                out.push_str(&field);
+            }
+        }
+        out.push('\n');
+    }
+    let mut out = String::new();
+    write_row(&mut out, ds.schema().iter().map(|(_, d)| d.name.clone()));
+    for row in 0..ds.n_rows() {
+        write_row(
+            &mut out,
+            row_values(ds, row).into_iter().map(|v| match v {
+                Value::Num(x) => format_num(x),
+                Value::Cat(s) => s,
+                Value::Missing => String::new(),
+            }),
+        );
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Datasets whose dictionaries are out of first-appearance order and hold
+// labels no row uses — what in-place cleaning repairs leave behind.
+// ---------------------------------------------------------------------------
+
+/// Labels that need CSV quoting or JSON escapes, plus plain ones.
+const LABELS: [&str; 9] = [
+    "",
+    "a",
+    "b",
+    "with, comma",
+    "say \"hi\"",
+    "line1\nline2",
+    "città",
+    "tab\tand\\slash",
+    "€,\"\n",
+];
+
+/// Numbers on every formatting branch: ±0, NaN, ±∞, integers just below
+/// and at 1e15, integers past `i64::MAX` (where an `as i64` cast would
+/// saturate), subnormals.
+const SPECIALS: [f64; 14] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1e15,
+    -1e15,
+    999_999_999_999_999.0,
+    1e15 + 2.0,
+    1e19,
+    -1e300,
+    0.5,
+    5e-324,
+    2016.0,
+];
+
+fn label_strategy() -> impl Strategy<Value = Option<String>> {
+    (0usize..12, "[ab,\"\nè]{0,4}").prop_map(|(i, random)| match i {
+        0 => None,
+        i => Some(LABELS.get(i - 1).map_or(random, |l| (*l).to_owned())),
+    })
+}
+
+/// A number on a formatting edge, a random one, or missing; `finite`
+/// leaves out NaN (which no `Dataset` equals) and the infinities.
+fn number_strategy(finite: bool) -> impl Strategy<Value = Option<f64>> {
+    (0usize..22, -1e17f64..1e17).prop_map(move |(i, random)| match i {
+        0 => None,
+        i => match SPECIALS.get(i - 1).copied() {
+            Some(x) if finite && !x.is_finite() => Some(1.0),
+            Some(x) => Some(x),
+            None => Some(random),
+        },
+    })
+}
+
+type EdgeRow = (Option<f64>, Option<String>, Option<f64>);
+
+fn edge_row(finite: bool) -> impl Strategy<Value = EdgeRow> {
+    (
+        number_strategy(finite),
+        label_strategy(),
+        number_strategy(finite),
+    )
+}
+
+/// `rows`, then each `(row, label)` repair written in place — which
+/// leaves replaced labels in the dictionary and new ones at its end.
+fn build_dirty(rows: &[EdgeRow], repairs: &[(usize, usize)]) -> Dataset {
+    let mut ds = Dataset::new(schema());
+    for (x, label, y) in rows {
+        let mut r = ds.empty_record();
+        r.set(AttrId(0), Value::from(*x)).unwrap();
+        r.set(AttrId(1), label.clone().map_or(Value::Missing, Value::Cat))
+            .unwrap();
+        r.set(AttrId(2), Value::from(*y)).unwrap();
+        ds.push_record(r).unwrap();
+    }
+    for &(row, label) in repairs {
+        if row < ds.n_rows() {
+            let value = LABELS.get(label).map_or(Value::Missing, |l| Value::cat(*l));
+            ds.set_value(row, AttrId(1), value).unwrap();
+        }
+    }
+    ds
+}
+
+fn repairs() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    prop::collection::vec((0usize..30, 0usize..10), 0..8)
+}
+
+proptest! {
+    #[test]
+    fn select_rows_equals_the_row_wise_rebuild(
+        rows in prop::collection::vec(edge_row(true), 0..30),
+        fixes in repairs(),
+        indices in prop::collection::vec(0usize..32, 0..40),
+    ) {
+        let ds = build_dirty(&rows, &fixes);
+        let got = ds.select_rows(&indices);
+        prop_assert_eq!(got.clone(), oracle_select_rows(&ds, &indices));
+        if let Ok(sel) = got {
+            prop_assert_eq!(csv::to_csv(&sel), oracle_to_csv(&sel));
+        }
+    }
+
+    #[test]
+    fn retain_mask_equals_the_row_wise_rebuild(
+        rows in prop::collection::vec(edge_row(true), 0..30),
+        fixes in repairs(),
+        seed in 0u64..1000,
+        modulus in 1u64..5,
+    ) {
+        let ds = build_dirty(&rows, &fixes);
+        let mask: Vec<bool> = (0..ds.n_rows() as u64)
+            .map(|i| !(i * 7 + seed).is_multiple_of(modulus + 1))
+            .collect();
+        let kept: Vec<usize> = (0..ds.n_rows()).filter(|&i| mask[i]).collect();
+        let mut filtered = ds.clone();
+        filtered.retain_mask(&mask).unwrap();
+        prop_assert_eq!(filtered, oracle_select_rows(&ds, &kept).unwrap());
+
+        let mut untouched = ds.clone();
+        let short = &mask[..mask.len().saturating_sub(1)];
+        prop_assert_eq!(untouched.retain_mask(short).is_err(), !mask.is_empty());
+        prop_assert_eq!(untouched, ds);
+    }
+
+    #[test]
+    fn append_equals_the_row_wise_rebuild(
+        left in prop::collection::vec(edge_row(true), 0..20),
+        left_fixes in repairs(),
+        right in prop::collection::vec(edge_row(true), 0..20),
+        right_fixes in repairs(),
+    ) {
+        let (a, b) = (build_dirty(&left, &left_fixes), build_dirty(&right, &right_fixes));
+        let mut got = a.clone();
+        got.append(&b).unwrap();
+        let mut expected = a;
+        oracle_append(&mut expected, &b);
+        prop_assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn write_csv_equals_the_row_wise_writer(
+        rows in prop::collection::vec(edge_row(false), 0..30),
+        fixes in repairs(),
+    ) {
+        let ds = build_dirty(&rows, &fixes);
+        let expected = oracle_to_csv(&ds);
+        prop_assert_eq!(csv::to_csv(&ds), expected.clone());
+        let mut streamed = Vec::new();
+        csv::write_csv(&ds, &mut streamed).unwrap();
+        prop_assert_eq!(String::from_utf8(streamed).unwrap(), expected);
+    }
+
+    #[test]
+    fn write_json_equals_the_whole_tree(
+        rows in prop::collection::vec(edge_row(false), 0..30),
+        fixes in repairs(),
+    ) {
+        let ds = build_dirty(&rows, &fixes);
+        let mut text = String::from("prefix:");
+        ds.write_json(&mut text);
+        prop_assert_eq!(text, format!("prefix:{}", serde::Serialize::to_json_value(&ds).to_compact_string()));
+    }
+}
+
+#[test]
+fn select_rows_rejects_the_first_out_of_range_index() {
+    let ds = build_dirty(&[(Some(1.0), Some("a".into()), None)], &[]);
+    let err = ds.select_rows(&[0, 3, 5]).unwrap_err();
+    assert_eq!(err, ModelError::RowOutOfBounds { row: 3, n_rows: 1 });
 }

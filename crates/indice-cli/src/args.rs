@@ -489,10 +489,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if let Some(spec) = &args.crash_at_batch {
                 check_index("crash-at-batch", spec.batch(), "ingest", batches, "batches")?;
             }
-            if let Some(BatchScope::Only(indices)) = &args.corrupt_batches {
-                for &i in indices {
-                    check_index("corrupt-batches", i, "ingest", batches, "batches")?;
-                }
+            if let Some(max) = args
+                .corrupt_batches
+                .as_ref()
+                .and_then(BatchScope::max_index)
+            {
+                check_index("corrupt-batches", max, "ingest", batches, "batches")?;
             }
             Ok(Command::Ingest(args))
         }
@@ -1475,7 +1477,7 @@ mod tests {
                 assert!(resume);
                 assert_eq!(crash_at_batch, Some(IngestCrash::TornBatch { batch: 1 }));
                 assert_eq!(fault_rate, 0.2, "corrupt-batches defaults the rate on");
-                assert_eq!(corrupt_batches, Some(BatchScope::Only(vec![0, 1])));
+                assert_eq!(corrupt_batches, Some(BatchScope::Only(vec![0..=1])));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1548,6 +1550,23 @@ mod tests {
                 "{scope}"
             );
         }
+    }
+
+    #[test]
+    fn ingest_rejects_a_huge_corrupt_batches_range_without_expanding_it() {
+        // The range is checked by its ends: a scope eleven digits wide
+        // must fail like `7` does, not allocate one slot per index.
+        let err = parse_args(&ingest_args(&[
+            "--into",
+            "x",
+            "--corrupt-batches",
+            "0-99999999999",
+        ]))
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "--corrupt-batches index out of range (ingest has 2 batches, indices 0..1)"
+        );
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! (the shim's `Map` is a `BTreeMap`), so encoding is deterministic:
 //! encode ∘ decode ∘ encode is the identity on bytes, which is what lets
 //! CI tree-hash a resumed run directory against an uninterrupted one.
+//! The two checkpoints that carry a dataset write their top-level object
+//! field by field ([`write_object`]) and the dataset column by column
+//! ([`Dataset::write_json`]), so no tree of the whole dataset is built;
+//! the text is the same as the whole tree's.
 
 use crate::analytics::{AnalyticsOutput, ClusterSummary};
 use crate::preprocess::{CleanPhase, PreprocessOutput};
@@ -190,6 +194,45 @@ fn decode_summary(v: &Value) -> Result<ClusterSummary, Error> {
     })
 }
 
+/// One top-level field of a checkpoint object.
+enum Field<'a> {
+    /// A small field, encoded as a tree.
+    Tree(Value),
+    /// The dataset, written one column at a time.
+    Dataset(&'a Dataset),
+}
+
+/// The compact JSON text of an object with `fields`, written field by
+/// field into one pre-sized String. `fields` must be in sorted key order:
+/// that is the order a tree of the whole object (a `BTreeMap`) writes its
+/// keys in, so the text equals that tree's `to_compact_string`.
+fn write_object(fields: Vec<(&str, Field<'_>)>) -> String {
+    debug_assert!(fields.windows(2).all(|w| w[0].0 < w[1].0));
+    // The dataset dominates: a few bytes per cell.
+    let hint: usize = fields
+        .iter()
+        .map(|(_, field)| match field {
+            Field::Tree(_) => 64,
+            Field::Dataset(ds) => 4 * ds.n_rows() * ds.n_cols() + 4096,
+        })
+        .sum();
+    let mut out = String::with_capacity(hint);
+    out.push('{');
+    for (i, (key, field)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&Value::Str(key.to_owned()).to_compact_string());
+        out.push(':');
+        match field {
+            Field::Tree(v) => out.push_str(&v.to_compact_string()),
+            Field::Dataset(ds) => ds.write_json(&mut out),
+        }
+    }
+    out.push('}');
+    out
+}
+
 fn check_format(v: &Value) -> Result<(), Error> {
     match field(v, "format")?.as_str() {
         Some(FORMAT) => Ok(()),
@@ -203,28 +246,31 @@ fn check_format(v: &Value) -> Result<(), Error> {
 /// Serializes the preprocess product plus the quarantine state accumulated
 /// up to the end of the stage.
 pub fn encode_preprocess(out: &PreprocessOutput, quarantine: &Quarantine) -> String {
-    let v = obj(vec![
-        ("cleaning", out.cleaning.to_json_value()),
-        ("dataset", out.dataset.to_json_value()),
+    use Field::Tree;
+    write_object(vec![
+        ("cleaning", Tree(out.cleaning.to_json_value())),
+        ("dataset", Field::Dataset(&out.dataset)),
         (
             "dbscan_params",
-            match &out.dbscan_params {
+            Tree(match &out.dbscan_params {
                 Some(c) => encode_dbscan(c),
                 None => Value::Null,
-            },
+            }),
         ),
-        ("degraded_rows", out.degraded_rows.to_json_value()),
-        ("format", Value::Str(FORMAT.to_owned())),
-        ("kept_rows", out.kept_rows.to_json_value()),
+        ("degraded_rows", Tree(out.degraded_rows.to_json_value())),
+        ("format", Tree(Value::Str(FORMAT.to_owned()))),
+        ("kept_rows", Tree(out.kept_rows.to_json_value())),
         (
             "multivariate_flagged",
-            out.multivariate_flagged.to_json_value(),
+            Tree(out.multivariate_flagged.to_json_value()),
         ),
-        ("quarantine", quarantine.to_json_value()),
-        ("removed_rows", out.removed_rows.to_json_value()),
-        ("univariate_flagged", out.univariate_flagged.to_json_value()),
-    ]);
-    v.to_compact_string()
+        ("quarantine", Tree(quarantine.to_json_value())),
+        ("removed_rows", Tree(out.removed_rows.to_json_value())),
+        (
+            "univariate_flagged",
+            Tree(out.univariate_flagged.to_json_value()),
+        ),
+    ])
 }
 
 /// Rehydrates a preprocess checkpoint written by [`encode_preprocess`].
@@ -254,17 +300,20 @@ pub fn decode_preprocess(text: &str) -> Result<(PreprocessOutput, Quarantine), E
 /// without re-cleaning it: the validated dataset, the row provenance, the
 /// additive cleaning counters, and the batch's quarantine.
 pub fn encode_clean_phase(phase: &CleanPhase) -> String {
-    let v = obj(vec![
-        ("cleaning", phase.cleaning.to_json_value()),
-        ("dataset", phase.dataset.to_json_value()),
-        ("degraded_rows", phase.degraded_rows.to_json_value()),
-        ("format", Value::Str(FORMAT.to_owned())),
-        ("input_rows", Value::Num(phase.input_rows as f64)),
-        ("orig_of", phase.orig_of.to_json_value()),
-        ("quarantine", phase.quarantine.to_json_value()),
-        ("unresolved_rows", phase.unresolved_rows.to_json_value()),
-    ]);
-    v.to_compact_string()
+    use Field::Tree;
+    write_object(vec![
+        ("cleaning", Tree(phase.cleaning.to_json_value())),
+        ("dataset", Field::Dataset(&phase.dataset)),
+        ("degraded_rows", Tree(phase.degraded_rows.to_json_value())),
+        ("format", Tree(Value::Str(FORMAT.to_owned()))),
+        ("input_rows", Tree(Value::Num(phase.input_rows as f64))),
+        ("orig_of", Tree(phase.orig_of.to_json_value())),
+        ("quarantine", Tree(phase.quarantine.to_json_value())),
+        (
+            "unresolved_rows",
+            Tree(phase.unresolved_rows.to_json_value()),
+        ),
+    ])
 }
 
 /// Rehydrates a clean-phase delta written by [`encode_clean_phase`].
@@ -371,6 +420,162 @@ pub fn decode_analytics(text: &str) -> Result<AnalyticsOutput, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epc_geo::cleaning::CleaningReport;
+    use epc_model::{AttrId, AttributeDef, RecordFault, Schema};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    /// `encode_preprocess` as one tree of the whole checkpoint.
+    fn oracle_encode_preprocess(out: &PreprocessOutput, quarantine: &Quarantine) -> String {
+        obj(vec![
+            ("cleaning", out.cleaning.to_json_value()),
+            ("dataset", out.dataset.to_json_value()),
+            (
+                "dbscan_params",
+                match &out.dbscan_params {
+                    Some(c) => encode_dbscan(c),
+                    None => Value::Null,
+                },
+            ),
+            ("degraded_rows", out.degraded_rows.to_json_value()),
+            ("format", Value::Str(FORMAT.to_owned())),
+            ("kept_rows", out.kept_rows.to_json_value()),
+            (
+                "multivariate_flagged",
+                out.multivariate_flagged.to_json_value(),
+            ),
+            ("quarantine", quarantine.to_json_value()),
+            ("removed_rows", out.removed_rows.to_json_value()),
+            ("univariate_flagged", out.univariate_flagged.to_json_value()),
+        ])
+        .to_compact_string()
+    }
+
+    /// `encode_clean_phase` as one tree of the whole checkpoint.
+    fn oracle_encode_clean_phase(phase: &CleanPhase) -> String {
+        obj(vec![
+            ("cleaning", phase.cleaning.to_json_value()),
+            ("dataset", phase.dataset.to_json_value()),
+            ("degraded_rows", phase.degraded_rows.to_json_value()),
+            ("format", Value::Str(FORMAT.to_owned())),
+            ("input_rows", Value::Num(phase.input_rows as f64)),
+            ("orig_of", phase.orig_of.to_json_value()),
+            ("quarantine", phase.quarantine.to_json_value()),
+            ("unresolved_rows", phase.unresolved_rows.to_json_value()),
+        ])
+        .to_compact_string()
+    }
+
+    /// Cells on every exact-encoding branch, and labels that need JSON
+    /// escapes.
+    const NUMBERS: [f64; 9] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        5e-324,
+        1.0 / 3.0,
+        1e300,
+        -2016.0,
+    ];
+    const LABELS: [&str; 6] = [
+        "plain",
+        "quote \" and \\",
+        "new\nline",
+        "tab\t",
+        "\u{1}ctl",
+        "città",
+    ];
+
+    fn dataset(cells: &[(usize, usize, usize)], relabel: &[(usize, usize)]) -> Dataset {
+        let schema = Arc::new(
+            Schema::new(vec![
+                AttributeDef::numeric("x", "", ""),
+                AttributeDef::categorical("label \"q\"", ""),
+                AttributeDef::numeric("y", "m", ""),
+            ])
+            .unwrap(),
+        );
+        let mut ds = Dataset::new(schema);
+        let num = |i: usize| {
+            NUMBERS
+                .get(i)
+                .map_or(epc_model::Value::Missing, |&x| epc_model::Value::Num(x))
+        };
+        for &(x, label, y) in cells {
+            let mut r = ds.empty_record();
+            r.set(AttrId(0), num(x)).unwrap();
+            let label = LABELS
+                .get(label)
+                .map_or(epc_model::Value::Missing, |l| epc_model::Value::cat(*l));
+            r.set(AttrId(1), label).unwrap();
+            r.set(AttrId(2), num(y)).unwrap();
+            ds.push_record(r).unwrap();
+        }
+        // In-place repairs leave unused labels in the dictionary.
+        for &(row, label) in relabel {
+            if let Some(l) = LABELS.get(label).filter(|_| row < ds.n_rows()) {
+                ds.set_value(row, AttrId(1), epc_model::Value::cat(*l))
+                    .unwrap();
+            }
+        }
+        ds
+    }
+
+    fn quarantine(n: usize) -> Quarantine {
+        let mut q = Quarantine::new();
+        for i in 0..n {
+            q.push(
+                format!("key \"{i}\"\n"),
+                Some(i),
+                RecordFault::NonFinite {
+                    attribute: "x".into(),
+                },
+            );
+        }
+        q
+    }
+
+    proptest! {
+        #[test]
+        fn dataset_checkpoints_equal_the_whole_tree_encoding(
+            cells in prop::collection::vec((0usize..11, 0usize..7, 0usize..11), 0..25),
+            relabel in prop::collection::vec((0usize..25, 0usize..6), 0..5),
+            rows in prop::collection::vec(0usize..1000, 0..6),
+            faults in 0usize..3,
+            eps in 0.0f64..1.0,
+        ) {
+            let ds = dataset(&cells, &relabel);
+            let out = PreprocessOutput {
+                dataset: ds.clone(),
+                kept_rows: rows.clone(),
+                cleaning: CleaningReport { total: cells.len(), ..CleaningReport::default() },
+                univariate_flagged: BTreeMap::from([("x".to_owned(), rows.clone())]),
+                multivariate_flagged: rows.clone(),
+                dbscan_params: (faults > 0).then_some(DbscanConfig { eps, min_points: faults }),
+                removed_rows: rows.clone(),
+                degraded_rows: rows.clone(),
+            };
+            let q = quarantine(faults);
+            prop_assert_eq!(encode_preprocess(&out, &q), oracle_encode_preprocess(&out, &q));
+
+            let phase = CleanPhase {
+                dataset: ds,
+                orig_of: rows.clone(),
+                input_rows: cells.len() + faults,
+                cleaning: CleaningReport::default(),
+                degraded_rows: rows.clone(),
+                unresolved_rows: rows,
+                quarantine: q,
+            };
+            let text = encode_clean_phase(&phase);
+            prop_assert_eq!(&text, &oracle_encode_clean_phase(&phase));
+            // And the decoder still reads it back to the same bytes.
+            prop_assert_eq!(encode_clean_phase(&decode_clean_phase(&text).unwrap()), text);
+        }
+    }
 
     fn sample_analytics() -> AnalyticsOutput {
         AnalyticsOutput {

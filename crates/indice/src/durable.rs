@@ -30,14 +30,15 @@ use crate::preprocess::PreprocessOutput;
 use epc_faults::{CrashSpec, FaultInjector};
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
-use epc_journal::{hash_hex, write_atomic_path, ArtifactRecord, Journal, StageEntry};
-use epc_model::{csv::to_csv, Quarantine};
+use epc_journal::{write_atomic_path, ArtifactRecord, Journal, Sha256, StageEntry};
+use epc_model::{csv::write_csv, Dataset, Quarantine};
 use epc_query::stakeholder::Stakeholder;
 use epc_runtime::{PipelineReport, StageReport};
 use epc_viz::dashboard::Dashboard;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -151,19 +152,38 @@ fn dur<T>(r: std::io::Result<T>, what: &str) -> Result<T, IndiceError> {
 /// and the reference inputs (street map, hierarchy). Deliberately excludes
 /// the runtime thread budget — outputs are bitwise thread-count-invariant,
 /// so a run may be resumed at a different parallelism.
+///
+/// The digest is SHA-256 over `{config:?}|{stakeholder:?}|`, the street
+/// map's text, `|`, and the hierarchy's JSON, streamed into the hasher
+/// piece by piece instead of formatted into one string.
 pub(crate) fn config_fingerprint(
     config: &IndiceConfig,
     stakeholder: Stakeholder,
     street_map: &StreetMap,
     hierarchy: &RegionHierarchy,
 ) -> Result<String, IndiceError> {
-    let streets = street_map
-        .to_text()
+    let mut hasher = Sha256::new();
+    dur(
+        write!(hasher, "{config:?}|{stakeholder:?}|"),
+        "hashing the configuration",
+    )?;
+    street_map
+        .write_text(&mut hasher)
         .map_err(|e| IndiceError::Durability(format!("street map not serializable: {e}")))?;
     let regions = serde_json::to_string(hierarchy)
         .map_err(|e| IndiceError::Durability(format!("hierarchy not serializable: {e}")))?;
-    let text = format!("{config:?}|{stakeholder:?}|{streets}|{regions}");
-    Ok(hash_hex(text.as_bytes()))
+    hasher.update(b"|");
+    hasher.update(regions.as_bytes());
+    Ok(hasher.finish_hex())
+}
+
+/// SHA-256 of a dataset's CSV text ([`epc_model::csv::to_csv`]), streamed
+/// into the hasher instead of rendered: the input hash journals and
+/// generation manifests record.
+pub(crate) fn csv_hash(dataset: &Dataset) -> Result<String, IndiceError> {
+    let mut hasher = Sha256::new();
+    dur(write_csv(dataset, &mut hasher), "hashing the input")?;
+    Ok(hasher.finish_hex())
 }
 
 /// Validates journal entries against the expected stage sequence and the
@@ -371,7 +391,7 @@ pub(crate) fn run_durable_inner<'a>(
 
     let config_fp =
         config_fingerprint(&ctx.config, ctx.stakeholder, ctx.street_map, ctx.hierarchy)?;
-    let input_hash = hash_hex(to_csv(ctx.dataset).as_bytes());
+    let input_hash = csv_hash(ctx.dataset)?;
 
     let journal = Journal::at(run_dir);
     let loaded = dur(
@@ -537,4 +557,52 @@ pub(crate) fn run_durable_inner<'a>(
         resume_rejection,
         recovered_torn_tail,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use epc_journal::hash_hex;
+    use epc_synth::city::{CityConfig, CityPlan};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The streamed fingerprint hashes the bytes the one-string
+        /// `format!` version hashed.
+        #[test]
+        fn streamed_fingerprint_equals_the_formatted_one(
+            seed in 0u64..1000,
+            streets in 1usize..4,
+            houses in 1usize..6,
+            who in 0usize..3,
+            phi in 0.5f64..1.0,
+        ) {
+            let city = CityPlan::generate(CityConfig {
+                n_districts: 2,
+                neighbourhoods_per_district: 2,
+                streets_per_neighbourhood: streets,
+                houses_per_street: houses,
+                seed,
+                ..CityConfig::default()
+            });
+            let mut config = IndiceConfig::default();
+            config.cleaning.phi = phi;
+            let stakeholder = [
+                Stakeholder::PublicAdministration,
+                Stakeholder::Citizen,
+                Stakeholder::EnergyScientist,
+            ][who];
+            let streets = city.street_map.to_text().unwrap();
+            let regions = serde_json::to_string(&city.hierarchy).unwrap();
+            let expected =
+                hash_hex(format!("{config:?}|{stakeholder:?}|{streets}|{regions}").as_bytes());
+            prop_assert_eq!(
+                config_fingerprint(&config, stakeholder, &city.street_map, &city.hierarchy)
+                    .unwrap(),
+                expected
+            );
+        }
+    }
 }

@@ -26,7 +26,7 @@
 use crate::checkpoint;
 use crate::config::IndiceConfig;
 use crate::durable::{
-    config_fingerprint, stage_entry, stage_files, tear_checkpoint, CHECKPOINT_DIR,
+    config_fingerprint, csv_hash, stage_entry, stage_files, tear_checkpoint, CHECKPOINT_DIR,
 };
 use crate::error::IndiceError;
 use crate::pipeline::{
@@ -42,7 +42,6 @@ use epc_ingest::{
     GENESIS, GENS_DIR,
 };
 use epc_journal::{encode_lines, hash_hex, ArtifactRecord, MANIFEST_FILE};
-use epc_model::csv::to_csv;
 use epc_model::Dataset;
 use epc_query::stakeholder::Stakeholder;
 use epc_runtime::{PipelineReport, RuntimeConfig, StageReport};
@@ -331,8 +330,8 @@ pub fn ingest(
     )?;
     let batch_hashes: Vec<String> = batches
         .iter()
-        .map(|b| hash_hex(to_csv(&b.dataset).as_bytes()))
-        .collect();
+        .map(|b| csv_hash(&b.dataset))
+        .collect::<Result<_, _>>()?;
 
     // Load the sealed prefix; the hash chain must be intact before any
     // delta is folded.
@@ -502,10 +501,10 @@ pub fn ingest(
                     batch: batch.name.clone(),
                     batch_hash: batch_hashes[i].clone(),
                     config_fingerprint: config_fp.clone(),
-                    cumulative_input_hash: cumulative_raw
-                        .as_ref()
-                        .map(|d| hash_hex(to_csv(d).as_bytes()))
-                        .unwrap_or_else(|| hash_hex(b"")),
+                    cumulative_input_hash: match &cumulative_raw {
+                        Some(d) => csv_hash(d)?,
+                        None => hash_hex(b""),
+                    },
                     parent: parent.clone(),
                     outcome: GenerationOutcome::Abandoned,
                     reasons: vec![reason],
@@ -551,7 +550,7 @@ pub fn ingest(
                 let cum = cumulative_raw
                     .as_ref()
                     .ok_or_else(|| IndiceError::Internal("cumulative input missing".into()))?;
-                let cumulative_input_hash = hash_hex(to_csv(cum).as_bytes());
+                let cumulative_input_hash = csv_hash(cum)?;
 
                 // Rebuild the cumulative pipeline products — outliers and
                 // analytics are global, so they run over the merged data.

@@ -138,19 +138,18 @@ pub fn clean_phase(
         quarantine.push(record_key(&dataset, row), Some(row), fault);
     }
 
-    // Divert quarantined rows out of the pipeline; remember the original
-    // index of every surviving row so reports stay in input coordinates.
-    let (mut dataset, orig_of) = if bad_rows.is_empty() {
-        (dataset, (0..input_rows).collect::<Vec<usize>>())
-    } else {
-        let mask: Vec<bool> = (0..input_rows).map(|r| !bad_rows.contains(&r)).collect();
-        let orig_of: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &keep)| keep.then_some(i))
-            .collect();
-        (dataset.filter_mask(&mask)?, orig_of)
-    };
+    // Divert quarantined rows out of the pipeline, in place; remember the
+    // original index of every surviving row so reports stay in input
+    // coordinates.
+    let mask: Vec<bool> = (0..input_rows).map(|r| !bad_rows.contains(&r)).collect();
+    let orig_of: Vec<usize> = mask
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &keep)| keep.then_some(i))
+        .collect();
+    if !bad_rows.is_empty() {
+        dataset.retain_mask(&mask)?;
+    }
     if dataset.is_empty() {
         return Err(IndiceError::EmptyCollection("record validation"));
     }
@@ -279,7 +278,7 @@ fn record_key(dataset: &Dataset, row: usize) -> String {
 /// output (row indices relative to *this* input) plus the rows whose
 /// address stayed unresolved, when the configuration quarantines them.
 fn detect_and_remove_outliers(
-    dataset: Dataset,
+    mut dataset: Dataset,
     cleaning: CleaningReport,
     degraded_rows: Vec<usize>,
     unresolved_rows: Vec<usize>,
@@ -428,6 +427,10 @@ fn detect_and_remove_outliers(
         }
     }
 
+    // Filter in place. It runs even when nothing is flagged: the filter
+    // renumbers every dictionary in first-appearance order, dropping the
+    // dirty labels cleaning repaired away, and the checkpoint records
+    // that canonical form.
     let removed_rows: Vec<usize> = flagged.into_iter().collect();
     let mask: Vec<bool> = (0..dataset.n_rows())
         .map(|r| removed_rows.binary_search(&r).is_err())
@@ -437,7 +440,7 @@ fn detect_and_remove_outliers(
         .enumerate()
         .filter_map(|(i, &keep)| keep.then_some(i))
         .collect();
-    let dataset = dataset.filter_mask(&mask)?;
+    dataset.retain_mask(&mask)?;
     if dataset.is_empty() {
         return Err(IndiceError::EmptyCollection("outlier removal"));
     }
@@ -955,9 +958,8 @@ mod tests {
         let n = dataset.n_rows();
         (0..k)
             .map(|i| {
-                let (a, b) = (i * n / k, (i + 1) * n / k);
-                let mask: Vec<bool> = (0..n).map(|r| r >= a && r < b).collect();
-                dataset.filter_mask(&mask).unwrap()
+                let rows: Vec<usize> = (i * n / k..(i + 1) * n / k).collect();
+                dataset.select_rows(&rows).unwrap()
             })
             .collect()
     }
