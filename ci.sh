@@ -9,9 +9,10 @@
 #   (default: all, in order)
 #   bench = the perfbench smoke test, then one full-scale perfbench pass
 #   whose run trees must equal perfbench/golden.json.
-#   lint = the two-phase epc-lint audit: per-line rules D1-D6, then the
-#   call-graph taint rules D7-D9 (transitive panic / wall-clock / entropy
-#   reachability with witness chains), plus a --format json diff against
+#   lint = the two-phase epc-lint audit: per-line rules D1-D6 and D10
+#   (`unsafe` only in the SHA-NI module), then the call-graph taint rules
+#   D7-D9 (transitive panic / wall-clock / entropy reachability with
+#   witness chains), plus a --format json diff against
 #   tests/golden/lint_report.json.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -34,7 +35,7 @@ tree_hash() {
 }
 
 if want lint; then
-  echo "== epc-lint: two-phase audit (line rules D1-D6, graph rules D7-D9) =="
+  echo "== epc-lint: two-phase audit (line rules D1-D6 + D10, graph rules D7-D9) =="
   cargo run -q --release -p epc-lint --offline
 
   echo "== epc-lint: json report vs checked-in expectation =="
@@ -223,7 +224,7 @@ if want obs; then
   done
   # Everything but the wall-time-derived fields must reproduce exactly.
   normalise_bench() {
-    sed -E 's/"(wall_ms|total_wall_ms)": [0-9]+/"\1": 0/g;
+    sed -E 's/"(wall_ms|total_wall_ms|load_ms|input_hash_ms)": [0-9]+/"\1": 0/g;
             s/"records_per_sec": [0-9.]+/"records_per_sec": 0/g' "$1"
   }
   if [ "$(normalise_bench "$OBS_DIR/bench1.json")" != \

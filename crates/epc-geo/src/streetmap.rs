@@ -70,15 +70,20 @@ impl StreetMap {
     /// Adds one entry.
     pub fn insert(&mut self, entry: StreetEntry) {
         let key = normalize_street(&entry.street);
+        self.insert_keyed(&key, entry);
+    }
+
+    /// Adds one entry whose street normalises to `key`.
+    fn insert_keyed(&mut self, key: &str, entry: StreetEntry) {
         let idx = self.entries.len();
         self.entries.push(entry);
-        match self.by_street.get_mut(&key) {
+        match self.by_street.get_mut(key) {
             Some(v) => v.push(idx),
             None => {
-                self.by_street.insert(key.clone(), vec![idx]);
+                self.by_street.insert(key.to_owned(), vec![idx]);
                 let n_len = key.chars().count();
                 self.longest_name = self.longest_name.max(n_len);
-                self.street_names.push((key, n_len));
+                self.street_names.push((key.to_owned(), n_len));
             }
         }
     }
@@ -256,6 +261,12 @@ impl StreetMap {
     }
 
     /// Parses the [`StreetMap::to_text`] format.
+    ///
+    /// A map lists a street's civic numbers on consecutive lines, so the
+    /// street name is normalised once per run of equal raw names.
+    /// [`normalize_street`] is a pure function, so reusing its result for
+    /// an equal name gives the map [`StreetMap::insert`] builds entry by
+    /// entry.
     pub fn from_text(text: &str) -> Result<StreetMap, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty street map file")?;
@@ -263,6 +274,8 @@ impl StreetMap {
             return Err(format!("unexpected header {header:?}"));
         }
         let mut map = StreetMap::new();
+        // The raw street name of the previous entry and its normal form.
+        let mut run: Option<(&str, String)> = None;
         for (i, line) in lines.enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -289,14 +302,22 @@ impl StreetMap {
                     i + 2
                 ));
             }
-            map.insert(StreetEntry {
-                street: (*street).to_owned(),
-                house_number: (*house_number).to_owned(),
-                zip: (*zip).to_owned(),
-                point: GeoPoint::new(lat, lon),
-                district: (*district).to_owned(),
-                neighbourhood: (*neighbourhood).to_owned(),
-            });
+            let key = match run.take() {
+                Some((raw, key)) if raw == *street => key,
+                _ => normalize_street(street),
+            };
+            map.insert_keyed(
+                &key,
+                StreetEntry {
+                    street: (*street).to_owned(),
+                    house_number: (*house_number).to_owned(),
+                    zip: (*zip).to_owned(),
+                    point: GeoPoint::new(lat, lon),
+                    district: (*district).to_owned(),
+                    neighbourhood: (*neighbourhood).to_owned(),
+                },
+            );
+            run = Some((street, key));
         }
         Ok(map)
     }
@@ -567,6 +588,161 @@ mod tests {
             "street;house_number;zip;lat;lon;district;neighbourhood\nVia Roma;1;10121;945.0;7.6;D;N\n",
         );
         assert!(out_of_range.unwrap_err().contains("line 2"));
+    }
+
+    /// `StreetMap::from_text` as it was before the run memo: every entry
+    /// goes through `insert`, which normalises its street name.
+    fn oracle_from_text(text: &str) -> Result<StreetMap, String> {
+        let mut lines = text.lines();
+        let header = lines.next().ok_or("empty street map file")?;
+        if !header.starts_with("street;") {
+            return Err(format!("unexpected header {header:?}"));
+        }
+        let mut map = StreetMap::new();
+        for (i, line) in lines.enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let parts: Vec<&str> = line.split(';').collect();
+            let [street, house_number, zip, lat_s, lon_s, district, neighbourhood] =
+                parts.as_slice()
+            else {
+                return Err(format!(
+                    "line {}: expected 7 fields, got {}",
+                    i + 2,
+                    parts.len()
+                ));
+            };
+            let lat: f64 = lat_s
+                .parse()
+                .map_err(|e| format!("line {}: bad latitude: {e}", i + 2))?;
+            let lon: f64 = lon_s
+                .parse()
+                .map_err(|e| format!("line {}: bad longitude: {e}", i + 2))?;
+            if !((-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon)) {
+                return Err(format!(
+                    "line {}: coordinates ({lat}, {lon}) out of range",
+                    i + 2
+                ));
+            }
+            map.insert(StreetEntry {
+                street: (*street).to_owned(),
+                house_number: (*house_number).to_owned(),
+                zip: (*zip).to_owned(),
+                point: GeoPoint::new(lat, lon),
+                district: (*district).to_owned(),
+                neighbourhood: (*neighbourhood).to_owned(),
+            });
+        }
+        Ok(map)
+    }
+
+    /// Raw spellings: several normalise equal (`Via Roma`, `V. Roma`,
+    /// `VIA  ROMA`), one normalises to nothing, one is an accented twin.
+    const STREETS: [&str; 10] = [
+        "Via Roma",
+        "V. Roma",
+        "VIA  ROMA",
+        "Corso Francia",
+        "C.so Francia",
+        "Piazza Castello",
+        "P.za Castello",
+        "Via Pò",
+        "Via Po",
+        "...",
+    ];
+
+    /// What follows a street name on its line: four good entries, then
+    /// the faults `from_text` reports — too few fields (`\r\n` ends the
+    /// line, so the last leaves the street alone), a bad and an
+    /// out-of-range coordinate.
+    const TAILS: [&str; 8] = [
+        ";1;10121;45.07;7.68;D1;N1",
+        ";3;10121;45.0701;7.6801;D1;N2",
+        ";12/B;10124;-0;7.6;D2;N1",
+        ";5;10122;45.07;7.68;D1;N1",
+        ";5;10122;45.07;7.68",
+        ";5;10122;abc;7.68;D1;N1",
+        ";5;10122;45.07;190;D1;N1",
+        "\r",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn from_text_equals_the_per_entry_insert_loop(
+            runs in proptest::collection::vec((0usize..STREETS.len(), 1usize..4), 0..10),
+            tails in proptest::collection::vec(0usize..TAILS.len() + 60, 30),
+            blank in 0usize..40,
+        ) {
+            // Runs of one raw street, interleaved with others; most lines
+            // are good, a few carry a fault, and one blank line may follow
+            // any of them.
+            let mut text = String::from("street;house_number;zip;lat;lon;district;neighbourhood\n");
+            let mut tails = tails.iter().cycle();
+            let mut line = 0;
+            for &(street, len) in &runs {
+                for _ in 0..len {
+                    let tail = tails.next().copied().unwrap_or(0);
+                    text.push_str(STREETS[street]);
+                    text.push_str(TAILS.get(tail).unwrap_or(&TAILS[tail % 4]));
+                    text.push('\n');
+                    line += 1;
+                    if line == blank {
+                        text.push_str("  \n");
+                    }
+                }
+            }
+            match (StreetMap::from_text(&text), oracle_from_text(&text)) {
+                (Ok(map), Ok(oracle)) => {
+                    proptest::prop_assert_eq!(&map.entries, &oracle.entries);
+                    proptest::prop_assert_eq!(&map.by_street, &oracle.by_street);
+                    proptest::prop_assert_eq!(&map.street_names, &oracle.street_names);
+                    proptest::prop_assert_eq!(map.longest_name, oracle.longest_name);
+                }
+                (Err(e), Err(oracle)) => proptest::prop_assert_eq!(e, oracle),
+                (map, oracle) => proptest::prop_assert!(
+                    false,
+                    "text {:?}: from_text {:?}, oracle {:?}",
+                    text,
+                    map.map(|m| m.len()),
+                    oracle.map(|m| m.len())
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn from_text_keeps_its_error_messages() {
+        let header = "street;house_number;zip;lat;lon;district;neighbourhood\n";
+        for (body, expected) in [
+            ("Via Roma;1\n", "line 2: expected 7 fields, got 2"),
+            (
+                "Via Roma;1;1;45;7;D;N\nVia Roma;1;1;x;7;D;N\n",
+                "line 3: bad latitude: invalid float literal",
+            ),
+            (
+                "Via Roma;1;1;45;7;D;N\n\nV. Roma;1;1;45;y;D;N\n",
+                "line 4: bad longitude: invalid float literal",
+            ),
+            (
+                "Via Roma;1;1;45;-181;D;N\n",
+                "line 2: coordinates (45, -181) out of range",
+            ),
+        ] {
+            let text = format!("{header}{body}");
+            assert_eq!(StreetMap::from_text(&text).unwrap_err(), expected);
+            assert_eq!(oracle_from_text(&text).unwrap_err(), expected);
+        }
+        assert_eq!(
+            StreetMap::from_text("").unwrap_err(),
+            "empty street map file"
+        );
+        assert_eq!(
+            StreetMap::from_text("wrong header\n").unwrap_err(),
+            "unexpected header \"wrong header\""
+        );
     }
 
     #[test]

@@ -4,9 +4,14 @@
 //! implemented here rather than pulled in. [`Sha256`] is the incremental
 //! hasher (it is an [`std::io::Write`] sink, so a writer can stream text
 //! into it without materializing it); [`hash_hex`] is its one-shot
-//! wrapper. Both run the one compression function below.
+//! wrapper. Both hand whole blocks to [`compress_blocks`], which runs them
+//! through the x86 SHA extensions when run-time detection finds them
+//! ([`ni`]) and through the scalar [`compress`] otherwise.
 
 use std::io;
+
+#[cfg(target_arch = "x86_64")]
+mod ni;
 
 /// Round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
@@ -26,6 +31,20 @@ const K: [u32; 64] = [
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
+
+/// Runs the compression function over each whole 64-byte block of
+/// `blocks`, in order; a shorter tail is not read.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if ni::compress_blocks(state, blocks) {
+        return;
+    }
+    for block in blocks.chunks_exact(64) {
+        if let Ok(block) = block.try_into() {
+            compress(state, block);
+        }
+    }
+}
 
 /// Runs the compression function over one 64-byte block. Written without
 /// index expressions (the hasher sits on the ingest path the panic audit
@@ -116,17 +135,12 @@ impl Sha256 {
             if self.filled < 64 {
                 return;
             }
-            compress(&mut self.state, &self.block);
+            compress_blocks(&mut self.state, &self.block);
             self.filled = 0;
             bytes = rest;
         }
-        let mut blocks = bytes.chunks_exact(64);
-        for block in &mut blocks {
-            if let Ok(block) = block.try_into() {
-                compress(&mut self.state, block);
-            }
-        }
-        let rest = blocks.remainder();
+        let (blocks, rest) = bytes.split_at(bytes.len() - bytes.len() % 64);
+        compress_blocks(&mut self.state, blocks);
         if let Some(dst) = self.block.get_mut(..rest.len()) {
             dst.copy_from_slice(rest);
         }
@@ -201,12 +215,49 @@ mod tests {
             .collect()
     }
 
+    /// Bytes that differ from block to block and with `seed`.
+    fn message(len: usize, seed: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| seed.wrapping_add((i * 31 + i / 64) as u8))
+            .collect()
+    }
+
+    #[test]
+    fn every_length_up_to_1024_gives_the_scalar_digest() {
+        for len in 0..=1024 {
+            let data = message(len, len as u8);
+            assert_eq!(hash_hex(&data), oracle_hash_hex(&data), "length {len}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    proptest! {
+        #[test]
+        fn ni_compress_blocks_equals_scalar_compress(
+            state in prop::collection::vec(0u32..=u32::MAX, 8),
+            len in 0usize..1100,
+            seed in 0u8..=255,
+        ) {
+            if !ni::available() {
+                return Ok(());
+            }
+            let data = message(len, seed);
+            let mut scalar: [u32; 8] = state.try_into().unwrap();
+            let mut fast = scalar;
+            for block in data.chunks_exact(64) {
+                compress(&mut scalar, block.try_into().unwrap());
+            }
+            prop_assert!(ni::compress_blocks(&mut fast, &data));
+            prop_assert_eq!(fast, scalar);
+        }
+    }
+
     proptest! {
         #[test]
         fn any_split_gives_the_one_shot_digest(
-            len in 0usize..300,
+            len in 0usize..1100,
             fill in 0u8..=255,
-            cuts in prop::collection::vec(0usize..300, 0..8),
+            cuts in prop::collection::vec(0usize..1100, 0..8),
         ) {
             let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add((i * 31) as u8)).collect();
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();

@@ -47,7 +47,7 @@ impl RuleScope {
 pub struct Config {
     /// Which files the auditor walks at all.
     pub include: Vec<String>,
-    /// One scope per rule; parsing fails unless all of D1–D9 are present,
+    /// One scope per rule; parsing fails unless all of D1–D10 are present,
     /// so a rule cannot be disabled by silently dropping its table.
     /// For the graph rules D7–D9, `scope` names the *root* files (entry
     /// points audited for reachability) and `exempt` names *trusted*
@@ -359,6 +359,10 @@ mod tests {
 
             [rules.D9]
             scope = ["crates/indice/src/**"]
+
+            [rules.D10]
+            scope = ["crates/**"]
+            exempt = ["crates/epc-journal/src/sha256/ni.rs"]
             "#,
         )
         .unwrap();
@@ -370,6 +374,9 @@ mod tests {
         assert!(!d2.applies_to("crates/bench/src/lib.rs"));
         let d5 = cfg.rule("D5").unwrap();
         assert!(!d5.applies_to("crates/indice-cli/src/main.rs"));
+        let d10 = cfg.rule("D10").unwrap();
+        assert!(d10.applies_to("crates/epc-journal/src/sha256.rs"));
+        assert!(!d10.applies_to("crates/epc-journal/src/sha256/ni.rs"));
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn run() -> Result<bool, String> {
                 println!(
                     "usage: epc-lint [--root <repo-root>] [--config <lint.toml>] [--format text|json]\n\n\
                      Audits the workspace sources in two phases: per-line rules\n\
-                     D1-D6, then call-graph taint rules D7-D9 (transitive panic,\n\
+                     D1-D6 and D10, then call-graph taint rules D7-D9 (transitive panic,\n\
                      wall-clock, and entropy reachability with witness chains),\n\
                      scoped by lint.toml. Exit 0 when clean, 1 on violations,\n\
                      2 on configuration errors."

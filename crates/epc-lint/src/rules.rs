@@ -1,4 +1,4 @@
-//! The nine repo-specific rules clippy cannot express.
+//! The ten repo-specific rules clippy cannot express.
 //!
 //! | id | invariant it protects |
 //! |----|----------------------|
@@ -11,10 +11,11 @@
 //! | D7 | no *transitive* panic reachability from the ingest entry points (call-graph closure of D4) |
 //! | D8 | no *transitive* wall-clock reach from chaos-hashed artifact code (call-graph closure of D2) |
 //! | D9 | no *transitive* OS-entropy RNG reach from result-producing code (call-graph closure of D1) |
+//! | D10 | no `unsafe` outside the one module `lint.toml` exempts (the SHA-NI hasher) |
 //!
-//! D1–D6 are *line rules*: they run over a single file's token stream
-//! here; tokens inside `#[cfg(test)] mod` blocks are exempt (see
-//! [`crate::scanner::test_block_mask`]). D7–D9 are *graph rules*: they
+//! D1–D6 and D10 are *line rules*: they run over a single file's token
+//! stream here; for D1–D6, tokens inside `#[cfg(test)] mod` blocks are
+//! exempt (see [`crate::scanner::test_block_mask`]). D7–D9 are *graph rules*: they
 //! share this module's primitive matchers ([`entropy_sites`],
 //! [`clock_sites`], [`panic_sites`]) as taint sources but propagate them
 //! over the whole-workspace call graph built in [`crate::graph`]. *Where*
@@ -24,10 +25,10 @@
 use crate::scanner::{Tok, TokKind};
 
 /// Every rule id, in severity-neutral display order.
-pub const RULE_IDS: [&str; 9] = ["D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9"];
+pub const RULE_IDS: [&str; 10] = ["D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10"];
 
 /// The per-file line rules (phase 1).
-pub const LINE_RULE_IDS: [&str; 6] = ["D1", "D2", "D3", "D4", "D5", "D6"];
+pub const LINE_RULE_IDS: [&str; 7] = ["D1", "D2", "D3", "D4", "D5", "D6", "D10"];
 
 /// The whole-workspace call-graph rules (phase 2, see [`crate::graph`]).
 pub const GRAPH_RULE_IDS: [&str; 3] = ["D7", "D8", "D9"];
@@ -35,7 +36,7 @@ pub const GRAPH_RULE_IDS: [&str; 3] = ["D7", "D8", "D9"];
 /// One rule hit inside a single file (path attached by the driver).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`"D1"`…`"D6"`, or `"allow"` for malformed directives).
+    /// Rule id (`"D1"`…`"D10"`, or `"allow"` for malformed directives).
     pub rule: String,
     /// 1-based line.
     pub line: u32,
@@ -207,8 +208,9 @@ pub fn panic_sites(toks: &[Tok], test_mask: &[bool]) -> Vec<Site> {
 }
 
 /// Runs line rule `rule_id` over a file's tokens. `test_mask[i]` exempts
-/// token `i` (inside a `#[cfg(test)]` module). Graph rules (D7–D9) never
-/// reach here — they need the whole workspace, see [`crate::graph`].
+/// token `i` (inside a `#[cfg(test)]` module) from D1–D6. Graph rules
+/// (D7–D9) never reach here — they need the whole workspace, see
+/// [`crate::graph`].
 pub fn check(rule_id: &str, toks: &[Tok], test_mask: &[bool]) -> Vec<Violation> {
     // Indices of code tokens outside test modules, in order.
     let code: Vec<usize> = code_indices(toks, test_mask);
@@ -327,6 +329,18 @@ pub fn check(rule_id: &str, toks: &[Tok], test_mask: &[bool]) -> Vec<Violation> 
                         ),
                     );
                 }
+            }
+        }
+        "D10" => {
+            // Test modules included: `unsafe` in a test is unsafe code too.
+            for tok in toks.iter().filter(|t| t.is_ident("unsafe")) {
+                push(
+                    tok.line,
+                    "`unsafe` outside the module lint.toml exempts from D10: the \
+                     workspace keeps its unsafe code in one reviewed place, the \
+                     SHA-NI compression function — write this in safe Rust"
+                        .to_string(),
+                );
             }
         }
         other => {
@@ -472,6 +486,29 @@ mod tests {
                    fs::create_dir_all(p)?;\n\
                    fs::read_to_string(p)\n}";
         assert!(run("D6", src).is_empty(), "{:?}", run("D6", src));
+    }
+
+    #[test]
+    fn d10_flags_unsafe_blocks_functions_and_impls() {
+        let src = "fn f(p: *const u8) -> u8 {\n\
+                   unsafe { *p }\n}\n\
+                   unsafe fn g() {}\n\
+                   unsafe impl Send for S {}\n\
+                   #[cfg(test)]\nmod tests {\n fn t() { unsafe { g() } }\n}";
+        let lines: Vec<u32> = run("D10", src).iter().map(|h| h.line).collect();
+        assert_eq!(lines, vec![2, 4, 5, 8]);
+    }
+
+    #[test]
+    fn d10_ignores_comments_strings_and_longer_identifiers() {
+        let src = "#![forbid(unsafe_code)]\n\
+                   // unsafe { in a comment }\n\
+                   /* unsafe fn in a block comment */\n\
+                   let s = \"unsafe { }\";\n\
+                   let r = r#\"unsafe\"#;\n\
+                   let unsafe_code = 1;\n\
+                   fn not_unsafe() {}";
+        assert!(run("D10", src).is_empty(), "{:?}", run("D10", src));
     }
 
     #[test]

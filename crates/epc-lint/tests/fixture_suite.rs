@@ -49,10 +49,12 @@ fn bad_fixtures_produce_exact_diagnostics() {
             expect("rng.rs", 5, "D1"),
             expect("rng.rs", 6, "D1"),
             expect("rng.rs", 7, "D1"),
+            expect("unsafe_code.rs", 3, "D10"),
+            expect("unsafe_code.rs", 5, "D10"),
         ],
     );
     assert!(!report.clean());
-    assert_eq!(report.files_scanned, 7);
+    assert_eq!(report.files_scanned, 8);
 }
 
 #[test]
@@ -110,6 +112,8 @@ fn scope_globs_resolve_as_documented() {
     assert_eq!(count("D5"), 0);
     // D6's scope matches nothing under bad/.
     assert_eq!(count("D6"), 0);
+    // D10 scoped to bad/unsafe_code.rs and exempted from it again.
+    assert_eq!(count("D10"), 0);
     // Malformed allow directives fire regardless of rule scoping.
     assert_eq!(count("allow"), 2);
     assert_eq!(report.diagnostics.len(), 11);

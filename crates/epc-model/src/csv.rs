@@ -12,11 +12,10 @@
 //! fault-tolerant pipeline.
 
 use crate::attribute::AttrId;
-use crate::dataset::{ColumnData, Dataset, Record};
+use crate::dataset::{Cell, ColumnData, Dataset};
 use crate::error::ModelError;
 use crate::fault::{Quarantine, RecordFault};
 use crate::schema::Schema;
-use crate::value::Value;
 use std::fmt::Write as _;
 use std::io;
 use std::sync::Arc;
@@ -109,7 +108,7 @@ fn push_field(out: &mut String, field: &str) {
 /// Parses a CSV document into a dataset over `schema`.
 ///
 /// The header must list exactly the schema's attribute names in schema
-/// order. Empty fields become [`Value::Missing`]; fields of numeric columns
+/// order. Empty fields become [`crate::Value::Missing`]; fields of numeric columns
 /// that fail to parse as `f64` are an error.
 pub fn from_csv(schema: Arc<Schema>, text: &str) -> Result<Dataset, ModelError> {
     read_csv(schema, text, None)
@@ -129,23 +128,33 @@ pub fn from_csv_lenient(
 }
 
 /// Shared reader: strict when `quarantine` is `None`, lenient otherwise.
+///
+/// One pass over `text` that copies no record and no field: [`Records`]
+/// yields each logical record as a slice of `text`, a record without `"`
+/// splits on `,` into slices, and [`Dataset::push_cells`] interns labels
+/// straight from them. A record that holds a `"` goes through
+/// [`parse_record`] instead. Errors name the physical line (1-based,
+/// counting `\n`) where the record starts.
 fn read_csv(
     schema: Arc<Schema>,
     text: &str,
     mut quarantine: Option<&mut Quarantine>,
 ) -> Result<Dataset, ModelError> {
-    let mut lines = split_records(text);
-    let header = lines.next().ok_or(ModelError::Csv {
+    let mut records = Records {
+        rest: text,
+        line: 1,
+    };
+    let header = records.next().ok_or(ModelError::Csv {
         line: 1,
         reason: "empty document".into(),
     })?;
-    let header_fields = parse_record(&header, 1)?;
+    let header_fields = parse_record(header.text, header.line)?;
     let expected: Vec<&str> = schema.iter().map(|(_, d)| d.name.as_str()).collect();
     if header_fields.len() != expected.len()
         || header_fields.iter().zip(&expected).any(|(a, b)| a != b)
     {
         return Err(ModelError::Csv {
-            line: 1,
+            line: header.line,
             reason: format!(
                 "header does not match schema (got {} fields, expected {})",
                 header_fields.len(),
@@ -155,80 +164,140 @@ fn read_csv(
     }
 
     let mut ds = Dataset::new(schema);
-    for (idx, raw) in lines.enumerate() {
-        let line_no = idx + 2;
-        if raw.trim().is_empty() {
+    let mut fields: Vec<&str> = Vec::new();
+    let mut cells: Vec<Cell<'_>> = Vec::new();
+    let mut last = vec![None; ds.n_cols()];
+    for record in records {
+        if record.text.trim().is_empty() {
             continue;
         }
-        match parse_row(&ds, &raw, line_no) {
-            Ok(record) => ds.push_record(record)?,
-            Err(e) => match (&mut quarantine, e) {
-                (Some(q), ModelError::Csv { line, reason }) => {
-                    q.push(
-                        format!("line:{line}"),
-                        None,
-                        RecordFault::CsvParse { line, reason },
-                    );
-                }
-                (_, e) => return Err(e),
-            },
+        let pushed = if record.quoted {
+            parse_record(record.text, record.line).and_then(|owned| {
+                let fields: Vec<&str> = owned.iter().map(String::as_str).collect();
+                let mut cells = Vec::new();
+                parse_cells(ds.schema(), &fields, record.line, &mut cells)?;
+                ds.push_cells(&cells, &mut last)
+            })
+        } else {
+            fields.clear();
+            fields.extend(record.text.split(','));
+            parse_cells(ds.schema(), &fields, record.line, &mut cells)
+                .and_then(|()| ds.push_cells(&cells, &mut last))
+        };
+        match (pushed, &mut quarantine) {
+            (Ok(()), _) => {}
+            (Err(ModelError::Csv { line, reason }), Some(q)) => {
+                q.push(
+                    format!("line:{line}"),
+                    None,
+                    RecordFault::CsvParse { line, reason },
+                );
+            }
+            (Err(e), _) => return Err(e),
         }
     }
     Ok(ds)
 }
 
-/// Parses one data row against the dataset's schema.
-fn parse_row(ds: &Dataset, raw: &str, line_no: usize) -> Result<Record, ModelError> {
-    let fields = parse_record(raw, line_no)?;
-    if fields.len() != ds.n_cols() {
+/// Parses one data row's fields against `schema` into `cells` (cleared
+/// first): an empty field is missing, a numeric column's field an `f64`,
+/// a categorical column's field its label. Fails on the field count, then
+/// on the first bad number in column order.
+fn parse_cells<'f>(
+    schema: &Schema,
+    fields: &[&'f str],
+    line: usize,
+    cells: &mut Vec<Cell<'f>>,
+) -> Result<(), ModelError> {
+    if fields.len() != schema.len() {
         return Err(ModelError::Csv {
-            line: line_no,
-            reason: format!("expected {} fields, got {}", ds.n_cols(), fields.len()),
+            line,
+            reason: format!("expected {} fields, got {}", schema.len(), fields.len()),
         });
     }
-    let mut values = Vec::with_capacity(fields.len());
-    for (field, (_, def)) in fields.into_iter().zip(ds.schema().iter()) {
-        let value = if field.is_empty() {
-            Value::Missing
+    cells.clear();
+    for (&field, (_, def)) in fields.iter().zip(schema.iter()) {
+        let cell = if field.is_empty() {
+            Cell::Missing
         } else if def.kind.is_numeric() {
-            let x: f64 = field.parse().map_err(|_| ModelError::Csv {
-                line: line_no,
+            Cell::Num(field.parse().map_err(|_| ModelError::Csv {
+                line,
                 reason: format!("invalid number {field:?} for attribute {}", def.name),
-            })?;
-            Value::Num(x)
+            })?)
         } else {
-            Value::Cat(field)
+            Cell::Cat(field)
         };
-        values.push(value);
+        cells.push(cell);
     }
-    Ok(Record::from_values(values))
+    Ok(())
 }
 
-/// Splits a CSV document into logical records, honouring quoted newlines.
-fn split_records(text: &str) -> impl Iterator<Item = String> + '_ {
-    let mut records = Vec::new();
-    let mut current = String::new();
-    let mut in_quotes = false;
-    for ch in text.chars() {
-        match ch {
-            '"' => {
-                in_quotes = !in_quotes;
-                current.push(ch);
-            }
-            '\n' if !in_quotes => {
-                // trailing \r from CRLF files
-                if current.ends_with('\r') {
-                    current.pop();
-                }
-                records.push(std::mem::take(&mut current));
-            }
-            _ => current.push(ch),
+/// One logical record: a slice of the document.
+struct RawRecord<'a> {
+    /// Physical line (1-based) the record starts on.
+    line: usize,
+    /// The record without its terminating `\n` and one `\r` before it.
+    text: &'a str,
+    /// Whether the record holds a `"`.
+    quoted: bool,
+}
+
+/// Splits a CSV document into logical records, honouring quoted newlines:
+/// a record ends at the first `\n` after an even number of `"`. One `\r`
+/// before that `\n` is dropped (CRLF files); a last record with no `\n`
+/// keeps everything, a final `\r` included. `"`, `\r` and `\n` are ASCII,
+/// so every offset found here is a char boundary.
+struct Records<'a> {
+    /// The document after the records already yielded.
+    rest: &'a str,
+    /// Physical line of the next record.
+    line: usize,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = RawRecord<'a>;
+
+    fn next(&mut self) -> Option<RawRecord<'a>> {
+        let rest = self.rest;
+        if rest.is_empty() {
+            return None;
         }
+        let line = self.line;
+        // Fast path: the next `\n` ends the record unless a `"` precedes it.
+        let newline = rest.find('\n');
+        let head = newline.and_then(|at| rest.get(..at)).unwrap_or(rest);
+        let (end, quoted) = if head.contains('"') {
+            let mut in_quotes = false;
+            let mut end = None;
+            for (at, byte) in rest.bytes().enumerate() {
+                match byte {
+                    b'"' => in_quotes = !in_quotes,
+                    b'\n' if in_quotes => self.line += 1,
+                    b'\n' => {
+                        end = Some(at);
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            (end, true)
+        } else {
+            (newline, false)
+        };
+        let text = match end {
+            Some(at) => {
+                self.rest = rest.get(at + 1..).unwrap_or_default();
+                self.line += 1;
+                let body = rest.get(..at).unwrap_or_default();
+                body.strip_suffix('\r').unwrap_or(body)
+            }
+            None => {
+                self.rest = "";
+                rest
+            }
+        };
+        Some(RawRecord { line, text, quoted })
     }
-    if !current.is_empty() {
-        records.push(current);
-    }
-    records.into_iter()
 }
 
 /// Parses one logical record into fields, handling quotes.
@@ -273,6 +342,7 @@ fn parse_record(line: &str, line_no: usize) -> Result<Vec<String>, ModelError> {
 mod tests {
     use super::*;
     use crate::attribute::{AttrId, AttributeDef};
+    use crate::value::Value;
 
     fn schema() -> Arc<Schema> {
         Arc::new(
@@ -385,6 +455,28 @@ mod tests {
             .records()
             .iter()
             .any(|r| matches!(&r.fault, RecordFault::CsvParse { line: 3, reason } if reason.contains("not_a_number"))));
+    }
+
+    #[test]
+    fn errors_name_the_physical_line_a_record_starts_on() {
+        // The quoted label spans lines 2-3, so `bad,row` is on line 4.
+        let text = "x,name\n1,\"two\nlines\"\nbad,row\n";
+        let reason = "invalid number \"bad\" for attribute x".to_owned();
+        assert_eq!(
+            from_csv(schema(), text).unwrap_err(),
+            ModelError::Csv {
+                line: 4,
+                reason: reason.clone()
+            }
+        );
+        let mut q = Quarantine::new();
+        let ds = from_csv_lenient(schema(), text, &mut q).unwrap();
+        assert_eq!(ds.cat(0, AttrId(1)), Some("two\nlines"));
+        let [record] = q.records() else {
+            panic!("expected one quarantined record, got {:?}", q.records());
+        };
+        assert_eq!(record.key, "line:4");
+        assert_eq!(record.fault, RecordFault::CsvParse { line: 4, reason });
     }
 
     #[test]

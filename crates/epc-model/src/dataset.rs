@@ -294,29 +294,42 @@ impl Column {
         }
     }
 
-    fn push(&mut self, value: Value, attr_name: &str) -> Result<(), ModelError> {
-        match (&mut self.data, value) {
-            (ColumnData::Numeric(v), Value::Num(x)) => v.push(Some(x)),
-            (ColumnData::Numeric(v), Value::Missing) => {
+    /// Appends one cell. A label equal to the label of `*last` (the code
+    /// this column received last) reuses that code without a dictionary
+    /// lookup; dictionary labels are distinct, so it is the code
+    /// [`CatColumn::intern`] would return.
+    fn push_cell(
+        &mut self,
+        cell: Cell<'_>,
+        last: &mut Option<u32>,
+        attr_name: &str,
+    ) -> Result<(), ModelError> {
+        match (&mut self.data, cell) {
+            (ColumnData::Numeric(v), Cell::Num(x)) => v.push(Some(x)),
+            (ColumnData::Numeric(v), Cell::Missing) => {
                 v.push(None);
                 self.missing += 1;
             }
-            (ColumnData::Categorical(c), Value::Cat(s)) => {
-                let code = c.intern(&s);
+            (ColumnData::Categorical(c), Cell::Cat(label)) => {
+                let code = match *last {
+                    Some(code) if c.label(code) == Some(label) => code,
+                    _ => c.intern(label),
+                };
+                *last = Some(code);
                 c.codes.push(Some(code));
             }
-            (ColumnData::Categorical(c), Value::Missing) => {
+            (ColumnData::Categorical(c), Cell::Missing) => {
                 c.codes.push(None);
                 self.missing += 1;
             }
-            (_, v) => {
+            (_, cell) => {
                 return Err(ModelError::KindMismatch {
                     attribute: attr_name.to_owned(),
                     expected: match self.data {
                         ColumnData::Numeric(_) => "numeric",
                         ColumnData::Categorical(_) => "categorical",
                     },
-                    got: v.kind_name(),
+                    got: cell.kind_name(),
                 })
             }
         }
@@ -367,6 +380,25 @@ impl Column {
             _ => {}
         }
         Ok(())
+    }
+}
+
+/// One cell to push: what [`Value`] holds, with the label borrowed instead
+/// of owned (from a CSV document, or from a [`Record`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Cell<'a> {
+    Missing,
+    Num(f64),
+    Cat(&'a str),
+}
+
+impl Cell<'_> {
+    fn kind_name(&self) -> &'static str {
+        match self {
+            Cell::Missing => "missing",
+            Cell::Num(_) => "numeric",
+            Cell::Cat(_) => "categorical",
+        }
     }
 }
 
@@ -522,36 +554,57 @@ impl Dataset {
 
     /// Appends one record, validating arity and value kinds.
     pub fn push_record(&mut self, record: Record) -> Result<(), ModelError> {
-        if record.arity() != self.schema.len() {
+        let cells: Vec<Cell<'_>> = record
+            .values
+            .iter()
+            .map(|value| match value {
+                Value::Missing => Cell::Missing,
+                Value::Num(x) => Cell::Num(*x),
+                Value::Cat(label) => Cell::Cat(label),
+            })
+            .collect();
+        self.push_cells(&cells, &mut vec![None; self.columns.len()])
+    }
+
+    /// Appends one row of cells, validating arity and cell kinds first so
+    /// that a failed push leaves every column at the same length. `last`
+    /// holds one slot per column, the code that column last received
+    /// through this call (see [`Column::push_cell`]); the caller starts it
+    /// all `None`.
+    pub(crate) fn push_cells(
+        &mut self,
+        cells: &[Cell<'_>],
+        last: &mut [Option<u32>],
+    ) -> Result<(), ModelError> {
+        if cells.len() != self.schema.len() || last.len() != self.schema.len() {
             return Err(ModelError::ArityMismatch {
                 expected: self.schema.len(),
-                got: record.arity(),
+                got: cells.len(),
             });
         }
-        // Validate every value kind before touching any column, so a failed
-        // push leaves all columns at the same length.
-        for (value, (_, def)) in record.values.iter().zip(self.schema.iter()) {
+        for (cell, (_, def)) in cells.iter().zip(self.schema.iter()) {
             let ok = matches!(
-                (value, &def.kind),
-                (Value::Missing, _)
-                    | (Value::Num(_), AttrKind::Numeric { .. })
-                    | (Value::Cat(_), AttrKind::Categorical)
+                (cell, &def.kind),
+                (Cell::Missing, _)
+                    | (Cell::Num(_), AttrKind::Numeric { .. })
+                    | (Cell::Cat(_), AttrKind::Categorical)
             );
             if !ok {
                 return Err(ModelError::KindMismatch {
                     attribute: def.name.clone(),
                     expected: def.kind.name(),
-                    got: value.kind_name(),
+                    got: cell.kind_name(),
                 });
             }
         }
-        for ((col, value), (_, def)) in self
+        for (((col, cell), last), (_, def)) in self
             .columns
             .iter_mut()
-            .zip(record.into_values())
+            .zip(cells)
+            .zip(last.iter_mut())
             .zip(self.schema.iter())
         {
-            col.push(value, &def.name)?;
+            col.push_cell(*cell, last, &def.name)?;
         }
         self.n_rows += 1;
         debug_assert!(self.columns.iter().all(|c| c.len() == self.n_rows));

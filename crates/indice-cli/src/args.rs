@@ -280,7 +280,10 @@ explicit \"unavailable\" panels).
 `bench` generates a synthetic collection in memory, runs the full
 observed pipeline at each `--records` size, and writes a benchmark
 snapshot (per-stage wall milliseconds and records/sec, peak shard
-imbalance) to `--out`. With `--engines row,columnar` every size runs
+imbalance) to `--out`. Before each size's runs it renders the collection
+to CSV and times reading it back and hashing it as a durable run does
+(`csv_bytes`, `load_ms`, `input_hash_ms`); the command fails unless the
+text reads back to the same bytes. With `--engines row,columnar` every size runs
 once per engine; the snapshot carries the side-by-side numbers and the
 command fails if the engines' outputs are not identical.
 

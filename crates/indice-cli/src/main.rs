@@ -609,10 +609,8 @@ struct BenchRun {
     records_per_sec: f64,
 }
 
-/// Runs the observed pipeline once for `engine` at `records` and formats
-/// its per-stage snapshot block.
-fn bench_one(records: usize, seed: u64, engine: epc_runtime::Engine) -> Result<BenchRun, String> {
-    let runtime = epc_runtime::RuntimeConfig::try_from_env()?.with_engine(engine);
+/// The synthetic collection `bench` measures at `records`.
+fn bench_collection(records: usize, seed: u64) -> epc_synth::SyntheticCollection {
     let mut collection = EpcGenerator::new(SynthConfig {
         n_records: records,
         seed,
@@ -620,7 +618,58 @@ fn bench_one(records: usize, seed: u64, engine: epc_runtime::Engine) -> Result<B
     })
     .generate();
     apply_noise(&mut collection, &NoiseConfig::default());
+    collection
+}
 
+/// What loading and identifying one size's input costs.
+struct LoadRun {
+    csv_bytes: usize,
+    load_ms: u64,
+    input_hash_ms: u64,
+}
+
+/// Renders the collection at `records` to CSV (untimed), then times the
+/// lenient reader `indice run` loads it with and the streamed SHA-256 a
+/// durable run identifies its input by. Fails unless every row parses and
+/// the parsed dataset re-renders to the same bytes (equal digests). The
+/// text and the dataset are dropped before it returns.
+fn bench_load(records: usize, seed: u64) -> Result<LoadRun, String> {
+    use epc_runtime::Clock;
+    let text = epc_model::csv::to_csv(&bench_collection(records, seed).dataset);
+    let clock = epc_runtime::WallClock::new();
+    let mut quarantine = Quarantine::new();
+    let start = clock.now_ms();
+    let dataset = epc_model::csv::from_csv_lenient(
+        epc_model::schema::standard_epc_schema(),
+        &text,
+        &mut quarantine,
+    )
+    .map_err(|e| format!("bench: reading back the {records}-record CSV: {e}"))?;
+    let loaded = clock.now_ms();
+    let mut hasher = epc_journal::Sha256::new();
+    epc_model::csv::write_csv(&dataset, &mut hasher)
+        .map_err(|e| format!("bench: hashing the {records}-record input: {e}"))?;
+    let input_hash = hasher.finish_hex();
+    let hashed = clock.now_ms();
+    if !quarantine.is_empty() || input_hash != epc_journal::hash_hex(text.as_bytes()) {
+        return Err(format!(
+            "bench: the {records}-record CSV does not read back to the same bytes \
+             ({} rows quarantined)",
+            quarantine.len()
+        ));
+    }
+    Ok(LoadRun {
+        csv_bytes: text.len(),
+        load_ms: loaded - start,
+        input_hash_ms: hashed - loaded,
+    })
+}
+
+/// Runs the observed pipeline once for `engine` at `records` and formats
+/// its per-stage snapshot block.
+fn bench_one(records: usize, seed: u64, engine: epc_runtime::Engine) -> Result<BenchRun, String> {
+    let runtime = epc_runtime::RuntimeConfig::try_from_env()?.with_engine(engine);
+    let collection = bench_collection(records, seed);
     let indice = Indice::from_collection(collection, IndiceConfig::default()).with_runtime(runtime);
     let clock = epc_runtime::WallClock::new();
     let obs = epc_obs::Obs::new(&clock);
@@ -713,7 +762,8 @@ fn bench_one(records: usize, seed: u64, engine: epc_runtime::Engine) -> Result<B
 }
 
 /// Runs the full observed pipeline over in-memory synthetic collections —
-/// once per (size, engine) pair — and writes an indice-bench/2 snapshot.
+/// once per (size, engine) pair, after timing the load of that size's CSV
+/// ([`bench_load`]) — and writes an indice-bench/2 snapshot.
 /// With several engines, every pair of runs at the same size must produce
 /// an identical deterministic fingerprint and byte-identical artifacts;
 /// a divergence fails the command.
@@ -730,6 +780,11 @@ fn bench(
         if ri > 0 {
             runs.push_str(",\n");
         }
+        let load = bench_load(records, seed)?;
+        println!(
+            "bench: {records} records, {} CSV bytes, load {} ms, input hash {} ms",
+            load.csv_bytes, load.load_ms, load.input_hash_ms
+        );
         let mut blocks = String::new();
         let mut baseline: Option<BenchRun> = None;
         for (ei, &engine) in engines.iter().enumerate() {
@@ -763,7 +818,9 @@ fn bench(
             }
         }
         runs.push_str(&format!(
-            "    {{\n      \"records\": {records},\n      \"engines\": [\n{blocks}\n      ]\n    }}"
+            "    {{\n      \"records\": {records},\n      \"load\": {{\"csv_bytes\": {}, \
+             \"load_ms\": {}, \"input_hash_ms\": {}}},\n      \"engines\": [\n{blocks}\n      ]\n    }}",
+            load.csv_bytes, load.load_ms, load.input_hash_ms
         ));
     }
     let snapshot = format!(

@@ -211,6 +211,9 @@ fn bench_emits_snapshot_and_exits_by_outcome() {
         "\"schema\": \"indice-bench/2\"",
         "\"engines_match\": true",
         "\"records\": 500",
+        "\"load\": {\"csv_bytes\": ",
+        "\"load_ms\": ",
+        "\"input_hash_ms\": ",
         "\"engine\": \"row\"",
         "\"stages\": [",
         "\"name\": \"preprocess\"",

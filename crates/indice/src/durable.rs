@@ -605,4 +605,34 @@ mod tests {
             );
         }
     }
+
+    /// The input hash is blind to the sign of zero: `write_csv` prints
+    /// `-0.0` and `0.0` alike as `0`, so two inputs that differ only there
+    /// share one hash. Making input identity see the sign changes every
+    /// journal's `input_hash` — a declared format change (DESIGN.md,
+    /// "Loading and identity").
+    #[test]
+    fn input_hash_cannot_see_the_sign_of_zero() {
+        use epc_model::{AttrId, AttributeDef, Schema, Value};
+        let schema = std::sync::Arc::new(
+            Schema::new(vec![
+                AttributeDef::numeric("x", "", ""),
+                AttributeDef::categorical("name", ""),
+            ])
+            .unwrap(),
+        );
+        let with_zero = |zero: f64| {
+            let mut ds = Dataset::new(schema.clone());
+            let mut record = ds.empty_record();
+            record.set(AttrId(0), Value::num(zero)).unwrap();
+            record.set(AttrId(1), Value::cat("a")).unwrap();
+            ds.push_record(record).unwrap();
+            ds
+        };
+        let (negative, positive) = (with_zero(-0.0), with_zero(0.0));
+        let bits = |ds: &Dataset| ds.num(0, AttrId(0)).map(f64::to_bits);
+        assert_ne!(bits(&negative), bits(&positive));
+        assert_eq!(epc_model::csv::to_csv(&negative), "x,name\n0,a\n");
+        assert_eq!(csv_hash(&negative).unwrap(), csv_hash(&positive).unwrap());
+    }
 }
