@@ -13,8 +13,9 @@
 //!
 //! The scanner therefore understands line/block comments (nested), plain
 //! and raw string literals (`r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`), char
-//! literals vs. lifetimes, and numeric literals — just enough to never
-//! mis-tokenize real Rust from this workspace.
+//! literals vs. lifetimes (which get their own token kind), and numeric
+//! literals — just enough to never mis-tokenize real Rust from this
+//! workspace.
 
 /// The coarse token classes the rule engine distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +26,10 @@ pub enum TokKind {
     Punct,
     /// String / char / numeric literal (content never inspected by rules).
     Literal,
+    /// Lifetime or loop label, quote included (`'a`, `'static`,
+    /// `'outer`). Its own kind so that `&'a [T]` never reads as an
+    /// identifier followed by an index expression.
+    Lifetime,
     /// `// …` comment, text preserved for `lint:allow` parsing.
     LineComment,
     /// `/* … */` comment (possibly nested), text preserved.
@@ -139,9 +144,16 @@ pub fn scan(src: &str) -> Vec<Tok> {
                     line,
                 });
             } else {
-                // Lifetime / loop label: skip the quote; the name scans as
-                // an identifier on the next iteration.
+                let start = i;
                 i += 1;
+                while i < n && (chars[i].is_alphanumeric() || chars[i] == '_') {
+                    i += 1;
+                }
+                toks.push(Tok {
+                    kind: TokKind::Lifetime,
+                    text: chars[start..i].iter().collect(),
+                    line,
+                });
             }
             continue;
         }
@@ -461,6 +473,25 @@ mod tests {
             1
         );
         assert!(toks.iter().any(|t| t.is_ident("str")));
+        let lifetimes: Vec<&str> = toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Lifetime)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(lifetimes, vec!["'a", "'a"]);
+        assert!(!toks.iter().any(|t| t.is_ident("a")));
+    }
+
+    #[test]
+    fn labels_and_static_are_lifetimes() {
+        let toks = scan("'outer: loop { break 'outer; } let s: &'static str = \"\";");
+        let lifetimes: Vec<&str> = toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Lifetime)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(lifetimes, vec!["'outer", "'outer", "'static"]);
+        assert!(!toks.iter().any(|t| t.is_ident("static")));
     }
 
     #[test]

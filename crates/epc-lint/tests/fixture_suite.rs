@@ -43,6 +43,7 @@ fn bad_fixtures_produce_exact_diagnostics() {
             expect("ingest.rs", 8, "D4"),
             expect("ingest.rs", 14, "D4"),
             expect("ingest.rs", 14, "D4"),
+            expect("ingest.rs", 18, "D4"),
             expect("printy.rs", 3, "D5"),
             expect("printy.rs", 4, "D5"),
             expect("printy.rs", 5, "D5"),
@@ -75,7 +76,7 @@ fn diagnostics_render_as_path_line_rule() {
 fn good_fixtures_are_clean_and_allows_are_counted() {
     let report = lint_root(&fixtures().join("good"), &config("lint_all.toml")).unwrap();
     assert!(report.clean(), "unexpected: {:?}", report.diagnostics);
-    assert_eq!(report.files_scanned, 3);
+    assert_eq!(report.files_scanned, 4);
     // Both directives in allowed.rs carry a reason and fired once each.
     assert_eq!(report.allows.len(), 2);
     assert_eq!(report.suppressed, 2);
@@ -106,8 +107,8 @@ fn scope_globs_resolve_as_documented() {
     assert_eq!(count("D2"), 0);
     // D3's scope matches nothing under bad/.
     assert_eq!(count("D3"), 0);
-    // D4 scoped to bad/ingest.rs: all six hits.
-    assert_eq!(count("D4"), 6);
+    // D4 scoped to bad/ingest.rs: all seven hits.
+    assert_eq!(count("D4"), 7);
     // D5 scoped `bad/*.rs` minus its only offender.
     assert_eq!(count("D5"), 0);
     // D6's scope matches nothing under bad/.
@@ -116,7 +117,7 @@ fn scope_globs_resolve_as_documented() {
     assert_eq!(count("D10"), 0);
     // Malformed allow directives fire regardless of rule scoping.
     assert_eq!(count("allow"), 2);
-    assert_eq!(report.diagnostics.len(), 11);
+    assert_eq!(report.diagnostics.len(), 12);
 }
 
 #[test]

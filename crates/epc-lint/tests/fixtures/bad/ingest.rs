@@ -14,3 +14,6 @@ pub fn parse(parts: &[&str], i: usize) -> u32 {
         _ => (byte as u32) + arr[i] + (v[0] as u32),
     }
 }
+pub fn pick<'a>(xs: &'a [Option<f64>], i: usize) -> Option<f64> {
+    xs[i]
+}

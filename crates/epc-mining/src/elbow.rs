@@ -4,27 +4,54 @@
 //! chosen as the point where the marginal decrease in the SSE curve is
 //! maximized (aka elbow approach)."
 
-use crate::kmeans::{KMeans, KMeansConfig};
+use crate::kmeans::{KMeans, KMeansConfig, KMeansFitTrace, KMeansModel};
 use crate::matrix::Matrix;
 
-/// Computes the `(k, SSE)` curve for every `k` in `ks`, fitting a fresh
-/// K-means per point with `base` (its `k` field is overridden). Ks that
+/// One fit of a K sweep: the model for `k` and its per-round trace.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepFit {
+    /// The number of clusters.
+    pub k: usize,
+    /// The fitted model.
+    pub model: KMeansModel,
+    /// Its per-round diagnostics.
+    pub trace: KMeansFitTrace,
+}
+
+/// Fits a fresh K-means for every `k` in `ks` with `base` (its `k` field
+/// is overridden) and returns the fits in the order of `ks`. Ks that
 /// cannot be fitted (e.g. larger than the number of points) are skipped.
-/// `runtime` is forwarded to each K-means fit (the per-K fits themselves
-/// run one after another so the curve's order never changes).
+///
+/// Each fit is one coarse task: [`epc_runtime::par_map_coarse`] hands the
+/// ks out in order to whichever thread is free and places each result by
+/// its position in `ks`. A fit is sequential and depends only on its `k`,
+/// so every fit and the output order are the same for any thread budget.
+pub fn sweep_with_runtime(
+    data: &Matrix,
+    ks: impl IntoIterator<Item = usize>,
+    base: &KMeansConfig,
+    runtime: &epc_runtime::RuntimeConfig,
+) -> Vec<SweepFit> {
+    let ks: Vec<usize> = ks.into_iter().collect();
+    let fits = epc_runtime::par_map_coarse(runtime, &ks, |&k| {
+        KMeans::new(KMeansConfig { k, ..base.clone() }).fit_traced(data, runtime)
+    });
+    ks.into_iter()
+        .zip(fits)
+        .filter_map(|(k, fit)| fit.map(|(model, trace)| SweepFit { k, model, trace }))
+        .collect()
+}
+
+/// The `(k, SSE)` curve of [`sweep_with_runtime`]'s fits.
 pub fn sse_curve_with_runtime(
     data: &Matrix,
     ks: impl IntoIterator<Item = usize>,
     base: &KMeansConfig,
     runtime: &epc_runtime::RuntimeConfig,
 ) -> Vec<(usize, f64)> {
-    ks.into_iter()
-        .filter_map(|k| {
-            let cfg = KMeansConfig { k, ..base.clone() };
-            KMeans::new(cfg)
-                .fit_traced(data, runtime)
-                .map(|(m, _)| (k, m.sse))
-        })
+    sweep_with_runtime(data, ks, base, runtime)
+        .into_iter()
+        .map(|fit| (fit.k, fit.model.sse))
         .collect()
 }
 
@@ -153,6 +180,35 @@ mod tests {
             &RuntimeConfig::sequential(),
         );
         assert_eq!(curve.len(), 3, "only k = 1..=3 fit 3 points");
+    }
+
+    #[test]
+    fn sweep_is_the_same_at_every_thread_budget_and_equals_lone_fits() {
+        let data = blobs(4, 30);
+        let base = KMeansConfig::default();
+        // Out of order, with an unfittable k: fits keep the order of `ks`.
+        let ks = [5, 2, 1000, 10, 3, 4, 9, 8, 7, 6];
+        let seq = sweep_with_runtime(&data, ks, &base, &RuntimeConfig::sequential());
+        let got: Vec<usize> = seq.iter().map(|f| f.k).collect();
+        assert_eq!(got, vec![5, 2, 10, 3, 4, 9, 8, 7, 6]);
+        for threads in [2, 8] {
+            let par = sweep_with_runtime(&data, ks, &base, &RuntimeConfig::new(threads));
+            assert_eq!(par, seq, "threads = {threads}");
+        }
+        for fit in &seq {
+            let cfg = KMeansConfig {
+                k: fit.k,
+                ..base.clone()
+            };
+            let (model, trace) = KMeans::new(cfg)
+                .fit_traced(&data, &RuntimeConfig::sequential())
+                .unwrap();
+            assert_eq!(model, fit.model, "k = {}", fit.k);
+            assert_eq!(trace, fit.trace, "k = {}", fit.k);
+        }
+        let curve = sse_curve_with_runtime(&data, ks, &base, &RuntimeConfig::new(2));
+        let projected: Vec<(usize, f64)> = seq.iter().map(|f| (f.k, f.model.sse)).collect();
+        assert_eq!(curve, projected);
     }
 
     #[test]

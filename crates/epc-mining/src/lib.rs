@@ -54,7 +54,7 @@ pub use dbscan::{
     dbscan_noise, dbscan_with_runtime, DbscanConfig, DbscanLabel, DbscanNoise, DbscanResult,
 };
 pub use discretize::Discretizer;
-pub use elbow::{elbow_k, sse_curve_with_runtime};
+pub use elbow::{elbow_k, sse_curve_with_runtime, sweep_with_runtime, SweepFit};
 pub use hierarchical::{agglomerative, hierarchical_clusters, Dendrogram, Linkage};
 pub use kmeans::{KMeans, KMeansConfig, KMeansInit, KMeansModel};
 pub use matrix::Matrix;

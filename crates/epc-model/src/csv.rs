@@ -12,11 +12,11 @@
 //! fault-tolerant pipeline.
 
 use crate::attribute::AttrId;
-use crate::dataset::{Cell, ColumnData, Dataset};
+use crate::dataset::{CatColumn, Cell, ColumnData, Dataset};
 use crate::error::ModelError;
 use crate::fault::{Quarantine, RecordFault};
+use crate::render;
 use crate::schema::Schema;
-use std::fmt::Write as _;
 use std::io;
 use std::sync::Arc;
 
@@ -24,85 +24,141 @@ use std::sync::Arc;
 pub fn to_csv(ds: &Dataset) -> String {
     let mut out = String::new();
     // Appending to a String cannot fail, so neither can the walk.
-    let _ = for_each_line(ds, |line| {
-        out.push_str(line);
+    let _ = emit_csv(ds, true, 0, CHUNK_BYTES, |chunk| {
+        out.push_str(chunk);
         Ok(())
     });
     out
 }
 
-/// Streams [`to_csv`]'s text into `out` one line at a time, reading the
-/// columns directly: no per-cell `String`, no document-sized buffer.
+/// Streams [`to_csv`]'s text into `out` in chunks of about 32 KB, reading
+/// the columns directly: no per-cell `String`, no document-sized buffer.
 pub fn write_csv(ds: &Dataset, out: &mut impl io::Write) -> io::Result<()> {
-    for_each_line(ds, |line| out.write_all(line.as_bytes()))
+    emit_csv(ds, true, 0, CHUNK_BYTES, |chunk| {
+        out.write_all(chunk.as_bytes())
+    })
 }
 
-/// Renders the header and every row into one reused line buffer and hands
-/// each finished line (newline included) to `emit`.
-fn for_each_line(ds: &Dataset, mut emit: impl FnMut(&str) -> io::Result<()>) -> io::Result<()> {
-    let mut line = String::new();
-    for (i, (_, def)) in ds.schema().iter().enumerate() {
-        if i > 0 {
-            line.push(',');
+/// [`write_csv`]'s lines for the rows of `ds` from row `from` on, without
+/// the header: the text those rows add to a document that already holds
+/// the header and the rows before them.
+pub fn write_csv_rows(ds: &Dataset, from: usize, out: &mut impl io::Write) -> io::Result<()> {
+    emit_csv(ds, false, from, CHUNK_BYTES, |chunk| {
+        out.write_all(chunk.as_bytes())
+    })
+}
+
+/// How much rendered text [`emit_csv`] gathers before handing it on.
+const CHUNK_BYTES: usize = 32 * 1024;
+
+/// Integral numbers below this render as `i64`, the rest through `{}`.
+const INT_BELOW: f64 = 1e15;
+
+/// One column as the writer reads it.
+enum CsvColumn<'a> {
+    Numeric(&'a [Option<f64>]),
+    /// Codes, with the dictionary and one quoting decision per code.
+    Categorical {
+        column: &'a CatColumn,
+        quoted: Vec<bool>,
+    },
+}
+
+/// Renders the header (when `header`) and every row from row `from` on,
+/// handing the text to `emit` in chunks of at least `chunk` bytes (the
+/// last may be shorter), each ending at a line break.
+fn emit_csv(
+    ds: &Dataset,
+    header: bool,
+    from: usize,
+    chunk: usize,
+    mut emit: impl FnMut(&str) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut buf = String::with_capacity(chunk + 4096);
+    if header {
+        for (i, (_, def)) in ds.schema().iter().enumerate() {
+            if i > 0 {
+                buf.push(',');
+            }
+            push_field(&mut buf, &def.name);
         }
-        push_field(&mut line, &def.name);
+        buf.push('\n');
     }
-    line.push('\n');
-    emit(&line)?;
-    let columns: Vec<&ColumnData> = (0..ds.n_cols())
+    let columns: Vec<CsvColumn<'_>> = (0..ds.n_cols())
         .filter_map(|i| ds.column(AttrId(i as u32)))
-        .map(|c| c.data())
+        .map(|c| match c.data() {
+            ColumnData::Numeric(v) => CsvColumn::Numeric(v),
+            ColumnData::Categorical(c) => CsvColumn::Categorical {
+                column: c,
+                quoted: (0..c.cardinality() as u32)
+                    .map(|code| c.label(code).is_some_and(needs_quotes))
+                    .collect(),
+            },
+        })
         .collect();
-    for row in 0..ds.n_rows() {
-        line.clear();
+    for row in from..ds.n_rows() {
         for (i, column) in columns.iter().enumerate() {
             if i > 0 {
-                line.push(',');
+                buf.push(',');
             }
             match column {
-                ColumnData::Numeric(v) => {
+                CsvColumn::Numeric(v) => {
                     if let Some(&Some(x)) = v.get(row) {
-                        push_num(&mut line, x);
+                        render::push_f64(&mut buf, x, INT_BELOW);
                     }
                 }
-                ColumnData::Categorical(c) => {
-                    if let Some(label) = c.get(row) {
-                        push_field(&mut line, label);
+                CsvColumn::Categorical { column, quoted } => {
+                    let Some(code) = column.codes().get(row).copied().flatten() else {
+                        continue;
+                    };
+                    if let Some(label) = column.label(code) {
+                        if quoted.get(code as usize) == Some(&false) {
+                            buf.push_str(label);
+                        } else {
+                            push_quoted(&mut buf, label);
+                        }
                     }
                 }
             }
         }
-        line.push('\n');
-        emit(&line)?;
+        buf.push('\n');
+        if buf.len() >= chunk {
+            emit(&buf)?;
+            buf.clear();
+        }
+    }
+    if !buf.is_empty() {
+        emit(&buf)?;
     }
     Ok(())
 }
 
-/// Formats a float without trailing noise: integers below 1e15 render as
-/// `i64` (so without ".0", and `-0.0` as `0`), everything else with `{}`.
-fn push_num(out: &mut String, x: f64) {
-    if x.fract() == 0.0 && x.abs() < 1e15 {
-        let _ = write!(out, "{}", x as i64);
-    } else {
-        let _ = write!(out, "{x}");
-    }
+/// Whether a field must be quoted: it holds a comma, a quote or a line
+/// break (`\r` included, which a reader would otherwise strip as part of
+/// a `\r\n` line end).
+fn needs_quotes(field: &str) -> bool {
+    field.contains([',', '"', '\n', '\r'])
 }
 
-/// Appends one field, quoted (with `"` doubled) when it contains a comma,
-/// a quote or a newline.
+/// Appends one field, quoted (with `"` doubled) when [`needs_quotes`].
 fn push_field(out: &mut String, field: &str) {
-    if field.contains([',', '"', '\n']) {
-        out.push('"');
-        for (i, part) in field.split('"').enumerate() {
-            if i > 0 {
-                out.push_str("\"\"");
-            }
-            out.push_str(part);
-        }
-        out.push('"');
+    if needs_quotes(field) {
+        push_quoted(out, field);
     } else {
         out.push_str(field);
     }
+}
+
+/// Appends `field` in quotes, with every `"` doubled.
+fn push_quoted(out: &mut String, field: &str) {
+    out.push('"');
+    for (i, part) in field.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
 }
 
 /// Parses a CSV document into a dataset over `schema`.
@@ -394,6 +450,56 @@ mod tests {
         let text = to_csv(&sample());
         assert!(text.contains("\"with, comma\""));
         assert!(text.contains("\"with \"\"quote\"\"\""));
+    }
+
+    #[test]
+    fn carriage_returns_in_labels_are_quoted() {
+        // The name column is the last one, so an unquoted `\r` would sit
+        // right before the line break and be read back as part of it.
+        let mut ds = Dataset::new(schema());
+        for name in ["ok\r", "\r", "a\r\nb"] {
+            let mut r = ds.empty_record();
+            r.set(AttrId(0), Value::num(1.0)).unwrap();
+            r.set(AttrId(1), Value::cat(name)).unwrap();
+            ds.push_record(r).unwrap();
+        }
+        let text = to_csv(&ds);
+        assert_eq!(text, "x,name\n1,\"ok\r\"\n1,\"\r\"\n1,\"a\r\nb\"\n");
+        let back = from_csv(schema(), &text).unwrap();
+        assert_eq!(back.cat(0, AttrId(1)), Some("ok\r"));
+        assert_eq!(back.cat(1, AttrId(1)), Some("\r"));
+        assert_eq!(back.cat(2, AttrId(1)), Some("a\r\nb"));
+    }
+
+    #[test]
+    fn rows_without_the_header_continue_a_document() {
+        let ds = sample();
+        let mut text = Vec::new();
+        write_csv(&ds, &mut text).unwrap();
+        let doc = to_csv(&ds);
+        assert_eq!(String::from_utf8(text).unwrap(), doc);
+        // No label of `sample` holds a line break: one line per row.
+        let lines: Vec<&str> = doc.split_inclusive('\n').collect();
+        for from in 0..=ds.n_rows() + 1 {
+            let mut rows = Vec::new();
+            write_csv_rows(&ds, from, &mut rows).unwrap();
+            let rest = lines.get(1 + from..).map_or(String::new(), |l| l.concat());
+            assert_eq!(String::from_utf8(rows).unwrap(), rest, "from row {from}");
+        }
+    }
+
+    #[test]
+    fn chunks_concatenate_to_the_document() {
+        let ds = sample();
+        let mut chunks = Vec::new();
+        emit_csv(&ds, true, 0, 8, |chunk| {
+            chunks.push(chunk.to_owned());
+            Ok(())
+        })
+        .unwrap();
+        assert!(chunks.len() > 2, "{chunks:?}");
+        assert!(chunks.iter().all(|c| c.ends_with('\n')));
+        assert_eq!(chunks.concat(), to_csv(&ds));
     }
 
     #[test]

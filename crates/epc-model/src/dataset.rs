@@ -136,6 +136,30 @@ impl CatColumn {
         );
     }
 
+    /// Appends [`CatColumn::to_json_value`]'s compact text to `out`,
+    /// writing the codes as integers and only the dictionary labels
+    /// through the serde shim's string writer.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"codes\":[");
+        for (i, code) in self.codes.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match code {
+                Some(code) => crate::render::push_i64(out, i64::from(*code)),
+                None => out.push_str("null"),
+            }
+        }
+        out.push_str("],\"dict\":[");
+        for (i, label) in self.dict.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&serde::Value::Str(label.clone()).to_compact_string());
+        }
+        out.push_str("]}");
+    }
+
     /// The column's checkpoint JSON: `{"codes": [..], "dict": [..]}`.
     fn to_json_value(&self) -> serde::Value {
         use serde::Value as J;
@@ -275,6 +299,28 @@ impl Column {
             ColumnData::Categorical(cat) => ("cat", cat.to_json_value()),
         };
         J::Object([(tag.to_owned(), body)].into_iter().collect())
+    }
+
+    /// Appends [`Column::to_json_value`]'s compact text to `out`, cell by
+    /// cell, without building the tree.
+    fn write_json(&self, out: &mut String) {
+        match &self.data {
+            ColumnData::Numeric(vals) => {
+                out.push_str("{\"num\":[");
+                for (i, v) in vals.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    crate::jsonnum::write_opt_f64(out, *v);
+                }
+                out.push_str("]}");
+            }
+            ColumnData::Categorical(cat) => {
+                out.push_str("{\"cat\":");
+                cat.write_json(out);
+                out.push('}');
+            }
+        }
     }
 
     /// The column payload.
@@ -766,15 +812,15 @@ impl Dataset {
     }
 
     /// Appends the compact JSON text of [`serde::Serialize::to_json_value`]
-    /// to `out`, building one column's JSON tree at a time instead of the
-    /// whole dataset's.
+    /// to `out`, writing every column cell by cell straight into it: no
+    /// JSON tree of a column, no `String` per cell.
     pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"columns\":[");
         for (i, column) in self.columns.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&column.to_json_value().to_compact_string());
+            column.write_json(out);
         }
         out.push_str("],\"n_rows\":");
         out.push_str(&serde::Value::Num(self.n_rows as f64).to_compact_string());

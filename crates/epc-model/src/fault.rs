@@ -9,9 +9,8 @@
 //! quarantine exposes exact per-kind histograms so stage reports can
 //! account for every diverted record.
 
-use crate::dataset::Dataset;
+use crate::dataset::{ColumnData, Dataset};
 use crate::jsonnum::{decode_f64, encode_f64};
-use crate::value::Value;
 use serde::Value as JsonValue;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -367,34 +366,38 @@ impl ValidationPolicy {
 /// Returns `(row, fault)` pairs in ascending row order; a row appears at
 /// most once (the first fault found in schema order wins), so callers can
 /// treat the result as the exact quarantine set.
+///
+/// The scan runs column by column over borrowed cells, in schema order,
+/// and skips rows an earlier column already faulted, so each row keeps
+/// its first fault. A categorical column decides membership in its known
+/// levels once per dictionary code; a fault is the only allocation.
 pub fn scan_faults(dataset: &Dataset, policy: &ValidationPolicy) -> Vec<(usize, RecordFault)> {
     let schema = dataset.schema();
-    let mut range_by_attr: BTreeMap<u32, (f64, f64)> = BTreeMap::new();
-    for (attr, min, max) in &policy.ranges {
-        if let Ok(id) = schema.require(attr) {
-            range_by_attr.insert(id.0, (*min, *max));
-        }
-    }
-    let mut levels_by_attr: BTreeMap<u32, &[String]> = BTreeMap::new();
-    for (attr, levels) in &policy.known_categories {
-        if let Ok(id) = schema.require(attr) {
-            levels_by_attr.insert(id.0, levels.as_slice());
-        }
-    }
-
-    let mut out = Vec::new();
-    for row in 0..dataset.n_rows() {
-        let mut fault = None;
-        for (id, def) in schema.iter() {
-            match dataset.value(row, id) {
-                Value::Num(x) => {
+    let mut faults: Vec<Option<RecordFault>> = vec![None; dataset.n_rows()];
+    for (id, def) in schema.iter() {
+        let Some(column) = dataset.column(id) else {
+            continue;
+        };
+        match column.data() {
+            ColumnData::Numeric(cells) => {
+                // A later policy entry for the same attribute wins.
+                let range = policy
+                    .ranges
+                    .iter()
+                    .rfind(|(attr, _, _)| *attr == def.name)
+                    .map(|&(_, min, max)| (min, max));
+                for (slot, cell) in faults.iter_mut().zip(cells) {
+                    let Some(x) = *cell else { continue };
+                    if slot.is_some() {
+                        continue;
+                    }
                     if !x.is_finite() {
-                        fault = Some(RecordFault::NonFinite {
+                        *slot = Some(RecordFault::NonFinite {
                             attribute: def.name.clone(),
                         });
-                    } else if let Some(&(min, max)) = range_by_attr.get(&id.0) {
+                    } else if let Some((min, max)) = range {
                         if x < min || x > max {
-                            fault = Some(RecordFault::OutOfRange {
+                            *slot = Some(RecordFault::OutOfRange {
                                 attribute: def.name.clone(),
                                 value: x,
                                 min,
@@ -403,27 +406,41 @@ pub fn scan_faults(dataset: &Dataset, policy: &ValidationPolicy) -> Vec<(usize, 
                         }
                     }
                 }
-                Value::Cat(label) => {
-                    if let Some(levels) = levels_by_attr.get(&id.0) {
-                        if !levels.iter().any(|l| l == &label) {
-                            fault = Some(RecordFault::UnknownCategory {
-                                attribute: def.name.clone(),
-                                value: label,
-                            });
-                        }
+            }
+            ColumnData::Categorical(cat) => {
+                let Some((_, levels)) = policy
+                    .known_categories
+                    .iter()
+                    .rfind(|(attr, _)| *attr == def.name)
+                else {
+                    continue;
+                };
+                let known: Vec<bool> = (0..cat.cardinality() as u32)
+                    .map(|code| {
+                        cat.label(code)
+                            .is_some_and(|l| levels.iter().any(|k| k == l))
+                    })
+                    .collect();
+                for (slot, code) in faults.iter_mut().zip(cat.codes()) {
+                    let Some(code) = *code else { continue };
+                    if slot.is_some() || known.get(code as usize) == Some(&true) {
+                        continue;
+                    }
+                    if let Some(label) = cat.label(code) {
+                        *slot = Some(RecordFault::UnknownCategory {
+                            attribute: def.name.clone(),
+                            value: label.to_owned(),
+                        });
                     }
                 }
-                Value::Missing => {}
             }
-            if fault.is_some() {
-                break;
-            }
-        }
-        if let Some(fault) = fault {
-            out.push((row, fault));
         }
     }
-    out
+    faults
+        .into_iter()
+        .enumerate()
+        .filter_map(|(row, fault)| Some((row, fault?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -432,6 +449,7 @@ mod tests {
     use crate::attribute::{AttrId, AttributeDef};
     use crate::dataset::Dataset;
     use crate::schema::Schema;
+    use crate::value::Value;
     use std::sync::Arc;
 
     #[test]

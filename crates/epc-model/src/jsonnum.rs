@@ -60,6 +60,21 @@ pub fn encode_opt_f64(x: Option<f64>) -> Value {
     }
 }
 
+/// Appends the compact JSON text of [`encode_opt_f64`]`(x)` to `out`
+/// without building the value: numbers follow the serde shim's `Num`
+/// writer (integral values below 2^53 as integers, the rest as `{}`
+/// prints them), the four lossy cases their string tags.
+pub fn write_opt_f64(out: &mut String, x: Option<f64>) {
+    match x {
+        None => out.push_str("null"),
+        Some(x) if x.is_nan() => out.push_str("\"NaN\""),
+        Some(f64::INFINITY) => out.push_str("\"inf\""),
+        Some(f64::NEG_INFINITY) => out.push_str("\"-inf\""),
+        Some(x) if x == 0.0 && x.is_sign_negative() => out.push_str("\"-0\""),
+        Some(x) => crate::render::push_f64(out, x, 9_007_199_254_740_992.0),
+    }
+}
+
 /// Decodes a value written by [`encode_opt_f64`].
 pub fn decode_opt_f64(v: &Value) -> Result<Option<f64>, Error> {
     match v {
@@ -118,6 +133,33 @@ mod tests {
             decode_opt_f64(&encode_opt_f64(Some(2.5))).unwrap(),
             Some(2.5)
         );
+    }
+
+    #[test]
+    fn written_text_equals_the_encoded_tree() {
+        let mut cases = vec![
+            None,
+            Some(f64::NAN),
+            Some(f64::INFINITY),
+            Some(f64::NEG_INFINITY),
+            Some(-0.0),
+            Some(0.0),
+            Some(0.1 + 0.2),
+            Some(-2.5),
+            Some(1e15),
+            Some(9_007_199_254_740_991.0),
+            Some(9_007_199_254_740_992.0),
+            Some(1e300),
+            Some(5e-324),
+        ];
+        cases.extend(
+            (0..2000).map(|i| Some(f64::from_bits(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i)))),
+        );
+        for x in cases {
+            let mut out = String::new();
+            write_opt_f64(&mut out, x);
+            assert_eq!(out, encode_opt_f64(x).to_compact_string(), "{x:?}");
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod error;
 pub mod fault;
 pub mod granularity;
 pub mod jsonnum;
+pub mod render;
 pub mod schema;
 pub mod value;
 pub mod wellknown;

@@ -1,14 +1,18 @@
 //! Property-based tests of the data-model layer: CSV round-trips over
 //! arbitrary content, dataset selection invariants, and schema lookups.
 //!
-//! The column-wise `select_rows`, `retain_mask`, `append` and the
-//! streaming CSV writer are checked against the row-wise implementations
-//! they replaced, kept below as oracles: whole-`Dataset` equality
-//! (dictionaries, their index, codes and missing counts) and equal bytes.
+//! The column-wise `select_rows`, `retain_mask`, `append`, the streaming
+//! CSV and checkpoint JSON writers and the validation scan are checked
+//! against the row-wise implementations they replaced, kept below as
+//! oracles: whole-`Dataset` equality (dictionaries, their index, codes and
+//! missing counts), equal bytes and equal fault lists.
 // Test code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_model::{csv, AttrId, AttributeDef, Dataset, ModelError, Record, Schema, Value};
+use epc_model::{
+    csv, scan_faults, AttrId, AttributeDef, Dataset, ModelError, Record, RecordFault, Schema,
+    ValidationPolicy, Value,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -28,7 +32,7 @@ type Row = (Option<f64>, Option<String>, Option<f64>);
 fn row_strategy() -> impl Strategy<Value = Row> {
     (
         prop::option::of(-1e9f64..1e9),
-        prop::option::of("[ -~]{0,20}"), // printable ASCII incl. commas/quotes
+        prop::option::of("[ -~\r]{0,20}"), // printable ASCII incl. commas/quotes, and CR
         prop::option::of(-1e9f64..1e9),
     )
 }
@@ -181,7 +185,11 @@ fn oracle_to_csv(ds: &Dataset) -> String {
                 out.push(',');
             }
             first = false;
-            if field.contains(',') || field.contains('"') || field.contains('\n') {
+            if field.contains(',')
+                || field.contains('"')
+                || field.contains('\n')
+                || field.contains('\r')
+            {
                 out.push('"');
                 for ch in field.chars() {
                     if ch == '"' {
@@ -217,7 +225,7 @@ fn oracle_to_csv(ds: &Dataset) -> String {
 // ---------------------------------------------------------------------------
 
 /// Labels that need CSV quoting or JSON escapes, plus plain ones.
-const LABELS: [&str; 9] = [
+const LABELS: [&str; 11] = [
     "",
     "a",
     "b",
@@ -227,6 +235,8 @@ const LABELS: [&str; 9] = [
     "città",
     "tab\tand\\slash",
     "€,\"\n",
+    "ok\r",
+    "\r",
 ];
 
 /// Numbers on every formatting branch: ±0, NaN, ±∞, integers just below
@@ -250,7 +260,7 @@ const SPECIALS: [f64; 14] = [
 ];
 
 fn label_strategy() -> impl Strategy<Value = Option<String>> {
-    (0usize..12, "[ab,\"\nè]{0,4}").prop_map(|(i, random)| match i {
+    (0usize..14, "[ab,\"\n\rè]{0,4}").prop_map(|(i, random)| match i {
         0 => None,
         i => Some(LABELS.get(i - 1).map_or(random, |l| (*l).to_owned())),
     })
@@ -378,6 +388,115 @@ proptest! {
         let mut text = String::from("prefix:");
         ds.write_json(&mut text);
         prop_assert_eq!(text, format!("prefix:{}", serde::Serialize::to_json_value(&ds).to_compact_string()));
+    }
+}
+
+/// `scan_faults` as the row-by-row scan it replaced: one `Value` (and so
+/// one `String` per categorical cell) per cell, first fault in schema
+/// order, later policy entries winning.
+fn oracle_scan_faults(ds: &Dataset, policy: &ValidationPolicy) -> Vec<(usize, RecordFault)> {
+    use std::collections::BTreeMap;
+    let schema = ds.schema();
+    let mut range_by_attr: BTreeMap<u32, (f64, f64)> = BTreeMap::new();
+    for (attr, min, max) in &policy.ranges {
+        if let Ok(id) = schema.require(attr) {
+            range_by_attr.insert(id.0, (*min, *max));
+        }
+    }
+    let mut levels_by_attr: BTreeMap<u32, &[String]> = BTreeMap::new();
+    for (attr, levels) in &policy.known_categories {
+        if let Ok(id) = schema.require(attr) {
+            levels_by_attr.insert(id.0, levels.as_slice());
+        }
+    }
+    let mut out = Vec::new();
+    for row in 0..ds.n_rows() {
+        let mut fault = None;
+        for (id, def) in schema.iter() {
+            match ds.value(row, id) {
+                Value::Num(x) => {
+                    if !x.is_finite() {
+                        fault = Some(RecordFault::NonFinite {
+                            attribute: def.name.clone(),
+                        });
+                    } else if let Some(&(min, max)) = range_by_attr.get(&id.0) {
+                        if x < min || x > max {
+                            fault = Some(RecordFault::OutOfRange {
+                                attribute: def.name.clone(),
+                                value: x,
+                                min,
+                                max,
+                            });
+                        }
+                    }
+                }
+                Value::Cat(label) => {
+                    if let Some(levels) = levels_by_attr.get(&id.0) {
+                        if !levels.iter().any(|l| l == &label) {
+                            fault = Some(RecordFault::UnknownCategory {
+                                attribute: def.name.clone(),
+                                value: label,
+                            });
+                        }
+                    }
+                }
+                Value::Missing => {}
+            }
+            if fault.is_some() {
+                break;
+            }
+        }
+        if let Some(fault) = fault {
+            out.push((row, fault));
+        }
+    }
+    out
+}
+
+/// Validation policies over the test schema: ranges on `x` and `y` (an
+/// attribute may appear twice, or be unknown) and known levels for
+/// `label`, drawn from [`LABELS`].
+fn policy_strategy() -> impl Strategy<Value = ValidationPolicy> {
+    (
+        prop::collection::vec((0usize..4, -1e9f64..1e9, 0.0f64..2e9), 0..4),
+        prop::collection::vec(0usize..11, 0..6),
+        0usize..3,
+    )
+        .prop_map(|(ranges, levels, how)| ValidationPolicy {
+            ranges: ranges
+                .into_iter()
+                .map(|(attr, min, width)| {
+                    let name = ["x", "y", "label", "nope"][attr];
+                    (name.to_owned(), min, min + width)
+                })
+                .collect(),
+            known_categories: match how {
+                0 => Vec::new(),
+                n => vec![(
+                    ["label", "nope"][n - 1].to_owned(),
+                    levels.iter().map(|&i| LABELS[i].to_owned()).collect(),
+                )],
+            },
+        })
+}
+
+proptest! {
+    #[test]
+    fn scan_faults_equals_the_value_scan(
+        rows in prop::collection::vec(edge_row(false), 0..30),
+        fixes in repairs(),
+        policy in policy_strategy(),
+    ) {
+        let ds = build_dirty(&rows, &fixes);
+        let got = scan_faults(&ds, &policy);
+        let want = oracle_scan_faults(&ds, &policy);
+        // `RecordFault` compares f64 fields with `==`; faults never hold
+        // NaN (the range check runs on finite values only).
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(
+            scan_faults(&ds, &ValidationPolicy::minimal()),
+            oracle_scan_faults(&ds, &ValidationPolicy::minimal())
+        );
     }
 }
 

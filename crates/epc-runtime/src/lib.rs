@@ -14,8 +14,10 @@
 //!
 //! 1. **Order-preserving maps** — [`par_map`] / [`par_map_indexed`] split
 //!    the input into contiguous chunks, process chunks on scoped threads,
-//!    and reassemble results in input order. A pure per-item function
-//!    therefore produces exactly the sequential result.
+//!    and reassemble results in input order; [`par_map_coarse`] hands
+//!    few expensive items out one at a time and places each result by its
+//!    input index. A pure per-item function therefore produces exactly the
+//!    sequential result.
 //! 2. **Fixed-shape reductions** — [`par_reduce`] folds *fixed-size*
 //!    chunks (the chunk boundaries depend only on `chunk_size`, never on
 //!    the thread count) and combines the partials strictly in chunk-index
@@ -203,12 +205,15 @@ where
 }
 
 /// Order-preserving map for *coarse* tasks: few items, each expensive
-/// (a region to mine, a dashboard zoom level to render).
+/// (a K-means fit, a region to mine, a dashboard zoom level to render).
 ///
 /// Unlike [`par_map`], no per-thread minimum item count applies — up to
 /// `threads` items run concurrently even when the input holds only a
-/// handful. Results are still concatenated in input order, so a pure `f`
-/// yields exactly the sequential output.
+/// handful — and items are handed out dynamically: each worker takes the
+/// next untaken index from a shared counter, so uneven items (nine K-means
+/// fits on two threads) never leave a thread idle behind a static chunk.
+/// Each result is placed by its input index, so a pure `f` yields exactly
+/// the sequential output.
 pub fn par_map_coarse<T, U, F>(config: &RuntimeConfig, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -219,18 +224,35 @@ where
     if threads == 1 {
         return items.iter().map(f).collect();
     }
-    let chunk_len = items.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(items.len());
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut slots: Vec<Option<U>> = Vec::with_capacity(items.len());
+    slots.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(|| chunk.iter().map(&f).collect::<Vec<U>>()))
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices; each
+                        // result reaches this thread through `join`.
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
             .collect();
         for handle in handles {
-            out.extend(join_worker(handle));
+            for (i, out) in join_worker(handle) {
+                if let Some(slot) = slots.get_mut(i) {
+                    *slot = Some(out);
+                }
+            }
         }
     });
-    out
+    // Every index below `items.len()` was taken exactly once.
+    slots.into_iter().flatten().collect()
 }
 
 /// Like [`par_map`], passing each item's input index to `f`.

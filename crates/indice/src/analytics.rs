@@ -7,7 +7,7 @@ use crate::error::IndiceError;
 use epc_mining::apriori::TransactionSet;
 use epc_mining::cart::RegressionTree;
 use epc_mining::discretize::Discretizer;
-use epc_mining::elbow::{elbow_k_by_distance, sse_curve_with_runtime};
+use epc_mining::elbow::{elbow_k_by_distance, sweep_with_runtime, SweepFit};
 use epc_mining::kmeans::{KMeans, KMeansConfig, KMeansModel};
 use epc_mining::matrix::Matrix;
 use epc_mining::normalize::MinMaxScaler;
@@ -69,14 +69,15 @@ impl AnalyticsOutput {
 }
 
 /// Runs the analytics stage over a (cleaned) dataset under an explicit
-/// execution runtime, with an optional observability bundle. The K-means
-/// assignment loops (elbow sweep and final fit) and the Apriori support
-/// counting run data-parallel under `runtime`, with outputs bitwise
-/// identical to the sequential run. Per-round K-means inertia, the elbow
-/// SSE curve, and per-level Apriori candidate/pruned/frequent counts are
-/// recorded as trace points and counters; all emission happens
-/// orchestrator-side, after the kernels return, so the analytical output
-/// is the same with or without `obs`.
+/// execution runtime, with an optional observability bundle. The elbow
+/// sweep's K-means fits run as coarse tasks under `runtime`, the chosen
+/// K's fit becomes the final model, and the Apriori support counting runs
+/// data-parallel, with outputs bitwise identical to the sequential run.
+/// Per-round K-means inertia and distance counters, the elbow SSE curve
+/// with each fit's counters, and per-level Apriori candidate/pruned/
+/// frequent counts are recorded as trace points and counters; all
+/// emission happens orchestrator-side, after the kernels return, so the
+/// analytical output is the same with or without `obs`.
 pub fn analyze_observed(
     dataset: &Dataset,
     config: &IndiceConfig,
@@ -164,16 +165,36 @@ pub fn analyze_observed(
         seed: a.seed,
         ..KMeansConfig::default()
     };
-    let (chosen_k, curve) = match a.k {
-        KSelection::Fixed(k) => (k, Vec::new()),
+    let (chosen_k, curve, fits) = match a.k {
+        KSelection::Fixed(k) => {
+            let fit = KMeans::new(KMeansConfig { k, ..base }).fit_traced(&scaled, runtime);
+            let fits = fit
+                .map(|(model, trace)| SweepFit { k, model, trace })
+                .into_iter()
+                .collect();
+            (k, Vec::new(), fits)
+        }
         KSelection::Elbow { k_min, k_max } => {
             if k_min >= k_max {
                 return Err(IndiceError::Config("elbow needs k_min < k_max".into()));
             }
-            let curve = sse_curve_with_runtime(&scaled, k_min..=k_max, &base, runtime);
+            let fits = sweep_with_runtime(&scaled, k_min..=k_max, &base, runtime);
+            let curve: Vec<(usize, f64)> = fits.iter().map(|f| (f.k, f.model.sse)).collect();
             if let Some(obs) = obs {
-                for &(k, sse) in &curve {
-                    obs.point("kmeans:elbow", &[("k", k.into()), ("sse", sse.into())]);
+                // Each fit's distance evaluations and pruned points over
+                // all its passes.
+                for f in &fits {
+                    let evals: u64 = f.trace.distance_evals.iter().sum();
+                    let pruned: u64 = f.trace.pruned_points.iter().sum();
+                    obs.point(
+                        "kmeans:elbow",
+                        &[
+                            ("distance_evals", evals.into()),
+                            ("k", f.k.into()),
+                            ("pruned_points", pruned.into()),
+                            ("sse", f.model.sse.into()),
+                        ],
+                    );
                 }
             }
             // Real SSE curves are smooth and convex; the geometric elbow
@@ -184,25 +205,35 @@ pub fn analyze_observed(
             let k = elbow_k_by_distance(&curve).ok_or_else(|| {
                 IndiceError::Clustering("SSE curve too short for elbow selection".into())
             })?;
-            (k, curve)
+            (k, curve, fits)
         }
     };
-    let (kmeans, fit_trace) = KMeans::new(KMeansConfig {
-        k: chosen_k,
-        ..base
-    })
-    .fit_traced(&scaled, runtime)
-    .ok_or_else(|| {
-        IndiceError::Clustering(format!(
-            "cannot fit k = {chosen_k} on {} rows",
-            feature_rows.len()
-        ))
-    })?;
+    // The final model is the sweep's fit for the chosen K.
+    let (kmeans, fit_trace) = fits
+        .into_iter()
+        .find(|f| f.k == chosen_k)
+        .map(|f| (f.model, f.trace))
+        .ok_or_else(|| {
+            IndiceError::Clustering(format!(
+                "cannot fit k = {chosen_k} on {} rows",
+                feature_rows.len()
+            ))
+        })?;
     if let Some(obs) = obs {
-        for (round, &inertia) in fit_trace.round_inertia.iter().enumerate() {
+        let rounds = fit_trace
+            .round_inertia
+            .iter()
+            .zip(&fit_trace.distance_evals)
+            .zip(&fit_trace.pruned_points);
+        for (round, ((&inertia, &evals), &pruned)) in rounds.enumerate() {
             obs.point(
                 "kmeans:round",
-                &[("inertia", inertia.into()), ("round", round.into())],
+                &[
+                    ("distance_evals", evals.into()),
+                    ("inertia", inertia.into()),
+                    ("pruned_points", pruned.into()),
+                    ("round", round.into()),
+                ],
             );
         }
         let m = obs.metrics();

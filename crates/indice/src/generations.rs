@@ -41,7 +41,8 @@ use epc_ingest::{
     gen_dir_name, write_delta, GenerationEntry, GenerationManifest, GenerationOutcome, CURRENT_DIR,
     GENESIS, GENS_DIR,
 };
-use epc_journal::{encode_lines, hash_hex, ArtifactRecord, MANIFEST_FILE};
+use epc_journal::{encode_lines, hash_hex, ArtifactRecord, Sha256, MANIFEST_FILE};
+use epc_model::csv::{write_csv, write_csv_rows};
 use epc_model::Dataset;
 use epc_query::stakeholder::Stakeholder;
 use epc_runtime::{PipelineReport, RuntimeConfig, StageReport};
@@ -49,6 +50,52 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+
+/// The raw input of the batches folded so far, concatenated, with a
+/// running SHA-256 of its CSV text. Rows are hashed when a hash is asked
+/// for, each row once: a resume that folds the sealed prefix and then
+/// processes nothing hashes nothing.
+struct CumulativeInput {
+    data: Dataset,
+    hasher: Sha256,
+    /// How many rows of `data` the hasher has seen; `None` until it has
+    /// seen the header.
+    hashed_rows: Option<usize>,
+}
+
+impl CumulativeInput {
+    /// Appends `batch` to `slot`, starting it with the first batch.
+    fn fold(slot: &mut Option<CumulativeInput>, batch: &Dataset) -> Result<(), IndiceError> {
+        match slot {
+            Some(cum) => cum.data.append(batch)?,
+            None => {
+                *slot = Some(CumulativeInput {
+                    data: batch.clone(),
+                    hasher: Sha256::new(),
+                    hashed_rows: None,
+                })
+            }
+        }
+        Ok(())
+    }
+
+    /// [`crate::durable::csv_hash`] of the folded input, or the hash of
+    /// no bytes before any batch was folded. Feeds the hasher the rows it
+    /// has not seen yet (the header too, the first time), then snapshots
+    /// it.
+    fn hash(slot: &mut Option<CumulativeInput>) -> Result<String, IndiceError> {
+        let Some(cum) = slot else {
+            return Ok(hash_hex(b""));
+        };
+        let hashed = match cum.hashed_rows {
+            None => write_csv(&cum.data, &mut cum.hasher),
+            Some(from) => write_csv_rows(&cum.data, from, &mut cum.hasher),
+        };
+        dur(hashed, "hashing the input")?;
+        cum.hashed_rows = Some(cum.data.n_rows());
+        Ok(cum.hasher.clone().finish_hex())
+    }
+}
 
 /// File name of a generation's sealed clean-phase delta.
 pub const CLEAN_DELTA_FILE: &str = "clean.delta.json";
@@ -398,7 +445,7 @@ pub fn ingest(
     // Fold the sealed prefix: decode each generation's clean delta, carry
     // the geocoder-quota balance, and rebuild the cumulative raw input.
     let mut phases: Vec<CleanPhase> = Vec::new();
-    let mut cumulative_raw: Option<Dataset> = None;
+    let mut cumulative_raw: Option<CumulativeInput> = None;
     let mut quota_used: usize = 0;
     let mut sealed_skipped: Vec<String> = Vec::new();
     let mut parent = GENESIS.to_owned();
@@ -436,10 +483,7 @@ pub fn ingest(
             ))
         })?;
         quota_used += phase.cleaning.geocoder_requests;
-        match &mut cumulative_raw {
-            Some(cum) => cum.append(&batches[entry.seq].dataset)?,
-            None => cumulative_raw = Some(batches[entry.seq].dataset.clone()),
-        }
+        CumulativeInput::fold(&mut cumulative_raw, &batches[entry.seq].dataset)?;
         phases.push(phase);
     }
 
@@ -501,10 +545,7 @@ pub fn ingest(
                     batch: batch.name.clone(),
                     batch_hash: batch_hashes[i].clone(),
                     config_fingerprint: config_fp.clone(),
-                    cumulative_input_hash: match &cumulative_raw {
-                        Some(d) => csv_hash(d)?,
-                        None => hash_hex(b""),
-                    },
+                    cumulative_input_hash: CumulativeInput::hash(&mut cumulative_raw)?,
                     parent: parent.clone(),
                     outcome: GenerationOutcome::Abandoned,
                     reasons: vec![reason],
@@ -540,17 +581,15 @@ pub fn ingest(
 
                 // Fold the batch into the cumulative state.
                 let batch_offset: usize = phases.iter().map(|p| p.input_rows).sum();
-                match &mut cumulative_raw {
-                    Some(cum) => cum.append(&batch.dataset)?,
-                    None => cumulative_raw = Some(batch.dataset.clone()),
-                }
+                CumulativeInput::fold(&mut cumulative_raw, &batch.dataset)?;
                 phases.push(phase);
                 let merged = merge_clean_phases(phases.clone())?;
                 let merged_input_rows = merged.input_rows;
+                let cumulative_input_hash = CumulativeInput::hash(&mut cumulative_raw)?;
                 let cum = cumulative_raw
                     .as_ref()
+                    .map(|c| &c.data)
                     .ok_or_else(|| IndiceError::Internal("cumulative input missing".into()))?;
-                let cumulative_input_hash = csv_hash(cum)?;
 
                 // Rebuild the cumulative pipeline products — outliers and
                 // analytics are global, so they run over the merged data.

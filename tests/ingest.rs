@@ -327,6 +327,80 @@ fn poisoned_batch_is_abandoned_without_damaging_sealed_generations() {
     let _ = fs::remove_dir_all(&healthy_dir);
 }
 
+/// The input hash of every generation: SHA-256 of the CSV text of the
+/// folded (not abandoned) batches, concatenated in order.
+fn expected_cumulative_hashes(batches: &[IngestBatch], abandoned: &[usize]) -> Vec<String> {
+    let mut cum: Option<Dataset> = None;
+    batches
+        .iter()
+        .enumerate()
+        .map(|(i, batch)| {
+            if !abandoned.contains(&i) {
+                match &mut cum {
+                    Some(d) => d.append(&batch.dataset).unwrap(),
+                    None => cum = Some(batch.dataset.clone()),
+                }
+            }
+            match &cum {
+                Some(d) => epc_journal::hash_hex(epc_model::csv::to_csv(d).as_bytes()),
+                None => epc_journal::hash_hex(b""),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn cumulative_input_hashes_equal_the_hash_of_the_concatenated_input() {
+    let c = collection();
+    let mut batches = split(&c.dataset, 3);
+    // An abandoned batch first: the generation records the hash of no
+    // input, and no later hash includes its rows.
+    batches.insert(0, poison_batch(&c.dataset));
+    let expected = expected_cumulative_hashes(&batches, &[0]);
+    let hashes = |entries: &[GenerationEntry]| -> Vec<String> {
+        entries
+            .iter()
+            .map(|e| e.cumulative_input_hash.clone())
+            .collect()
+    };
+
+    let dir = run_dir("cumhash");
+    let fresh = ingest(
+        &batches,
+        inputs_at(&c, 2),
+        Stakeholder::PublicAdministration,
+        &IngestOptions::new(&dir),
+    )
+    .expect("fresh ingest");
+    assert_eq!(hashes(&fresh.entries), expected, "fresh ingest");
+    assert_eq!(expected[0], epc_journal::hash_hex(b""));
+    let _ = fs::remove_dir_all(&dir);
+
+    // Resumed at every batch boundary, the running hash restarts from the
+    // sealed prefix and still lands on the same hashes.
+    for boundary in 1..batches.len() {
+        let crash = IngestCrash::parse(&format!("{boundary}:before")).unwrap();
+        let dir = run_dir("cumhash-resume");
+        let died = ingest(
+            &batches,
+            inputs_at(&c, 2),
+            Stakeholder::PublicAdministration,
+            &IngestOptions::new(&dir).with_crash(&crash),
+        );
+        assert!(matches!(died, Err(IndiceError::CrashInjected { .. })));
+        let resumed = ingest(
+            &batches,
+            inputs_at(&c, 1),
+            Stakeholder::PublicAdministration,
+            &IngestOptions::new(&dir).resuming(),
+        )
+        .expect("resumed ingest");
+        assert_eq!(resumed.sealed_skipped.len(), boundary);
+        assert_eq!(hashes(&resumed.entries), expected, "resume at {boundary}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn appending_batches_to_a_sealed_run_skips_the_sealed_prefix() {
     let c = collection();
