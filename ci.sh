@@ -5,7 +5,7 @@
 #
 # Usage: ./ci.sh [stage]
 #   stage: lint | fmt | clippy | tier1 | chaos | crash | obs | fleet |
-#          ingest | columnar | bench
+#          ingest | bench
 #   (default: all, in order)
 #   bench = the perfbench smoke test, then one full-scale perfbench pass
 #   whose run trees must equal perfbench/golden.json.
@@ -13,15 +13,16 @@
 #   (`unsafe` only in the SHA-NI module), then the call-graph taint rules
 #   D7-D9 (transitive panic / wall-clock / entropy reachability with
 #   witness chains), plus a --format json diff against
-#   tests/golden/lint_report.json.
+#   tests/golden/lint_report.json, plus a check that the engine-selector
+#   shim gains no caller.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 stage="${1:-all}"
 case "$stage" in
-  all|lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|columnar|bench) ;;
+  all|lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|bench) ;;
   *)
-    echo "usage: $0 [lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|columnar|bench]" >&2
+    echo "usage: $0 [lint|fmt|clippy|tier1|chaos|crash|obs|fleet|ingest|bench]" >&2
     exit 2
     ;;
 esac
@@ -55,6 +56,19 @@ if want lint; then
     exit 1
   fi
   rm -f "$lint_json"
+
+  echo "== lint: the engine-selector shim has no caller =="
+  # The pipeline has one engine. `Engine`, `RuntimeConfig::with_engine`
+  # and `build_dashboard_with_engine` remain only because perfbench's
+  # --trace probes name them (ROADMAP item 4, step 1 deletes them); no
+  # workspace code may use them meanwhile, nor the removed crate and
+  # environment variable.
+  engine_names='epc_columnar|Engine::Row|Engine::Columnar|with_engine\(|build_dashboard_with_engine|INDICE_ENGINE'
+  if grep -rnE --include='*.rs' "$engine_names" crates tests examples |
+       grep -vE '^crates/(epc-runtime/src/lib|indice/src/dashboard)\.rs:'; then
+    echo "FAIL: the lines above name the engine-selector shim or the removed engine" >&2
+    exit 1
+  fi
 fi
 
 if want fmt; then
@@ -413,47 +427,6 @@ if want ingest; then
     echo "FAIL: warm-sealed resume is not byte-identical to the exact ingest" >&2
     exit 1
   fi
-fi
-
-if want columnar; then
-  echo "== columnar: differential row-vs-column harness =="
-  cargo test -q --offline -p indice --test columnar
-
-  echo "== columnar: CLI double-run diff (row vs INDICE_ENGINE=columnar) =="
-  # The engine selector is an execution knob, never an output knob: a
-  # release-binary run under INDICE_ENGINE=columnar must produce a tree
-  # byte-identical to the default row engine's on identical inputs.
-  cargo build -q --release --offline -p indice-cli
-  INDICE="$(pwd)/target/release/indice"
-  COL_DIR="$(mktemp -d)"
-  trap 'rm -rf ${CHAOS_DIR:+"$CHAOS_DIR"} ${CRASH_DIR:+"$CRASH_DIR"} \
-    ${OBS_DIR:+"$OBS_DIR"} ${FLEET_DIR:+"$FLEET_DIR"} \
-    ${INGEST_DIR:+"$INGEST_DIR"} "$COL_DIR"' EXIT
-  "$INDICE" generate --records 600 --seed 5 --out-dir "$COL_DIR/data" >/dev/null
-
-  col_args=(run
-    --data "$COL_DIR/data/epcs.csv"
-    --streets "$COL_DIR/data/street_map.txt"
-    --regions "$COL_DIR/data/regions.json"
-    --stakeholder citizen)
-
-  "$INDICE" "${col_args[@]}" --out-dir "$COL_DIR/row" >/dev/null
-  INDICE_ENGINE=columnar "$INDICE" "${col_args[@]}" --out-dir "$COL_DIR/columnar" \
-    >/dev/null
-  if [ "$(tree_hash "$COL_DIR/row")" != "$(tree_hash "$COL_DIR/columnar")" ]; then
-    echo "FAIL: columnar-engine artifacts differ from the row engine's" >&2
-    exit 1
-  fi
-
-  echo "== columnar: bench cross-engine equivalence gate =="
-  # `indice bench --engines row,columnar` fails hard on any fingerprint
-  # or artifact divergence between the engines.
-  "$INDICE" bench --records 600 --seed 5 --engines row,columnar \
-    --out "$COL_DIR/bench.json" >/dev/null
-  grep -q '"engines_match": true' "$COL_DIR/bench.json" || {
-    echo "FAIL: bench snapshot does not record matching engines" >&2
-    exit 1
-  }
 fi
 
 if want bench; then

@@ -7,12 +7,13 @@
 //! assembly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use epc_query::stakeholder::default_report_spec;
 use epc_query::Stakeholder;
-use epc_runtime::{Engine, RuntimeConfig};
+use epc_runtime::RuntimeConfig;
 use epc_synth::{EpcGenerator, NoiseConfig, SynthConfig};
 use indice::analytics::analyze_observed;
 use indice::config::IndiceConfig;
-use indice::dashboard::build_dashboard_with_engine;
+use indice::dashboard::build_dashboard_with_spec;
 
 fn bench_fig4(c: &mut Criterion) {
     let mut collection = EpcGenerator::new(SynthConfig {
@@ -54,13 +55,13 @@ fn bench_fig4(c: &mut Criterion) {
         );
     }
 
-    let out = build_dashboard_with_engine(
+    let spec = default_report_spec(Stakeholder::PublicAdministration);
+    let out = build_dashboard_with_spec(
         &collection.dataset,
         &collection.city.hierarchy,
         &analytics,
-        Stakeholder::PublicAdministration,
+        &spec,
         12,
-        Engine::Row,
     )
     .expect("dashboard builds");
     let dir = std::path::Path::new("target/indice-artifacts/bench");
@@ -76,13 +77,12 @@ fn bench_fig4(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("build_panels_25k", |b| {
         b.iter(|| {
-            build_dashboard_with_engine(
+            build_dashboard_with_spec(
                 &collection.dataset,
                 &collection.city.hierarchy,
                 &analytics,
-                Stakeholder::PublicAdministration,
+                &spec,
                 12,
-                Engine::Row,
             )
             .unwrap()
         })

@@ -189,12 +189,16 @@ impl DegradedFallback {
 /// limit; pass `None` to disable the fallback entirely — the ablation of
 /// the benchmark suite).
 ///
-/// The per-record Levenshtein matching against the reference map (steps
-/// 1–2) is pure and runs data-parallel under `runtime`; the geocoder
-/// fallback (step 3) is inherently stateful — the quota counter must be
-/// consumed in input order — so it runs as a sequential second pass over
-/// the addresses the reference could not resolve. The combined result is
-/// bitwise identical to the sequential algorithm for any thread budget.
+/// The Levenshtein matching against the reference map (step 1) depends
+/// only on the street *string* and φ, so it runs once per **distinct**
+/// street, data-parallel under `runtime`: EPC street columns repeat
+/// heavily (a city's certificates share a few thousand streets). The
+/// per-row repair from that match (step 2) is pure and runs data-parallel
+/// too. The geocoder fallback (step 3) is inherently stateful — the quota
+/// counter must be consumed in input order — so it runs as a sequential
+/// second pass over the addresses the reference could not resolve. The
+/// combined result is bitwise identical to matching every row on its own,
+/// sequentially, for any thread budget.
 ///
 /// `fallback` adds a district-centroid fallback for transient geocoder
 /// failures. With `None`, every geocoder miss comes back
@@ -210,74 +214,31 @@ pub fn clean_addresses(
     runtime: &epc_runtime::RuntimeConfig,
     fallback: Option<&DegradedFallback>,
 ) -> (Vec<CleanedAddress>, CleaningReport) {
-    // Pass 1 (parallel, pure): reference-map matching, one Levenshtein
-    // scan per *row*.
+    // The distinct streets, borrowed and sorted, so each row finds its
+    // street's slot by binary search.
+    let mut distinct: Vec<&str> = queries.iter().map(|q| q.address.street.as_str()).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+
+    // Pass 1a (parallel, pure): one reference scan per distinct street.
+    let hits = epc_runtime::par_map(runtime, &distinct, |street| {
+        reference.best_match(street, config.phi)
+    });
+
+    // Pass 1b (parallel, pure): per-row repair from the memoised match.
     let by_reference = epc_runtime::par_map(runtime, queries, |q| {
-        clean_by_reference(q, reference, config)
+        let hit = distinct
+            .binary_search(&q.address.street.as_str())
+            .ok()
+            .and_then(|slot| hits.get(slot))
+            .and_then(Option::as_ref);
+        clean_with_hit(q, hit, reference, config)
     });
     resolve_remainder(queries, by_reference, geocoder, config, fallback)
 }
 
-/// Street-string deduplication accounting of the columnar cleaning pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreetDedupStats {
-    /// Addresses processed.
-    pub total: usize,
-    /// Distinct street strings — the number of Levenshtein reference scans
-    /// actually performed (the row path performs `total`).
-    pub distinct_streets: usize,
-}
-
-/// Dictionary-deduplicated variant of [`clean_addresses`]: the
-/// columnar engine's cleaning pass.
-///
-/// Levenshtein matching depends only on the street *string* and φ, so the
-/// reference scan runs once per **distinct** street (collected through an
-/// [`epc_columnar::SortedDict`], making the memo input-order invariant)
-/// instead of once per row. Real EPC street columns are heavily repetitive
-/// — the paper's collections hold tens of thousands of certificates over a
-/// few thousand streets — so this removes most of the cleaning cost. The
-/// per-row repair and the sequential geocoder fallback are unchanged, and
-/// the output is bitwise identical to the row path for any thread budget
-/// (gated by `tests/columnar.rs`).
-pub fn clean_addresses_columnar(
-    queries: &[AddressQuery],
-    reference: &StreetMap,
-    geocoder: Option<&dyn Geocoder>,
-    config: &CleaningConfig,
-    runtime: &epc_runtime::RuntimeConfig,
-    fallback: Option<&DegradedFallback>,
-) -> (Vec<CleanedAddress>, CleaningReport, StreetDedupStats) {
-    // Dictionary over the distinct street strings of the batch.
-    let dict =
-        epc_columnar::SortedDict::from_labels(queries.iter().map(|q| q.address.street.as_str()));
-    let stats = StreetDedupStats {
-        total: queries.len(),
-        distinct_streets: dict.len(),
-    };
-
-    // Pass 1a (parallel, pure): one reference scan per distinct street.
-    let hits = epc_runtime::par_map(runtime, dict.labels(), |street| {
-        reference.best_match(street, config.phi)
-    });
-
-    // Pass 1b (parallel, pure): per-row repair from the memoized match.
-    let by_reference = epc_runtime::par_map(runtime, queries, |q| {
-        let hit = dict
-            .id_of(&q.address.street)
-            // lint:allow(D7): id < dict.len() by SortedDict construction and hits has exactly one entry per dictionary label (par_map over dict.labels())
-            .and_then(|id| hits[id as usize].as_ref());
-        clean_with_hit(q, hit, reference, config)
-    });
-
-    let (out, report) = resolve_remainder(queries, by_reference, geocoder, config, fallback);
-    (out, report, stats)
-}
-
 /// Pass 2 (sequential, input order): geocoder fallback for the addresses
-/// the reference could not resolve, plus report tallying. Shared verbatim
-/// by the row and columnar paths so their outputs can only differ if
-/// pass 1 differs.
+/// the reference could not resolve, plus report tallying.
 fn resolve_remainder(
     queries: &[AddressQuery],
     by_reference: Vec<Option<CleanedAddress>>,
@@ -328,19 +289,9 @@ fn resolve_remainder(
     (out, report)
 }
 
-/// Steps 1–2: referenced street map with threshold φ. Pure — safe to run
+/// Step 2: repairs `q` from its street's match against the referenced
+/// street map (`None`: no street reached φ). Pure — safe to run
 /// data-parallel.
-fn clean_by_reference(
-    q: &AddressQuery,
-    reference: &StreetMap,
-    config: &CleaningConfig,
-) -> Option<CleanedAddress> {
-    let hit = reference.best_match(&q.address.street, config.phi);
-    clean_with_hit(q, hit.as_ref(), reference, config)
-}
-
-/// Step 2 alone: repairs `q` from an already-computed street match (the
-/// columnar path memoizes the match per distinct street string).
 fn clean_with_hit(
     q: &AddressQuery,
     hit: Option<&crate::streetmap::StreetMatch>,
@@ -783,14 +734,33 @@ mod tests {
         }
     }
 
+    /// The per-row algorithm [`clean_addresses`] memoises: one reference
+    /// scan per row, sequentially, then the same geocoder pass.
+    fn clean_addresses_per_row(
+        queries: &[AddressQuery],
+        reference: &StreetMap,
+        geocoder: Option<&dyn Geocoder>,
+        config: &CleaningConfig,
+        fallback: Option<&DegradedFallback>,
+    ) -> (Vec<CleanedAddress>, CleaningReport) {
+        let by_reference = queries
+            .iter()
+            .map(|q| {
+                let hit = reference.best_match(&q.address.street, config.phi);
+                clean_with_hit(q, hit.as_ref(), reference, config)
+            })
+            .collect();
+        resolve_remainder(queries, by_reference, geocoder, config, fallback)
+    }
+
     #[test]
-    fn columnar_dedup_cleaning_matches_row_path_bitwise() {
+    fn memoised_cleaning_matches_the_per_row_oracle() {
         let truth = {
             let mut t = reference();
             t.insert(entry("Via Garibaldi", "7", "10122", 45.0730, 7.6820));
             t
         };
-        // Heavy street repetition (the shape dedup exploits), a quota
+        // Heavy street repetition (the shape the memo exploits), a quota
         // small enough that geocoder consumption order is observable, and
         // enough rows to cross par_map's per-thread minimum.
         let streets = ["Via Roma", "via rma", "via garibaldi", "zzzzzz", "VIA ROMA"];
@@ -801,29 +771,177 @@ mod tests {
                 point: None,
             })
             .collect();
-        let row_geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
-        let (row, row_report) = clean_addresses(
-            &queries,
-            &reference(),
-            Some(&row_geo),
-            &cfg(),
-            &RuntimeConfig::sequential(),
-            None,
-        );
+        let oracle_geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
+        let (want, want_report) =
+            clean_addresses_per_row(&queries, &reference(), Some(&oracle_geo), &cfg(), None);
         for threads in [1usize, 2, 8] {
-            let col_geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
-            let (col, col_report, stats) = clean_addresses_columnar(
+            let geo = QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), 9);
+            let (got, got_report) = clean_addresses(
                 &queries,
                 &reference(),
-                Some(&col_geo),
+                Some(&geo),
                 &cfg(),
                 &RuntimeConfig::new(threads),
                 None,
             );
-            assert_eq!(col, row, "threads = {threads}");
-            assert_eq!(col_report, row_report, "threads = {threads}");
-            assert_eq!(stats.total, 160);
-            assert_eq!(stats.distinct_streets, streets.len());
+            assert_eq!(got, want, "threads = {threads}");
+            assert_eq!(got_report, want_report, "threads = {threads}");
+        }
+    }
+
+    /// A geocoder that fails call `i` transiently when bit `i % 64` of
+    /// `failures` is set, and otherwise delegates to `inner`.
+    struct Flaky<G> {
+        inner: G,
+        failures: u64,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl<G: Geocoder> Geocoder for Flaky<G> {
+        fn geocode(&self, query: &Address) -> Option<crate::geocode::GeocodeResult> {
+            self.try_geocode(query).ok()
+        }
+        fn try_geocode(
+            &self,
+            query: &Address,
+        ) -> Result<crate::geocode::GeocodeResult, GeocodeFailure> {
+            let i = self.calls.get();
+            self.calls.set(i + 1);
+            if self.failures >> (i % 64) & 1 == 1 {
+                return Err(GeocodeFailure::Transient(
+                    crate::geocode::TransientKind::Quota,
+                ));
+            }
+            self.inner.try_geocode(query)
+        }
+        fn requests_made(&self) -> usize {
+            self.calls.get()
+        }
+    }
+
+    /// A street name past the bit-parallel kernel's 64 characters, so
+    /// matching takes the DP path.
+    const LONG_STREET: &str =
+        "Via dei Cavalieri di Vittorio Veneto e della Gloriosa Resistenza Piemontese";
+
+    /// Raw spellings for generated rows: repeats, spellings that
+    /// normalise equal, near misses, empty and blank strings, Unicode,
+    /// long names, and streets only the geocoder knows.
+    const SPELLINGS: [&str; 18] = [
+        "Via Roma",
+        "V. Roma",
+        "VIA  ROMA",
+        "via roma",
+        "Vïa Ròma",
+        "via rma",
+        "Corso Francia",
+        "C.so Francia",
+        "corso fracia",
+        "",
+        "   ",
+        "Улица Ленина",
+        "улица лeнина",
+        LONG_STREET,
+        "Via dei Cavalieri di Vittorio Veneto e della Gloriosa Resistenza Piemontesi",
+        "via garibaldi",
+        "Via Garibaldo",
+        "zzzzzz",
+    ];
+
+    fn oracle_reference() -> StreetMap {
+        let mut map = reference();
+        map.insert(entry("Улица Ленина", "3", "10150", 45.0900, 7.6600));
+        map.insert(entry(LONG_STREET, "1", "10131", 45.0600, 7.7000));
+        map
+    }
+
+    fn random_query(rng: &mut rand::rngs::StdRng, id: usize) -> AddressQuery {
+        use rand::Rng;
+        let street = if rng.gen_bool(0.15) {
+            // A fresh near-duplicate: one char of a spelling dropped.
+            let base: Vec<char> = SPELLINGS[rng.gen_range(0..SPELLINGS.len())]
+                .chars()
+                .collect();
+            let cut = rng.gen_range(0..=base.len());
+            base.iter()
+                .enumerate()
+                .filter(|&(i, _)| i != cut)
+                .map(|(_, c)| c)
+                .collect()
+        } else {
+            SPELLINGS[rng.gen_range(0..SPELLINGS.len())].to_owned()
+        };
+        let house = ["10", "12", "5", "3", "1", "7", "99"];
+        let house_number = rng
+            .gen_bool(0.8)
+            .then(|| house[rng.gen_range(0..house.len())]);
+        let zip = ["10121", "10143", "99999"];
+        let zip = rng.gen_bool(0.5).then(|| zip[rng.gen_range(0..zip.len())]);
+        let point = match rng.gen_range(0..3) {
+            0 => None,
+            1 => Some(GeoPoint::new(45.0701, 7.6801)),
+            _ => Some(GeoPoint::new(45.17, 7.58)),
+        };
+        AddressQuery {
+            id,
+            address: Address::new(&street, house_number, zip),
+            point,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn memoised_cleaning_equals_the_per_row_oracle(seed in 0u64..u64::MAX) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..=160);
+            let queries: Vec<AddressQuery> = (0..n).map(|id| random_query(&mut rng, id)).collect();
+            let map = oracle_reference();
+            let mut truth = oracle_reference();
+            truth.insert(entry("Via Garibaldi", "7", "10122", 45.0730, 7.6820));
+            let config = CleaningConfig {
+                phi: [0.7, 0.85, 0.95][rng.gen_range(0..3)],
+                ..cfg()
+            };
+            let quota = rng.gen_range(0..12);
+            let failures = if rng.gen_bool(0.5) { rng.gen::<u64>() } else { 0 };
+            let with_geocoder = rng.gen_bool(0.8);
+            let districts = [Some("Centro"), Some("Periferia"), None];
+            let fallback = rng.gen_bool(0.5).then(|| DegradedFallback {
+                centroids: BTreeMap::from([("Centro".to_owned(), GeoPoint::new(45.071, 7.682))]),
+                hints: (0..n)
+                    .map(|_| districts[rng.gen_range(0..districts.len())].map(str::to_owned))
+                    .collect(),
+            });
+            let geocoder = || Flaky {
+                inner: QuotaGeocoder::new(SimulatedGeocoder::new(&truth, 0.6, 0.0), quota),
+                failures,
+                calls: std::cell::Cell::new(0),
+            };
+
+            let oracle_geo = geocoder();
+            let (want, want_report) = clean_addresses_per_row(
+                &queries,
+                &map,
+                with_geocoder.then_some(&oracle_geo as &dyn Geocoder),
+                &config,
+                fallback.as_ref(),
+            );
+            for threads in [1usize, 2, 8] {
+                let geo = geocoder();
+                let (got, got_report) = clean_addresses(
+                    &queries,
+                    &map,
+                    with_geocoder.then_some(&geo as &dyn Geocoder),
+                    &config,
+                    &RuntimeConfig::new(threads),
+                    fallback.as_ref(),
+                );
+                proptest::prop_assert_eq!(&got, &want, "threads = {}", threads);
+                proptest::prop_assert_eq!(&got_report, &want_report, "threads = {}", threads);
+            }
         }
     }
 

@@ -30,8 +30,8 @@ pub mod streetmap;
 pub use address::Address;
 pub use bbox::BoundingBox;
 pub use cleaning::{
-    clean_addresses, clean_addresses_columnar, AddressQuery, CleanedAddress, CleaningConfig,
-    CleaningOutcome, CleaningReport, DegradedFallback, StreetDedupStats,
+    clean_addresses, AddressQuery, CleanedAddress, CleaningConfig, CleaningOutcome, CleaningReport,
+    DegradedFallback,
 };
 pub use geocode::{
     Backoff, GeocodeFailure, GeocodeResult, Geocoder, QuotaGeocoder, RetryGeocoder,

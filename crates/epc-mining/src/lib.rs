@@ -34,7 +34,6 @@
 
 pub mod apriori;
 pub mod cart;
-pub mod columnar;
 pub mod dbscan;
 pub mod discretize;
 pub mod elbow;
@@ -49,7 +48,6 @@ pub mod silhouette;
 
 pub use apriori::{Apriori, ItemDictionary, Itemset, TransactionSet};
 pub use cart::{CartConfig, RegressionTree};
-pub use columnar::feature_matrix;
 pub use dbscan::{
     dbscan_noise, dbscan_with_runtime, DbscanConfig, DbscanLabel, DbscanNoise, DbscanResult,
 };

@@ -17,7 +17,6 @@
 //!   that suggests defaults to non-expert users.
 
 pub mod aggregate;
-pub mod columnar;
 pub mod config_store;
 pub mod predicate;
 pub mod query;
@@ -25,7 +24,6 @@ pub mod report;
 pub mod stakeholder;
 
 pub use aggregate::{group_by, AggFn, GroupRow};
-pub use columnar::{group_by_columnar, mask_columnar, matching_rows_columnar, selection_bitmap};
 pub use config_store::ExpertConfigStore;
 pub use predicate::{BoundPredicate, Predicate};
 pub use query::{Query, QueryError};

@@ -12,9 +12,9 @@
 //!
 //! This crate guarantees that with two rules:
 //!
-//! 1. **Order-preserving maps** — [`par_map`] / [`par_map_indexed`] split
-//!    the input into contiguous chunks, process chunks on scoped threads,
-//!    and reassemble results in input order; [`par_map_coarse`] hands
+//! 1. **Order-preserving maps** — [`par_map`] splits the input into
+//!    contiguous chunks, processes chunks on scoped threads, and
+//!    reassembles results in input order; [`par_map_coarse`] hands
 //!    few expensive items out one at a time and places each result by its
 //!    input index. A pure per-item function therefore produces exactly the
 //!    sequential result.
@@ -39,57 +39,19 @@ use std::num::NonZeroUsize;
 /// Environment variable consulted by [`RuntimeConfig::try_from_env`].
 pub const THREADS_ENV_VAR: &str = "INDICE_THREADS";
 
-/// Environment variable selecting the storage engine ([`Engine`]).
-pub const ENGINE_ENV_VAR: &str = "INDICE_ENGINE";
-
-/// Which storage layout the pipeline's hot loops iterate.
+/// A storage-engine selector that no longer selects anything: the
+/// pipeline has one engine.
 ///
-/// Like the thread budget, the engine is an *execution* knob: outputs must
-/// be bitwise identical under either value (gated by the differential
-/// harness in `tests/columnar.rs`), so it lives beside `threads` rather
-/// than in the serialized pipeline configuration — it must never leak into
-/// checkpoints, journals, or artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Read by no pipeline code: only perfbench's `--trace` probes name it,
+/// through [`RuntimeConfig::with_engine`]. ROADMAP item 4 step 1
+/// deletes it, with [`RuntimeConfig::engine`] and
+/// [`RuntimeConfig::with_engine`], along with those probes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Row-shaped iteration over `epc-model` datasets (the default).
-    #[default]
+    /// The value [`RuntimeConfig::new`] sets.
     Row,
-    /// Columnar iteration over an `epc-columnar` store: dictionary-encoded
-    /// categoricals, compressed numeric blocks, zone-map block skipping.
+    /// Runs exactly what [`Engine::Row`] runs.
     Columnar,
-}
-
-impl Engine {
-    /// Strictly validates an `INDICE_ENGINE` value: `None` (unset) selects
-    /// the row engine, anything set must be `row` or `columnar`. Pure, so
-    /// rejection paths are unit-testable without touching process state.
-    pub fn parse(raw: Option<&str>) -> Result<Self, String> {
-        let Some(raw) = raw else {
-            return Ok(Engine::Row);
-        };
-        match raw.trim() {
-            "row" => Ok(Engine::Row),
-            "columnar" => Ok(Engine::Columnar),
-            other => Err(format!(
-                "{ENGINE_ENV_VAR} must be \"row\" or \"columnar\", got {other:?}"
-            )),
-        }
-    }
-
-    /// Like [`Engine::parse`] over the process environment, with malformed
-    /// values reported as errors.
-    pub fn try_from_env() -> Result<Self, String> {
-        let raw = std::env::var(ENGINE_ENV_VAR).ok();
-        Engine::parse(raw.as_deref())
-    }
-
-    /// Stable lower-case name, as accepted by [`Engine::parse`].
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Row => "row",
-            Engine::Columnar => "columnar",
-        }
-    }
 }
 
 /// Execution configuration shared by every parallel kernel.
@@ -97,7 +59,7 @@ impl Engine {
 pub struct RuntimeConfig {
     /// Worker-thread budget; `1` means fully sequential execution.
     pub threads: usize,
-    /// Storage engine the pipeline iterates ([`Engine::Row`] by default).
+    /// Read by no pipeline code; see [`Engine`].
     pub engine: Engine,
 }
 
@@ -115,7 +77,8 @@ impl RuntimeConfig {
         RuntimeConfig::new(1)
     }
 
-    /// The same thread budget with a different storage engine.
+    /// The same configuration with `engine` stored, which nothing reads;
+    /// see [`Engine`].
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -140,13 +103,11 @@ impl RuntimeConfig {
     }
 
     /// Reads the thread budget from `INDICE_THREADS` (see
-    /// [`RuntimeConfig::parse_threads`]; `1` forces sequential execution)
-    /// and the storage engine from `INDICE_ENGINE`. A malformed value of
-    /// either is an error, never a silent fallback.
+    /// [`RuntimeConfig::parse_threads`]; `1` forces sequential execution).
+    /// A malformed value is an error, never a silent fallback.
     pub fn try_from_env() -> Result<Self, String> {
         let raw = std::env::var(THREADS_ENV_VAR).ok();
-        let base = RuntimeConfig::parse_threads(raw.as_deref())?;
-        Ok(base.with_engine(Engine::try_from_env()?))
+        RuntimeConfig::parse_threads(raw.as_deref())
     }
 
     /// `true` when no worker threads will be spawned.
@@ -255,42 +216,6 @@ where
     slots.into_iter().flatten().collect()
 }
 
-/// Like [`par_map`], passing each item's input index to `f`.
-pub fn par_map_indexed<T, U, F>(config: &RuntimeConfig, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let threads = effective_threads(config, items.len());
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk_len = items.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(items.len());
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(chunk_idx, chunk)| {
-                let base = chunk_idx * chunk_len;
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(offset, t)| f(base + offset, t))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            out.extend(join_worker(handle));
-        }
-    });
-    out
-}
-
 /// Reduces `items` through fixed-size chunk partials combined in chunk
 /// order.
 ///
@@ -395,19 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_engine_accepts_known_names_and_rejects_others() {
-        assert_eq!(Engine::parse(None).unwrap(), Engine::Row);
-        assert_eq!(Engine::parse(Some("row")).unwrap(), Engine::Row);
-        assert_eq!(Engine::parse(Some(" columnar ")).unwrap(), Engine::Columnar);
-        for bad in ["", "ROW", "col", "columnar engine", "0"] {
-            let err = Engine::parse(Some(bad)).unwrap_err();
-            assert!(err.contains(ENGINE_ENV_VAR), "{err}");
-        }
-        assert_eq!(Engine::Row.label(), "row");
-        assert_eq!(Engine::Columnar.label(), "columnar");
-    }
-
-    #[test]
     fn with_engine_only_changes_the_engine() {
         let cfg = RuntimeConfig::new(4).with_engine(Engine::Columnar);
         assert_eq!(cfg.threads, 4);
@@ -421,16 +333,6 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for cfg in cfgs() {
             assert_eq!(par_map(&cfg, &items, |x| x * 3 + 1), expected, "{cfg:?}");
-        }
-    }
-
-    #[test]
-    fn par_map_indexed_sees_global_indices() {
-        let items: Vec<u32> = vec![7; 777];
-        for cfg in cfgs() {
-            let out = par_map_indexed(&cfg, &items, |i, &v| i as u32 + v);
-            let expected: Vec<u32> = (0..777).map(|i| i + 7).collect();
-            assert_eq!(out, expected, "{cfg:?}");
         }
     }
 

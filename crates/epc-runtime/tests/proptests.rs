@@ -21,19 +21,6 @@ proptest! {
     }
 
     #[test]
-    fn par_map_indexed_matches_enumerated_map(
-        items in prop::collection::vec(0u32..10_000, 0..300),
-        threads in 1usize..9,
-    ) {
-        let expected: Vec<(usize, u32)> =
-            items.iter().enumerate().map(|(i, &x)| (i, x + 1)).collect();
-        let got = epc_runtime::par_map_indexed(&RuntimeConfig::new(threads), &items, |i, &x| {
-            (i, x + 1)
-        });
-        prop_assert_eq!(got, expected);
-    }
-
-    #[test]
     fn par_map_coarse_matches_serial_map(
         items in prop::collection::vec(-50.0f64..50.0, 0..40),
         threads in 1usize..9,

@@ -51,11 +51,7 @@ pub enum Command {
         records: Vec<usize>,
         /// RNG seed for the synthetic collection.
         seed: u64,
-        /// Engines to run at each size (from `--engines row[,columnar]`).
-        /// With more than one, the snapshot carries a side-by-side
-        /// comparison and the run fails if their outputs diverge.
-        engines: Vec<epc_runtime::Engine>,
-        /// Output path for the indice-bench/2 snapshot.
+        /// Output path for the indice-bench/3 snapshot.
         out: String,
     },
     /// Print the auto-configuration advice for a collection.
@@ -204,8 +200,7 @@ USAGE:
              [--kill-city IDX [--kill-stage STAGE] [--kill-attempt N|all]] \\
              [--corrupt-city IDX [--fault-rate R]] [--fault-seed S] \\
              [--crash-at-city IDX:before|after]
-  indice bench --records N[,M...] [--seed S] \\
-             [--engines row[,columnar]] --out bench.json
+  indice bench --records N[,M...] [--seed S] --out bench.json
   indice suggest-config --data epcs.csv
   indice clean --data epcs.csv --streets street_map.txt --out cleaned.csv
   indice help
@@ -283,9 +278,7 @@ snapshot (per-stage wall milliseconds and records/sec, peak shard
 imbalance) to `--out`. Before each size's runs it renders the collection
 to CSV and times reading it back and hashing it as a durable run does
 (`csv_bytes`, `load_ms`, `input_hash_ms`); the command fails unless the
-text reads back to the same bytes. With `--engines row,columnar` every size runs
-once per engine; the snapshot carries the side-by-side numbers and the
-command fails if the engines' outputs are not identical.
+text reads back to the same bytes.
 
 `--fault-seed` / `--fault-rate` / `--geocode-fail-rate` attach a
 deterministic fault injector for chaos testing: the same seed and rates
@@ -297,11 +290,6 @@ ENVIRONMENT:
   INDICE_THREADS           thread budget for run/clean (default: all
                            hardware threads); outputs are identical for
                            any value
-  INDICE_ENGINE            execution engine, `row` (default) or
-                           `columnar`; outputs are byte-identical for
-                           either — the columnar engine only changes how
-                           scans, group-bys, cleaning, and clustering
-                           gather their data
   INDICE_GEOCODE_RETRIES   retry budget for transient geocoder failures
                            (default: 3)
   INDICE_STAGE_DEADLINE_MS per-stage wall-clock budget in milliseconds;
@@ -399,7 +387,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }))
         }
         "bench" => {
-            let flags = Flags::parse(cmd, &["records", "seed", "engines", "out"], rest)?;
+            let flags = Flags::parse(cmd, &["records", "seed", "out"], rest)?;
             let records: Vec<usize> = flags
                 .required("records")?
                 .split(',')
@@ -409,26 +397,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 return Err("--records must be a comma list of positive sizes".into());
             }
             let seed = flags.parsed_or("seed", DEFAULT_SEED)?;
-            let engines: Vec<epc_runtime::Engine> = match flags.get("engines") {
-                None => vec![epc_runtime::Engine::Row],
-                Some(raw) => {
-                    let engines: Vec<epc_runtime::Engine> = raw
-                        .split(',')
-                        .map(|s| {
-                            epc_runtime::Engine::parse(Some(s.trim()))
-                                .map_err(|e| format!("--engines: {e}"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if engines.is_empty() {
-                        return Err("--engines must name at least one engine".into());
-                    }
-                    engines
-                }
-            };
             Ok(Command::Bench {
                 records,
                 seed,
-                engines,
                 out: flags.required("out")?,
             })
         }
@@ -1281,7 +1252,6 @@ mod tests {
             Command::Bench {
                 records: vec![800],
                 seed: 2024,
-                engines: vec![epc_runtime::Engine::Row],
                 out: "b.json".into(),
             }
         );
@@ -1291,8 +1261,6 @@ mod tests {
             "100,2500",
             "--seed",
             "9",
-            "--engines",
-            "row,columnar",
             "--out",
             "b.json",
         ]))
@@ -1302,7 +1270,6 @@ mod tests {
             Command::Bench {
                 records: vec![100, 2500],
                 seed: 9,
-                engines: vec![epc_runtime::Engine::Row, epc_runtime::Engine::Columnar],
                 out: "b.json".into(),
             }
         );
@@ -1310,16 +1277,18 @@ mod tests {
         assert!(parse_args(&v(&["bench", "--records", "0", "--out", "b.json"])).is_err());
         assert!(parse_args(&v(&["bench", "--records", "10,0", "--out", "b.json"])).is_err());
         assert!(parse_args(&v(&["bench", "--records", "10"])).is_err());
-        assert!(parse_args(&v(&[
+        // The pipeline has one engine: `--engines` is an unknown flag.
+        let err = parse_args(&v(&[
             "bench",
             "--records",
             "10",
             "--engines",
-            "vector",
+            "row",
             "--out",
-            "b.json"
+            "b.json",
         ]))
-        .is_err());
+        .unwrap_err();
+        assert!(err.contains("unknown flag --engines"), "{err}");
     }
 
     #[test]

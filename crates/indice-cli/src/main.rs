@@ -73,12 +73,7 @@ fn execute(command: Command) -> Result<ExitCode, String> {
         Command::Run(args) => run(&args),
         Command::Ingest(args) => ingest(&args),
         Command::Fleet(args) => fleet(&args),
-        Command::Bench {
-            records,
-            seed,
-            engines,
-            out,
-        } => bench(&records, seed, &engines, &out),
+        Command::Bench { records, seed, out } => bench(&records, seed, &out),
         Command::Clean { data, streets, out } => {
             let runtime = epc_runtime::RuntimeConfig::try_from_env()?;
             let dataset = load_dataset(&data)?;
@@ -597,13 +592,10 @@ fn write_metrics(path: &str, obs: &epc_obs::Obs<'_>) -> Result<(), String> {
         .map_err(|e| format!("writing {path}: {e}"))
 }
 
-/// One engine's measured numbers at one collection size, plus the
-/// deterministic output fingerprint the cross-engine gate compares.
+/// The pipeline's measured numbers at one collection size.
 struct BenchRun {
     json: String,
     exit_code: u8,
-    fingerprint: String,
-    artifacts: std::collections::BTreeMap<String, String>,
     threads: usize,
     total_ms: u64,
     records_per_sec: f64,
@@ -665,10 +657,10 @@ fn bench_load(records: usize, seed: u64) -> Result<LoadRun, String> {
     })
 }
 
-/// Runs the observed pipeline once for `engine` at `records` and formats
-/// its per-stage snapshot block.
-fn bench_one(records: usize, seed: u64, engine: epc_runtime::Engine) -> Result<BenchRun, String> {
-    let runtime = epc_runtime::RuntimeConfig::try_from_env()?.with_engine(engine);
+/// Runs the observed pipeline once at `records` and formats its
+/// per-stage fields of the size block.
+fn bench_one(records: usize, seed: u64) -> Result<BenchRun, String> {
+    let runtime = epc_runtime::RuntimeConfig::try_from_env()?;
     let collection = bench_collection(records, seed);
     let indice = Indice::from_collection(collection, IndiceConfig::default()).with_runtime(runtime);
     let clock = epc_runtime::WallClock::new();
@@ -724,9 +716,9 @@ fn bench_one(records: usize, seed: u64, engine: epc_runtime::Engine) -> Result<B
         .as_ref()
         .map(|a| a.rules.len())
         .unwrap_or(0);
-    // Everything in the fingerprint (and the artifact bytes, compared
-    // separately) must be engine-independent; wall times must not.
-    let fingerprint = format!(
+    // Everything in this block reproduces exactly across runs; wall
+    // times do not.
+    let deterministic = format!(
         "{{\n\
          \x20       \"artifacts\": {artifacts},\n\
          \x20       \"chosen_k\": {chosen_k},\n\
@@ -740,21 +732,15 @@ fn bench_one(records: usize, seed: u64, engine: epc_runtime::Engine) -> Result<B
         quarantined = output.quarantine.len(),
     );
     let json = format!(
-        "      {{\n\
-         \x20       \"engine\": \"{engine}\",\n\
-         \x20       \"stages\": [\n{stages}\n      ],\n\
-         \x20       \"total_wall_ms\": {total_ms},\n\
-         \x20       \"records_per_sec\": {records_per_sec:.1},\n\
-         \x20       \"peak_shard_imbalance\": {peak_shard_imbalance:.4},\n\
-         \x20       \"deterministic\": {fingerprint}\n\
-         \x20     }}",
-        engine = engine.label(),
+        "      \"stages\": [\n{stages}\n      ],\n\
+         \x20     \"total_wall_ms\": {total_ms},\n\
+         \x20     \"records_per_sec\": {records_per_sec:.1},\n\
+         \x20     \"peak_shard_imbalance\": {peak_shard_imbalance:.4},\n\
+         \x20     \"deterministic\": {deterministic}",
     );
     Ok(BenchRun {
         json,
         exit_code: output.outcome.exit_code(),
-        fingerprint,
-        artifacts: output.artifacts,
         threads: output.report.threads,
         total_ms,
         records_per_sec,
@@ -762,17 +748,9 @@ fn bench_one(records: usize, seed: u64, engine: epc_runtime::Engine) -> Result<B
 }
 
 /// Runs the full observed pipeline over in-memory synthetic collections —
-/// once per (size, engine) pair, after timing the load of that size's CSV
-/// ([`bench_load`]) — and writes an indice-bench/2 snapshot.
-/// With several engines, every pair of runs at the same size must produce
-/// an identical deterministic fingerprint and byte-identical artifacts;
-/// a divergence fails the command.
-fn bench(
-    records_list: &[usize],
-    seed: u64,
-    engines: &[epc_runtime::Engine],
-    out: &str,
-) -> Result<ExitCode, String> {
+/// once per size, after timing the load of that size's CSV
+/// ([`bench_load`]) — and writes an indice-bench/3 snapshot.
+fn bench(records_list: &[usize], seed: u64, out: &str) -> Result<ExitCode, String> {
     let mut worst_exit = 0u8;
     let mut threads = 0usize;
     let mut runs = String::new();
@@ -785,50 +763,24 @@ fn bench(
             "bench: {records} records, {} CSV bytes, load {} ms, input hash {} ms",
             load.csv_bytes, load.load_ms, load.input_hash_ms
         );
-        let mut blocks = String::new();
-        let mut baseline: Option<BenchRun> = None;
-        for (ei, &engine) in engines.iter().enumerate() {
-            if ei > 0 {
-                blocks.push_str(",\n");
-            }
-            let run = bench_one(records, seed, engine)?;
-            threads = run.threads;
-            worst_exit = worst_exit.max(run.exit_code);
-            println!(
-                "bench: {records} records, engine {}, {} threads, {} ms total \
-                 ({:.1} records/sec)",
-                engine.label(),
-                run.threads,
-                run.total_ms,
-                run.records_per_sec
-            );
-            blocks.push_str(&run.json);
-            match &baseline {
-                None => baseline = Some(run),
-                Some(base) => {
-                    if base.fingerprint != run.fingerprint || base.artifacts != run.artifacts {
-                        return Err(format!(
-                            "engine divergence at {records} records: {} and {} \
-                             produced different outputs",
-                            engines[0].label(),
-                            engine.label()
-                        ));
-                    }
-                }
-            }
-        }
+        let run = bench_one(records, seed)?;
+        threads = run.threads;
+        worst_exit = worst_exit.max(run.exit_code);
+        println!(
+            "bench: {records} records, {} threads, {} ms total ({:.1} records/sec)",
+            run.threads, run.total_ms, run.records_per_sec
+        );
         runs.push_str(&format!(
             "    {{\n      \"records\": {records},\n      \"load\": {{\"csv_bytes\": {}, \
-             \"load_ms\": {}, \"input_hash_ms\": {}}},\n      \"engines\": [\n{blocks}\n      ]\n    }}",
-            load.csv_bytes, load.load_ms, load.input_hash_ms
+             \"load_ms\": {}, \"input_hash_ms\": {}}},\n{}\n    }}",
+            load.csv_bytes, load.load_ms, load.input_hash_ms, run.json
         ));
     }
     let snapshot = format!(
         "{{\n\
-         \x20 \"schema\": \"indice-bench/2\",\n\
+         \x20 \"schema\": \"indice-bench/3\",\n\
          \x20 \"seed\": {seed},\n\
          \x20 \"threads\": {threads},\n\
-         \x20 \"engines_match\": true,\n\
          \x20 \"runs\": [\n{runs}\n  ]\n\
          }}\n"
     );

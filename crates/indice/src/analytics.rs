@@ -12,7 +12,7 @@ use epc_mining::kmeans::{KMeans, KMeansConfig, KMeansModel};
 use epc_mining::matrix::Matrix;
 use epc_mining::normalize::MinMaxScaler;
 use epc_mining::rules::{mine_rules_traced_with_runtime, AssociationRule};
-use epc_model::Dataset;
+use epc_model::{AttrId, Dataset};
 use epc_obs::Obs;
 use epc_stats::correlation::{correlation_matrix, CorrelationMatrix};
 use epc_stats::quantile::quantile;
@@ -66,6 +66,27 @@ impl AnalyticsOutput {
             .position(|&r| r == dataset_row)
             .map(|i| self.kmeans.assignments[i])
     }
+}
+
+/// The rows of `dataset` where every attribute of `feature_ids` is
+/// present, and their values row-major: `data[i * feature_ids.len() + j]`
+/// is attribute `j` of row `rows[i]`. The feature matrix of both the
+/// outlier phase and the analytics stage.
+pub(crate) fn complete_rows(dataset: &Dataset, feature_ids: &[AttrId]) -> (Vec<usize>, Vec<f64>) {
+    let mut rows = Vec::new();
+    let mut data = Vec::new();
+    'rows: for r in 0..dataset.n_rows() {
+        let start = data.len();
+        for &id in feature_ids {
+            let Some(v) = dataset.num(r, id) else {
+                data.truncate(start);
+                continue 'rows;
+            };
+            data.push(v);
+        }
+        rows.push(r);
+    }
+    (rows, data)
 }
 
 /// Runs the analytics stage over a (cleaned) dataset under an explicit
@@ -123,32 +144,8 @@ pub fn analyze_observed(
     }
 
     // --- Feature matrix over complete rows ---
-    // Engine dispatch: the columnar path decodes each feature column once
-    // and gathers contiguously (epc_mining::columnar); rows and cell
-    // values are bit-identical to the per-cell row loop.
-    let (feature_rows, matrix) = match runtime.engine {
-        epc_runtime::Engine::Row => {
-            let mut feature_rows = Vec::new();
-            let mut data = Vec::new();
-            for r in 0..dataset.n_rows() {
-                let vals: Option<Vec<f64>> =
-                    feature_ids.iter().map(|&id| dataset.num(r, id)).collect();
-                if let Some(v) = vals {
-                    feature_rows.push(r);
-                    data.extend(v);
-                }
-            }
-            let n = feature_rows.len();
-            (feature_rows, Matrix::from_vec(data, n, feature_ids.len()))
-        }
-        epc_runtime::Engine::Columnar => {
-            let store = epc_columnar::DatasetColumnarExt::to_columns(dataset);
-            if let Some(obs) = obs {
-                crate::columnar::record_store_stats(obs, &store.stats());
-            }
-            epc_mining::columnar::feature_matrix(&store, &feature_ids)
-        }
-    };
+    let (feature_rows, data) = complete_rows(dataset, &feature_ids);
+    let matrix = Matrix::from_vec(data, feature_rows.len(), feature_ids.len());
     if feature_rows.len() < 3 {
         return Err(IndiceError::Clustering(format!(
             "only {} complete rows",
@@ -493,6 +490,62 @@ mod tests {
         })
         .generate()
         .dataset
+    }
+
+    /// The per-row gather [`complete_rows`] replaces: one `Vec` per row.
+    fn complete_rows_oracle(dataset: &Dataset, feature_ids: &[AttrId]) -> (Vec<usize>, Vec<f64>) {
+        let mut rows = Vec::new();
+        let mut data = Vec::new();
+        for r in 0..dataset.n_rows() {
+            let vals: Option<Vec<f64>> = feature_ids.iter().map(|&id| dataset.num(r, id)).collect();
+            if let Some(v) = vals {
+                rows.push(r);
+                data.extend(v);
+            }
+        }
+        (rows, data)
+    }
+
+    fn assert_gathers_agree(dataset: &Dataset, feature_ids: &[AttrId]) -> usize {
+        let (rows, data) = complete_rows(dataset, feature_ids);
+        let (want_rows, want_data) = complete_rows_oracle(dataset, feature_ids);
+        assert_eq!(rows, want_rows);
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&data), bits(&want_data));
+        rows.len()
+    }
+
+    #[test]
+    fn complete_rows_equals_the_per_row_gather() {
+        let mut ds = dataset();
+        let ids: Vec<AttrId> = IndiceConfig::default()
+            .analytics
+            .features
+            .iter()
+            .map(|f| ds.schema().require(f).unwrap())
+            .collect();
+        // No missing cell: every row.
+        assert_eq!(assert_gathers_agree(&ds, &ids), ds.n_rows());
+        // A missing cell in every feature position, first and last row
+        // included, plus a row missing all of them.
+        let last = ds.n_rows() - 1;
+        for (j, &id) in ids.iter().enumerate() {
+            for row in [j, 40 + 7 * j, last - j] {
+                ds.set_value(row, id, epc_model::Value::Missing).unwrap();
+            }
+            ds.set_value(500, id, epc_model::Value::Missing).unwrap();
+        }
+        ds.set_value(9, ids[0], epc_model::Value::num(-0.0))
+            .unwrap();
+        let kept = assert_gathers_agree(&ds, &ids);
+        assert_eq!(kept, ds.n_rows() - 3 * ids.len() - 1);
+        // Repeated and reordered features, no features, and a
+        // categorical attribute, which no row has as a number.
+        let reordered = [ids[2], ids[0], ids[2]];
+        assert_gathers_agree(&ds, &reordered);
+        assert_eq!(assert_gathers_agree(&ds, &[]), ds.n_rows());
+        let category = ds.schema().require(wk::BUILDING_CATEGORY).unwrap();
+        assert_eq!(assert_gathers_agree(&ds, &[ids[1], category]), 0);
     }
 
     #[test]

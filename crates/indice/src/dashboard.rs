@@ -4,12 +4,10 @@
 
 use crate::analytics::AnalyticsOutput;
 use crate::error::IndiceError;
-use epc_columnar::{ColumnStore, DatasetColumnarExt};
 use epc_geo::point::GeoPoint;
 use epc_geo::region::RegionHierarchy;
 use epc_model::{wellknown as wk, Dataset, Granularity};
-use epc_query::aggregate::{group_by, AggFn, GroupRow};
-use epc_query::columnar::group_by_columnar;
+use epc_query::aggregate::{group_by, AggFn};
 use epc_query::stakeholder::{default_report_spec, ReportKind, ReportSpec, Stakeholder};
 use epc_runtime::Engine;
 use epc_stats::histogram::Histogram;
@@ -37,33 +35,26 @@ pub struct DashboardOutput {
     pub n_markers: usize,
 }
 
-/// Builds the dashboard for a stakeholder, following the automatically
-/// proposed [`ReportSpec`] (overridable by passing a custom spec to
-/// [`build_dashboard_with_spec`]). Under [`Engine::Columnar`] the per-area
-/// aggregations run as dictionary-id group-bys over a [`ColumnStore`]. The
-/// rendered dashboard and every artifact are byte-identical whichever
-/// engine produced them.
+/// Builds the dashboard for a stakeholder from its default
+/// [`ReportSpec`]; `engine` is ignored.
+///
+/// Called by no pipeline code: only perfbench's `--trace` probes call
+/// it. ROADMAP item 4 step 1 deletes it, with [`Engine`], along with
+/// those probes; build through [`build_dashboard_with_spec`] instead.
 pub fn build_dashboard_with_engine(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,
     analytics: &AnalyticsOutput,
     stakeholder: Stakeholder,
     top_k_rules: usize,
-    engine: Engine,
+    _engine: Engine,
 ) -> Result<DashboardOutput, IndiceError> {
     let spec = default_report_spec(stakeholder);
-    build_dashboard_spec_core(
-        dataset,
-        hierarchy,
-        Some(analytics),
-        &spec,
-        top_k_rules,
-        &[],
-        engine,
-    )
+    build_dashboard_with_spec(dataset, hierarchy, analytics, &spec, top_k_rules)
 }
 
-/// Builds the dashboard from an explicit report spec.
+/// Builds the dashboard from an explicit report spec (the stakeholder's
+/// automatically proposed one is [`default_report_spec`]).
 pub fn build_dashboard_with_spec(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,
@@ -71,32 +62,7 @@ pub fn build_dashboard_with_spec(
     spec: &ReportSpec,
     top_k_rules: usize,
 ) -> Result<DashboardOutput, IndiceError> {
-    build_dashboard_spec_core(
-        dataset,
-        hierarchy,
-        Some(analytics),
-        spec,
-        top_k_rules,
-        &[],
-        Engine::Row,
-    )
-}
-
-/// Mean of `value_attr` grouped by `group_attr`, through whichever engine
-/// is selected. Row and columnar results are identical (gated by
-/// `tests/columnar.rs`); the store, when given, must be built from
-/// `dataset`.
-fn mean_by_group(
-    dataset: &Dataset,
-    store: Option<&ColumnStore>,
-    group_attr: &str,
-    value_attr: &str,
-) -> Result<Vec<GroupRow>, IndiceError> {
-    let rows = match store {
-        Some(store) => group_by_columnar(store, group_attr, value_attr, &[AggFn::Mean])?,
-        None => group_by(dataset, group_attr, value_attr, &[AggFn::Mean])?,
-    };
-    Ok(rows)
+    build_dashboard_spec_core(dataset, hierarchy, Some(analytics), spec, top_k_rules, &[])
 }
 
 /// The shared dashboard builder. With `analytics = Some(..)` this is the
@@ -104,7 +70,6 @@ fn mean_by_group(
 /// map and distribution panels (which need only the cleaned dataset)
 /// still render, and one "Analytics unavailable" panel lists
 /// `degradation_reasons` in place of the analytics-dependent panels.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_dashboard_spec_core(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,
@@ -112,10 +77,7 @@ pub(crate) fn build_dashboard_spec_core(
     spec: &ReportSpec,
     top_k_rules: usize,
     degradation_reasons: &[String],
-    engine: Engine,
 ) -> Result<DashboardOutput, IndiceError> {
-    // One store serves every group-by of this dashboard.
-    let store = (engine == Engine::Columnar).then(|| dataset.to_columns());
     let mut dashboard = Dashboard::new(
         &format!("INDICE — {}", hierarchy.city),
         &format!("{} · {} level", spec.stakeholder.name(), spec.granularity),
@@ -136,7 +98,7 @@ pub(crate) fn build_dashboard_spec_core(
                     Granularity::District => wk::DISTRICT,
                     _ => wk::NEIGHBOURHOOD,
                 };
-                let rows = mean_by_group(dataset, store.as_ref(), group_attr, &spec.response)?;
+                let rows = group_by(dataset, group_attr, &spec.response, &[AggFn::Mean])?;
                 let means: BTreeMap<&str, f64> = rows
                     .iter()
                     .filter_map(|r| r.values[0].map(|v| (r.group.as_str(), v)))
@@ -368,7 +330,6 @@ pub fn drilldown_series_detailed_with_runtime(
                 stakeholder,
                 top_k_rules,
                 level,
-                runtime.engine,
             )?;
             Ok(ZoomPage {
                 level,
@@ -382,7 +343,6 @@ pub fn drilldown_series_detailed_with_runtime(
 
 /// Renders the single zoom-level page of the drill-down series, nav bar
 /// included. Returns the page plus its marker count.
-#[allow(clippy::too_many_arguments)]
 fn render_zoom_page(
     dataset: &Dataset,
     hierarchy: &RegionHierarchy,
@@ -390,21 +350,13 @@ fn render_zoom_page(
     stakeholder: Stakeholder,
     top_k_rules: usize,
     level: Granularity,
-    engine: Engine,
 ) -> Result<(String, usize), IndiceError> {
     let spec = ReportSpec {
         granularity: level,
         ..default_report_spec(stakeholder)
     };
-    let out = build_dashboard_spec_core(
-        dataset,
-        hierarchy,
-        Some(analytics),
-        &spec,
-        top_k_rules,
-        &[],
-        engine,
-    )?;
+    let out =
+        build_dashboard_spec_core(dataset, hierarchy, Some(analytics), &spec, top_k_rules, &[])?;
     let mut html = out.dashboard.render_html();
     // Inject the zoom-navigation bar right after the header.
     let nav: String = {
@@ -441,7 +393,7 @@ pub fn figure2_maps(
     let points = certificate_points(dataset, attribute)?;
 
     // Upper row: choropleth (neighbourhood) + scatter (single certificate).
-    let rows = mean_by_group(dataset, None, wk::NEIGHBOURHOOD, attribute)?;
+    let rows = group_by(dataset, wk::NEIGHBOURHOOD, attribute, &[AggFn::Mean])?;
     let means: BTreeMap<&str, f64> = rows
         .iter()
         .filter_map(|r| r.values[0].map(|v| (r.group.as_str(), v)))
@@ -582,13 +534,12 @@ mod tests {
     #[test]
     fn pa_dashboard_has_all_figure4_panels() {
         let (ds, hier, analytics) = setup();
-        let out = build_dashboard_with_engine(
+        let out = build_dashboard_with_spec(
             &ds,
             &hier,
             &analytics,
-            Stakeholder::PublicAdministration,
+            &default_report_spec(Stakeholder::PublicAdministration),
             10,
-            Engine::Row,
         )
         .unwrap();
         let titles: Vec<&str> = out
@@ -610,13 +561,12 @@ mod tests {
     #[test]
     fn citizen_dashboard_is_simpler() {
         let (ds, hier, analytics) = setup();
-        let out = build_dashboard_with_engine(
+        let out = build_dashboard_with_spec(
             &ds,
             &hier,
             &analytics,
-            Stakeholder::Citizen,
+            &default_report_spec(Stakeholder::Citizen),
             10,
-            Engine::Row,
         )
         .unwrap();
         let titles: Vec<&str> = out
@@ -633,13 +583,12 @@ mod tests {
     #[test]
     fn artifacts_include_geojson_and_svg() {
         let (ds, hier, analytics) = setup();
-        let out = build_dashboard_with_engine(
+        let out = build_dashboard_with_spec(
             &ds,
             &hier,
             &analytics,
-            Stakeholder::PublicAdministration,
+            &default_report_spec(Stakeholder::PublicAdministration),
             10,
-            Engine::Row,
         )
         .unwrap();
         assert!(out.artifacts.contains_key("clustermarkers_district.svg"));
@@ -709,7 +658,6 @@ mod tests {
             &default_report_spec(Stakeholder::PublicAdministration),
             10,
             &["stage 'analytics' panicked: injected fault".to_owned()],
-            Engine::Row,
         )
         .unwrap();
         let titles: Vec<&str> = out
@@ -745,13 +693,12 @@ mod tests {
         let (mut ds, hier, analytics) = setup();
         let lat_id = ds.schema().require(wk::LATITUDE).unwrap();
         ds.set_value(0, lat_id, epc_model::Value::Missing).unwrap();
-        let out = build_dashboard_with_engine(
+        let out = build_dashboard_with_spec(
             &ds,
             &hier,
             &analytics,
-            Stakeholder::Citizen,
+            &default_report_spec(Stakeholder::Citizen),
             10,
-            Engine::Row,
         )
         .unwrap();
         let svg = &out.artifacts["scatter_units.svg"];

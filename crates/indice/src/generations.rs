@@ -270,6 +270,18 @@ fn dur<T>(r: std::io::Result<T>, what: &str) -> Result<T, IndiceError> {
     r.map_err(|e| IndiceError::Durability(format!("{what}: {e}")))
 }
 
+/// The outcome of removing the leftover `path`. Already absent is fine;
+/// any other failure would leave a file the manifest no longer lists, so
+/// it is an error naming the path.
+fn leftover_removed(result: std::io::Result<()>, path: &Path) -> Result<(), IndiceError> {
+    match result {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(IndiceError::Durability(
+            format!("removing leftover {}: {e}", path.display()),
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// The relative path of generation `seq`'s clean delta.
 fn delta_rel(seq: usize) -> String {
     format!("{GENS_DIR}/{}/{CLEAN_DELTA_FILE}", gen_dir_name(seq))
@@ -436,7 +448,8 @@ pub fn ingest(
             // Dropped generations' delta dirs are rewritten on reprocess
             // (same file names); remove any that will not be.
             if entry.seq >= batches.len() {
-                let _ = fs::remove_dir_all(run_dir.join(GENS_DIR).join(gen_dir_name(entry.seq)));
+                let dir = run_dir.join(GENS_DIR).join(gen_dir_name(entry.seq));
+                leftover_removed(fs::remove_dir_all(&dir), &dir)?;
             }
         }
         entries.truncate(valid);
@@ -507,9 +520,8 @@ pub fn ingest(
 
         // Per-batch clean phase. A batch nothing survives is abandoned:
         // its generation records the reason, and neither the cumulative
-        // state nor `current/` changes. Per-batch selection records no
-        // store metrics.
-        let selected = select_category(&batch.dataset, &inputs.config, &inputs.runtime, None)?;
+        // state nor `current/` changes.
+        let selected = select_category(&batch.dataset, &inputs.config)?;
         let quota = inputs.config.geocoder_quota.saturating_sub(quota_used);
         let cleaned = if selected.is_empty() {
             Err(format!(
@@ -701,7 +713,8 @@ pub fn ingest(
                 let new_names: BTreeSet<&str> = files.iter().map(|(f, _)| f.as_str()).collect();
                 for rec in &prev_current {
                     if !new_names.contains(rec.file.as_str()) {
-                        let _ = fs::remove_file(current_dir.join(&rec.file));
+                        let path = current_dir.join(&rec.file);
+                        leftover_removed(fs::remove_file(&path), &path)?;
                     }
                 }
                 let mut current_records = Vec::with_capacity(files.len());

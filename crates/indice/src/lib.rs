@@ -67,7 +67,6 @@
 pub mod analytics;
 pub mod autoconfig;
 pub mod checkpoint;
-pub(crate) mod columnar;
 pub mod config;
 pub mod dashboard;
 pub mod durable;

@@ -206,38 +206,21 @@ impl Stage {
 }
 
 /// Data selection (§2.2.1): the rows of the configured building category
-/// (the case study filters on E.1.1), or every row when none is set. Under
-/// the columnar engine the predicate runs as a selection-bitmap scan with
-/// zone-map block skipping; matching rows are identical. Selection is a
-/// row-wise filter, so it commutes with concatenation — which lets ingest
-/// select per batch.
+/// (the case study filters on E.1.1), or every row when none is set.
+/// Selection is a row-wise filter, so it commutes with concatenation —
+/// which lets ingest select per batch.
 pub(crate) fn select_category(
     dataset: &Dataset,
     config: &IndiceConfig,
-    runtime: &RuntimeConfig,
-    obs: Option<&Obs<'_>>,
 ) -> Result<Dataset, IndiceError> {
     let Some(cat) = &config.building_category else {
         return Ok(dataset.clone());
     };
-    let query = Query::filtered(Predicate::eq(wk::BUILDING_CATEGORY, cat));
-    match runtime.engine {
-        epc_runtime::Engine::Row => Ok(query.run(dataset)?),
-        epc_runtime::Engine::Columnar => {
-            let store = epc_columnar::DatasetColumnarExt::to_columns(dataset);
-            let mut scan = epc_columnar::ScanStats::default();
-            let rows = epc_query::columnar::matching_rows_columnar(&query, &store, &mut scan)?;
-            if let Some(obs) = obs {
-                crate::columnar::record_store_stats(obs, &store.stats());
-                crate::columnar::record_scan_stats(obs, &scan);
-            }
-            Ok(dataset.select_rows(&rows)?)
-        }
-    }
+    Ok(Query::filtered(Predicate::eq(wk::BUILDING_CATEGORY, cat)).run(dataset)?)
 }
 
 fn run_preprocess(ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceError> {
-    let selected = select_category(ctx.dataset, &ctx.config, &ctx.runtime, ctx.obs)?;
+    let selected = select_category(ctx.dataset, &ctx.config)?;
     if selected.is_empty() {
         return Err(IndiceError::EmptyCollection("category selection"));
     }
@@ -305,7 +288,6 @@ fn run_dashboard(ctx: &mut PipelineContext<'_>) -> Result<StageStats, IndiceErro
         &default_report_spec(ctx.stakeholder),
         ctx.config.rule_stage.top_k,
         &reasons,
-        ctx.runtime.engine,
     )?;
     if let Some(obs) = ctx.obs {
         obs.point("dashboard:main", &[("markers", out.n_markers.into())]);

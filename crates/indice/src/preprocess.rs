@@ -16,8 +16,7 @@ use crate::error::IndiceError;
 use epc_faults::{corrupt_dataset, FaultInjector, FaultyGeocoder};
 use epc_geo::address::Address;
 use epc_geo::cleaning::{
-    clean_addresses, clean_addresses_columnar, AddressQuery, CleanedAddress, CleaningOutcome,
-    CleaningReport, DegradedFallback, StreetDedupStats,
+    clean_addresses, AddressQuery, CleaningOutcome, CleaningReport, DegradedFallback,
 };
 use epc_geo::geocode::{Backoff, Geocoder, QuotaGeocoder, RetryGeocoder, SimulatedGeocoder};
 use epc_geo::point::GeoPoint;
@@ -154,13 +153,10 @@ pub fn clean_phase(
         return Err(IndiceError::EmptyCollection("record validation"));
     }
 
-    let (cleaning, degraded_rows, unresolved_rows, dedup) =
+    let (cleaning, degraded_rows, unresolved_rows) =
         clean_geospatial(&mut dataset, street_map, config, runtime, injector, quota)?;
     if let Some(obs) = obs {
         record_cleaning(obs, &cleaning);
-        if let Some(dedup) = &dedup {
-            crate::columnar::record_dedup_stats(obs, dedup);
-        }
     }
     Ok(CleanPhase {
         dataset,
@@ -326,31 +322,7 @@ fn detect_and_remove_outliers(
             .iter()
             .map(|f| dataset.schema().require(f))
             .collect::<Result<_, _>>()?;
-        // Complete rows only. The columnar engine gathers each feature
-        // column contiguously instead of one point-lookup per cell; both
-        // paths produce the same rows and data bit-for-bit.
-        let (rows, data) = match runtime.engine {
-            epc_runtime::Engine::Row => {
-                let mut rows = Vec::new();
-                let mut data = Vec::new();
-                for r in 0..dataset.n_rows() {
-                    let vals: Option<Vec<f64>> =
-                        feature_ids.iter().map(|&id| dataset.num(r, id)).collect();
-                    if let Some(v) = vals {
-                        rows.push(r);
-                        data.extend(v);
-                    }
-                }
-                (rows, data)
-            }
-            epc_runtime::Engine::Columnar => {
-                let store = epc_columnar::DatasetColumnarExt::to_columns(&dataset);
-                if let Some(obs) = obs {
-                    crate::columnar::record_store_stats(obs, &store.stats());
-                }
-                epc_columnar::kernels::gather_complete_rows(&store, &feature_ids)
-            }
-        };
+        let (rows, data) = crate::analytics::complete_rows(&dataset, &feature_ids);
         if rows.len() >= 10 {
             let matrix = Matrix::from_vec(data, rows.len(), feature_ids.len());
             // Scale features so DBSCAN's Euclidean radius is meaningful.
@@ -485,15 +457,9 @@ fn record_cleaning(obs: &Obs<'_>, report: &CleaningReport) {
 }
 
 /// What [`clean_geospatial`] reports back: the cleaning report, the rows
-/// resolved with degraded provenance, the rows left unresolved (both
-/// relative to the dataset), and — columnar engine only — the
-/// street-dedup accounting.
-type CleanedGeo = (
-    CleaningReport,
-    Vec<usize>,
-    Vec<usize>,
-    Option<StreetDedupStats>,
-);
+/// resolved with degraded provenance and the rows left unresolved (both
+/// relative to the dataset).
+type CleanedGeo = (CleaningReport, Vec<usize>, Vec<usize>);
 
 /// The §2.1.1 geospatial-cleaning pass, applied in place. Returns the
 /// cleaning report plus the rows resolved with degraded provenance and the
@@ -544,42 +510,17 @@ fn clean_geospatial(
     // quota-limited (§2.1.1). Ground truth is the referenced map itself —
     // what a production geocoder effectively holds.
     let geocoder = QuotaGeocoder::new(SimulatedGeocoder::new(street_map, 0.55, 0.02), quota);
-    // Engine dispatch: the columnar path deduplicates the Levenshtein
-    // scan per distinct street string; its output is bitwise identical
-    // (gated by tests/columnar.rs), so the choice never leaks downstream.
-    let clean_with_engine = |geocoder_ref: Option<&dyn Geocoder>,
-                             fallback: Option<&DegradedFallback>|
-     -> (
-        Vec<CleanedAddress>,
-        CleaningReport,
-        Option<StreetDedupStats>,
-    ) {
-        match runtime.engine {
-            epc_runtime::Engine::Row => {
-                let (cleaned, report) = clean_addresses(
-                    &queries,
-                    street_map,
-                    geocoder_ref,
-                    &config.cleaning,
-                    runtime,
-                    fallback,
-                );
-                (cleaned, report, None)
-            }
-            epc_runtime::Engine::Columnar => {
-                let (cleaned, report, stats) = clean_addresses_columnar(
-                    &queries,
-                    street_map,
-                    geocoder_ref,
-                    &config.cleaning,
-                    runtime,
-                    fallback,
-                );
-                (cleaned, report, Some(stats))
-            }
-        }
+    let clean = |geocoder_ref: Option<&dyn Geocoder>, fallback: Option<&DegradedFallback>| {
+        clean_addresses(
+            &queries,
+            street_map,
+            geocoder_ref,
+            &config.cleaning,
+            runtime,
+            fallback,
+        )
     };
-    let (cleaned, report, dedup) = match injector {
+    let (cleaned, report) = match injector {
         Some(inj) => {
             // Under fault injection, calls may fail transiently: retry
             // them with the deterministic backoff, and degrade exhausted
@@ -595,7 +536,7 @@ fn clean_geospatial(
                 None
             };
             let fallback = district_fallback(dataset, street_map, district_id);
-            clean_with_engine(geocoder_ref, Some(&fallback))
+            clean(geocoder_ref, Some(&fallback))
         }
         None => {
             let geocoder_ref: Option<&dyn Geocoder> = if config.geocoder_quota > 0 {
@@ -603,7 +544,7 @@ fn clean_geospatial(
             } else {
                 None
             };
-            clean_with_engine(geocoder_ref, None)
+            clean(geocoder_ref, None)
         }
     };
 
@@ -639,7 +580,7 @@ fn clean_geospatial(
     }
     degraded_rows.sort_unstable();
     unresolved_rows.sort_unstable();
-    Ok((report, degraded_rows, unresolved_rows, dedup))
+    Ok((report, degraded_rows, unresolved_rows))
 }
 
 /// District-centroid fallback for degraded geocoding: centroids averaged

@@ -13,7 +13,7 @@
 // Test code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_faults::IngestCrash;
+use epc_faults::{BatchScope, DeterministicInjector, IngestCrash};
 use epc_ingest::{GenerationEntry, GenerationManifest, GENESIS};
 use epc_model::value::Value;
 use epc_model::wellknown as wk;
@@ -523,4 +523,41 @@ fn warm_sealed_run_dir_resumes_to_the_exact_tree() {
     assert_trees_identical(&ref_dir, &dir, "warm-sealed run dir after resume");
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&ref_dir);
+}
+
+#[test]
+fn a_leftover_current_file_that_cannot_be_removed_fails_the_ingest() {
+    let c = collection();
+    let batches = split(&c.dataset, 2);
+    let dir = run_dir("stuck-leftover");
+    ingest(
+        &batches[..1],
+        inputs_at(&c, 2),
+        Stakeholder::PublicAdministration,
+        &IngestOptions::new(&dir),
+    )
+    .expect("seal batch 0");
+
+    // Batch 1 loses its analytics stage, so its generation no longer
+    // produces the analytics checkpoint that generation 0 left in
+    // `current/`; a non-empty directory in its place cannot be removed.
+    let stuck = dir.join("current/checkpoints/analytics.ckpt.json");
+    fs::remove_file(&stuck).unwrap();
+    fs::create_dir_all(stuck.join("inner")).unwrap();
+    let injector = DeterministicInjector::new(7).kill_stage("analytics", 1);
+    let scope = BatchScope::parse("1").unwrap();
+    let resumed = ingest(
+        &batches,
+        inputs_at(&c, 2),
+        Stakeholder::PublicAdministration,
+        &IngestOptions::new(&dir)
+            .resuming()
+            .with_injector(&injector)
+            .scoped_to(&scope),
+    );
+    assert!(
+        matches!(&resumed, Err(IndiceError::Durability(msg)) if msg.contains("analytics.ckpt.json")),
+        "expected a durability error naming the leftover, got {resumed:?}"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }
