@@ -9,8 +9,9 @@
 #   (default: all, in order)
 #   bench = the perfbench smoke test, then one full-scale perfbench pass
 #   whose run trees must equal perfbench/golden.json.
-#   lint = the two-phase epc-lint audit: per-line rules D1-D6 and D10
-#   (`unsafe` only in the SHA-NI module), then the call-graph taint rules
+#   lint = the two-phase epc-lint audit: per-line rules D1-D6, D10
+#   (`unsafe` only in the SHA-NI module) and D11 (threads started only in
+#   epc-runtime), then the call-graph taint rules
 #   D7-D9 (transitive panic / wall-clock / entropy reachability with
 #   witness chains), plus a --format json diff against
 #   tests/golden/lint_report.json, plus a check that the engine-selector
@@ -36,7 +37,7 @@ tree_hash() {
 }
 
 if want lint; then
-  echo "== epc-lint: two-phase audit (line rules D1-D6 + D10, graph rules D7-D9) =="
+  echo "== epc-lint: two-phase audit (line rules D1-D6 + D10 + D11, graph rules D7-D9) =="
   cargo run -q --release -p epc-lint --offline
 
   echo "== epc-lint: json report vs checked-in expectation =="
@@ -238,7 +239,7 @@ if want obs; then
   done
   # Everything but the wall-time-derived fields must reproduce exactly.
   normalise_bench() {
-    sed -E 's/"(wall_ms|total_wall_ms|load_ms|input_hash_ms)": [0-9]+/"\1": 0/g;
+    sed -E 's/"(wall_ms|total_wall_ms|load_ms|input_hash_ms|durable_wall_ms)": [0-9]+/"\1": 0/g;
             s/"records_per_sec": [0-9.]+/"records_per_sec": 0/g' "$1"
   }
   if [ "$(normalise_bench "$OBS_DIR/bench1.json")" != \

@@ -11,7 +11,7 @@ use crate::levenshtein::{levenshtein_bounded, similarity, BitPattern};
 use crate::point::GeoPoint;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 
 /// One civic-number entry of the referenced street map.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -224,40 +224,46 @@ impl StreetMap {
         String::from_utf8(out).map_err(|e| e.to_string())
     }
 
-    /// Streams [`StreetMap::to_text`]'s text into `out`, one entry at a
-    /// time. A field containing a separator fails with
-    /// [`io::ErrorKind::InvalidData`] after the entries before it were
+    /// Streams [`StreetMap::to_text`]'s text into `out`: entries are
+    /// rendered into one reused buffer, which `out` receives in chunks of
+    /// at least 32 KB (the last one may be shorter). Coordinates are
+    /// printed as `{}` prints them. A field containing a separator fails
+    /// with [`io::ErrorKind::InvalidData`] after the entries before it were
     /// written.
     pub fn write_text(&self, out: &mut impl io::Write) -> io::Result<()> {
-        out.write_all(b"street;house_number;zip;lat;lon;district;neighbourhood\n")?;
+        const CHUNK: usize = 32 * 1024;
+        let mut buf = Vec::with_capacity(CHUNK + 256);
+        buf.extend_from_slice(b"street;house_number;zip;lat;lon;district;neighbourhood\n");
         for e in &self.entries {
-            for field in [
-                &e.street,
-                &e.house_number,
-                &e.zip,
-                &e.district,
-                &e.neighbourhood,
-            ] {
-                if field.contains(';') || field.contains('\n') {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("field {field:?} contains a separator"),
-                    ));
-                }
+            if let Some(field) = separator_field(e) {
+                out.write_all(&buf)?;
+                return Err(separator_error(field));
             }
-            writeln!(
-                out,
-                "{};{};{};{};{};{};{}",
-                e.street,
-                e.house_number,
-                e.zip,
-                e.point.lat,
-                e.point.lon,
-                e.district,
-                e.neighbourhood
-            )?;
+            for field in [&e.street, &e.house_number, &e.zip] {
+                buf.extend_from_slice(field.as_bytes());
+                buf.push(b';');
+            }
+            write!(buf, "{};{};", e.point.lat, e.point.lon)?;
+            buf.extend_from_slice(e.district.as_bytes());
+            buf.push(b';');
+            buf.extend_from_slice(e.neighbourhood.as_bytes());
+            buf.push(b'\n');
+            if buf.len() >= CHUNK {
+                out.write_all(&buf)?;
+                buf.clear();
+            }
         }
-        Ok(())
+        out.write_all(&buf)
+    }
+
+    /// The error [`StreetMap::write_text`] would fail with, found without
+    /// rendering anything: a caller can reject a map up front and then
+    /// write it where no error can be returned in time.
+    pub fn check_text(&self) -> io::Result<()> {
+        match self.entries.iter().find_map(separator_field) {
+            Some(field) => Err(separator_error(field)),
+            None => Ok(()),
+        }
     }
 
     /// Parses the [`StreetMap::to_text`] format.
@@ -321,6 +327,26 @@ impl StreetMap {
         }
         Ok(map)
     }
+}
+
+/// The first text field of `e` that holds a separator of the text format.
+fn separator_field(e: &StreetEntry) -> Option<&String> {
+    [
+        &e.street,
+        &e.house_number,
+        &e.zip,
+        &e.district,
+        &e.neighbourhood,
+    ]
+    .into_iter()
+    .find(|field| field.contains(';') || field.contains('\n'))
+}
+
+fn separator_error(field: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("field {field:?} contains a separator"),
+    )
 }
 
 /// The similarity test a name must pass to become the new best match.
@@ -570,6 +596,138 @@ mod tests {
         );
         let err = m.write_text(&mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = m.check_text().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "field \"Via; Evil\" contains a separator");
+        assert!(sample_map().check_text().is_ok());
+    }
+
+    /// `StreetMap::write_text` as it was before the reused buffer: one
+    /// `writeln!` into the writer per entry.
+    fn oracle_write_text(map: &StreetMap, out: &mut impl io::Write) -> io::Result<()> {
+        out.write_all(b"street;house_number;zip;lat;lon;district;neighbourhood\n")?;
+        for e in &map.entries {
+            for field in [
+                &e.street,
+                &e.house_number,
+                &e.zip,
+                &e.district,
+                &e.neighbourhood,
+            ] {
+                if field.contains(';') || field.contains('\n') {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("field {field:?} contains a separator"),
+                    ));
+                }
+            }
+            writeln!(
+                out,
+                "{};{};{};{};{};{};{}",
+                e.street,
+                e.house_number,
+                e.zip,
+                e.point.lat,
+                e.point.lon,
+                e.district,
+                e.neighbourhood
+            )?;
+        }
+        Ok(())
+    }
+
+    /// A writer that keeps every chunk it is handed.
+    #[derive(Default)]
+    struct Chunks(Vec<Vec<u8>>);
+
+    impl io::Write for Chunks {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Coordinates `{}` prints in every shape: signed zeros, integers,
+    /// subnormals, the extremes, long fractions.
+    const COORDS: [f64; 12] = [
+        -0.0,
+        0.0,
+        45.0,
+        -180.0,
+        f64::MIN_POSITIVE,
+        5e-324,
+        -2.2250738585072e-310,
+        f64::MAX,
+        f64::MIN,
+        45.070_123_456_789_01,
+        -7.68e-7,
+        1e21,
+    ];
+
+    /// Field texts: plain, empty, non-ASCII, and the two separators.
+    const FIELDS: [&str; 6] = ["Via Roma", "", "12/B", "Via Pò", "Via; Evil", "N\n2"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The buffered writer hands out the oracle's bytes, fails with the
+        /// oracle's error after writing the same prefix, and every chunk but
+        /// the last holds at least 32 KB.
+        #[test]
+        fn write_text_equals_the_per_entry_writeln_loop(
+            entries in proptest::collection::vec(
+                (0usize..FIELDS.len(), 0usize..FIELDS.len(), 0usize..COORDS.len(),
+                 0usize..COORDS.len(), -180.0f64..180.0, 0usize..4000),
+                0..1500,
+            ),
+            separator_odds in 0usize..200,
+        ) {
+            // An entry may draw a separator field with odds of
+            // `separator_odds` in 4,000: none in some maps, late in long
+            // ones (after several chunks), early in others.
+            let map = StreetMap::from_entries(
+                entries
+                    .iter()
+                    .map(|&(s, h, lat, lon, free, roll)| {
+                        let field = |i: usize| FIELDS[if roll < separator_odds { i } else { i % 4 }];
+                        StreetEntry {
+                            street: field(s).to_owned(),
+                            house_number: field(h).to_owned(),
+                            zip: "10121".to_owned(),
+                            point: GeoPoint {
+                                lat: COORDS[lat],
+                                lon: if roll % 2 == 0 { free } else { COORDS[lon] },
+                            },
+                            district: field((s + h) % FIELDS.len()).to_owned(),
+                            neighbourhood: "N1".to_owned(),
+                        }
+                    })
+                    .collect(),
+            );
+            let mut chunks = Chunks::default();
+            let got = map.write_text(&mut chunks);
+            let mut expected = Vec::new();
+            let oracle = oracle_write_text(&map, &mut expected);
+            proptest::prop_assert_eq!(chunks.0.concat(), expected);
+            match (got, oracle) {
+                (Ok(()), Ok(())) => {}
+                (Err(e), Err(o)) => {
+                    proptest::prop_assert_eq!(e.kind(), o.kind());
+                    proptest::prop_assert_eq!(e.to_string(), o.to_string());
+                    proptest::prop_assert_eq!(
+                        map.check_text().map_err(|e| e.to_string()),
+                        Err(o.to_string())
+                    );
+                }
+                (got, oracle) => proptest::prop_assert!(false, "{:?} vs {:?}", got, oracle),
+            }
+            if let Some((_, full)) = chunks.0.split_last() {
+                proptest::prop_assert!(full.iter().all(|c| c.len() >= 32 * 1024));
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl RuleScope {
 pub struct Config {
     /// Which files the auditor walks at all.
     pub include: Vec<String>,
-    /// One scope per rule; parsing fails unless all of D1–D10 are present,
+    /// One scope per rule; parsing fails unless all of D1–D11 are present,
     /// so a rule cannot be disabled by silently dropping its table.
     /// For the graph rules D7–D9, `scope` names the *root* files (entry
     /// points audited for reachability) and `exempt` names *trusted*
@@ -363,6 +363,10 @@ mod tests {
             [rules.D10]
             scope = ["crates/**"]
             exempt = ["crates/epc-journal/src/sha256/ni.rs"]
+
+            [rules.D11]
+            scope = ["crates/**"]
+            exempt = ["crates/epc-runtime/src/**"]
             "#,
         )
         .unwrap();
@@ -377,6 +381,9 @@ mod tests {
         let d10 = cfg.rule("D10").unwrap();
         assert!(d10.applies_to("crates/epc-journal/src/sha256.rs"));
         assert!(!d10.applies_to("crates/epc-journal/src/sha256/ni.rs"));
+        let d11 = cfg.rule("D11").unwrap();
+        assert!(d11.applies_to("crates/indice/src/durable.rs"));
+        assert!(!d11.applies_to("crates/epc-runtime/src/lib.rs"));
     }
 
     #[test]

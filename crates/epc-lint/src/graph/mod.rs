@@ -205,7 +205,7 @@ mod tests {
             "[files]\ninclude = [\"**/*.rs\"]\n\
              {}{}{}{}{}{}\
              [rules.D7]\nscope = [\"{scope}\"]\nexempt = [{exempt}]\n\
-             [rules.D8]\nscope = []\n[rules.D9]\nscope = []\n[rules.D10]\nscope = []\n",
+             [rules.D8]\nscope = []\n[rules.D9]\nscope = []\n[rules.D10]\nscope = []\n[rules.D11]\nscope = []\n",
             empty("D1"),
             empty("D2"),
             empty("D3"),

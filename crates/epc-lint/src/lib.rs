@@ -4,9 +4,9 @@
 //! linter knows about: bitwise-identical pipeline artifacts at any thread
 //! count, seed-reproducible fault injection, and a panic-free
 //! quarantine-protected ingest path. This crate walks the workspace
-//! sources with a comment/string-aware scanner and enforces the ten
+//! sources with a comment/string-aware scanner and enforces the eleven
 //! repo-specific rules described in [`rules`] in two phases — per-line
-//! matchers (D1–D6, D10), then workspace-wide call-graph taint analysis
+//! matchers (D1–D6, D10, D11), then workspace-wide call-graph taint analysis
 //! (D7–D9, [`graph`]) — scoped by the checked-in `lint.toml`
 //! ([`config`]), with a counted, reasoned escape hatch ([`allowlist`]).
 //! `cargo run -p epc-lint` is a CI stage; a non-zero exit means the gate

@@ -1,4 +1,4 @@
-//! The ten repo-specific rules clippy cannot express.
+//! The eleven repo-specific rules clippy cannot express.
 //!
 //! | id | invariant it protects |
 //! |----|----------------------|
@@ -12,9 +12,10 @@
 //! | D8 | no *transitive* wall-clock reach from chaos-hashed artifact code (call-graph closure of D2) |
 //! | D9 | no *transitive* OS-entropy RNG reach from result-producing code (call-graph closure of D1) |
 //! | D10 | no `unsafe` outside the one module `lint.toml` exempts (the SHA-NI hasher) |
+//! | D11 | no `thread::spawn`/`thread::scope`/`thread::Builder` outside epc-runtime — the thread budget bounds every thread |
 //!
-//! D1–D6 and D10 are *line rules*: they run over a single file's token
-//! stream here; for D1–D6, tokens inside `#[cfg(test)] mod` blocks are
+//! D1–D6, D10 and D11 are *line rules*: they run over a single file's token
+//! stream here; for D1–D6 and D11, tokens inside `#[cfg(test)] mod` blocks are
 //! exempt (see [`crate::scanner::test_block_mask`]). D7–D9 are *graph rules*: they
 //! share this module's primitive matchers ([`entropy_sites`],
 //! [`clock_sites`], [`panic_sites`]) as taint sources but propagate them
@@ -25,10 +26,12 @@
 use crate::scanner::{Tok, TokKind};
 
 /// Every rule id, in severity-neutral display order.
-pub const RULE_IDS: [&str; 10] = ["D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10"];
+pub const RULE_IDS: [&str; 11] = [
+    "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10", "D11",
+];
 
 /// The per-file line rules (phase 1).
-pub const LINE_RULE_IDS: [&str; 7] = ["D1", "D2", "D3", "D4", "D5", "D6", "D10"];
+pub const LINE_RULE_IDS: [&str; 8] = ["D1", "D2", "D3", "D4", "D5", "D6", "D10", "D11"];
 
 /// The whole-workspace call-graph rules (phase 2, see [`crate::graph`]).
 pub const GRAPH_RULE_IDS: [&str; 3] = ["D7", "D8", "D9"];
@@ -36,7 +39,7 @@ pub const GRAPH_RULE_IDS: [&str; 3] = ["D7", "D8", "D9"];
 /// One rule hit inside a single file (path attached by the driver).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`"D1"`…`"D10"`, or `"allow"` for malformed directives).
+    /// Rule id (`"D1"`…`"D11"`, or `"allow"` for malformed directives).
     pub rule: String,
     /// 1-based line.
     pub line: u32,
@@ -53,6 +56,8 @@ const HASH_COLLECTIONS: [&str; 2] = ["HashMap", "HashSet"];
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 /// Printing macros (D5).
 const PRINT_MACROS: [&str; 5] = ["println", "print", "eprintln", "eprint", "dbg"];
+/// The `std::thread` items that start threads (D11).
+const THREAD_STARTERS: [&str; 3] = ["spawn", "scope", "Builder"];
 
 /// Keywords that may directly precede `[` without it being an index
 /// expression (`return [a, b]`, `where [T]: Sized`, …).
@@ -208,7 +213,7 @@ pub fn panic_sites(toks: &[Tok], test_mask: &[bool]) -> Vec<Site> {
 }
 
 /// Runs line rule `rule_id` over a file's tokens. `test_mask[i]` exempts
-/// token `i` (inside a `#[cfg(test)]` module) from D1–D6. Graph rules
+/// token `i` (inside a `#[cfg(test)]` module) from D1–D6 and D11. Graph rules
 /// (D7–D9) never reach here — they need the whole workspace, see
 /// [`crate::graph`].
 pub fn check(rule_id: &str, toks: &[Tok], test_mask: &[bool]) -> Vec<Violation> {
@@ -341,6 +346,30 @@ pub fn check(rule_id: &str, toks: &[Tok], test_mask: &[bool]) -> Vec<Violation> 
                      SHA-NI compression function — write this in safe Rust"
                         .to_string(),
                 );
+            }
+        }
+        "D11" => {
+            // `thread :: <starter>`, which also catches the `std::thread::`
+            // spelling and a `use std::thread::scope` import.
+            for ci in 0..code.len().saturating_sub(3) {
+                let tok = t(ci);
+                let tail = t(ci + 3);
+                if tok.is_ident("thread")
+                    && t(ci + 1).is_punct(':')
+                    && t(ci + 2).is_punct(':')
+                    && tail.kind == TokKind::Ident
+                    && THREAD_STARTERS.contains(&tail.text.as_str())
+                {
+                    push(
+                        tok.line,
+                        format!(
+                            "`thread::{}` outside epc-runtime: every thread the pipeline \
+                             starts must count against the `INDICE_THREADS` budget — use \
+                             epc_runtime::par_map, par_map_coarse or overlap",
+                            tail.text
+                        ),
+                    );
+                }
             }
         }
         other => {
@@ -512,9 +541,31 @@ mod tests {
     }
 
     #[test]
+    fn d11_flags_thread_starts() {
+        let src = "use std::thread::scope;\n\
+                   fn f() {\n\
+                   std::thread::spawn(|| ());\n\
+                   thread::scope(|s| ());\n\
+                   let b = thread::Builder::new();\n}";
+        let lines: Vec<u32> = run("D11", src).iter().map(|h| h.line).collect();
+        assert_eq!(lines, vec![1, 3, 4, 5]);
+    }
+
+    #[test]
+    fn d11_ignores_other_thread_items_and_other_spawns() {
+        let src = "let n = std::thread::available_parallelism();\n\
+                   let id = thread::current().id();\n\
+                   scope.spawn(|| ());\n\
+                   let h: std::thread::ScopedJoinHandle<'_, u8>;\n\
+                   // thread::spawn in a comment\n\
+                   let s = \"thread::scope\";";
+        assert!(run("D11", src).is_empty(), "{:?}", run("D11", src));
+    }
+
+    #[test]
     fn test_modules_are_exempt_everywhere() {
         let src = "#[cfg(test)]\nmod tests {\n use std::collections::HashMap;\n\
-                   fn t() { v.unwrap(); println!(\"ok\"); }\n}";
+                   fn t() { v.unwrap(); println!(\"ok\"); std::thread::scope(|s| ()); }\n}";
         for rule in LINE_RULE_IDS {
             assert!(run(rule, src).is_empty(), "{rule} leaked into tests");
         }

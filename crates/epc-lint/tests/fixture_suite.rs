@@ -50,12 +50,15 @@ fn bad_fixtures_produce_exact_diagnostics() {
             expect("rng.rs", 5, "D1"),
             expect("rng.rs", 6, "D1"),
             expect("rng.rs", 7, "D1"),
+            expect("threads.rs", 3, "D11"),
+            expect("threads.rs", 5, "D11"),
+            expect("threads.rs", 6, "D11"),
             expect("unsafe_code.rs", 3, "D10"),
             expect("unsafe_code.rs", 5, "D10"),
         ],
     );
     assert!(!report.clean());
-    assert_eq!(report.files_scanned, 8);
+    assert_eq!(report.files_scanned, 9);
 }
 
 #[test]
@@ -76,7 +79,7 @@ fn diagnostics_render_as_path_line_rule() {
 fn good_fixtures_are_clean_and_allows_are_counted() {
     let report = lint_root(&fixtures().join("good"), &config("lint_all.toml")).unwrap();
     assert!(report.clean(), "unexpected: {:?}", report.diagnostics);
-    assert_eq!(report.files_scanned, 4);
+    assert_eq!(report.files_scanned, 5);
     // Both directives in allowed.rs carry a reason and fired once each.
     assert_eq!(report.allows.len(), 2);
     assert_eq!(report.suppressed, 2);
@@ -115,9 +118,11 @@ fn scope_globs_resolve_as_documented() {
     assert_eq!(count("D6"), 0);
     // D10 scoped to bad/unsafe_code.rs and exempted from it again.
     assert_eq!(count("D10"), 0);
+    // D11 scoped to bad/threads.rs: all three hits.
+    assert_eq!(count("D11"), 3);
     // Malformed allow directives fire regardless of rule scoping.
     assert_eq!(count("allow"), 2);
-    assert_eq!(report.diagnostics.len(), 12);
+    assert_eq!(report.diagnostics.len(), 15);
 }
 
 #[test]

@@ -8,17 +8,22 @@
 //! as the elbow point of the stable curve."
 
 use crate::dbscan::DbscanConfig;
-use crate::matrix::{euclidean, Matrix};
+use crate::matrix::{sq_euclidean, Matrix};
 
 /// The k-distance curves of several `ks` in one pass over the point pairs.
 /// Curve `i` holds, for every point, the distance to its `ks[i]`-th nearest
 /// neighbour, sorted descending (the conventional presentation); it is
 /// empty for an empty matrix, `k == 0` or `k >= n`.
 ///
-/// Each point's distance row is computed once. A selection moves its
-/// `kmax` smallest distances to the front (`kmax` = the largest `k` with a
-/// curve) and only that head is sorted, so every `k` reads its k-th value
-/// from the same head.
+/// Each unordered pair's squared distance is computed once and offered to
+/// both points' lists of their `kmax` smallest (`kmax` = the largest `k`
+/// with a curve), kept sorted by [`f64::total_cmp`]; every `k` reads its
+/// k-th value from the same list. [`sq_euclidean`] squares differences, so
+/// `(a, b)` and `(b, a)` give the same bits unless the sum is NaN, where
+/// the payload may depend on the order: only then is the reverse order
+/// computed as well. The square root keeps the `total_cmp` order of
+/// these values (zeros keep their sign, NaNs their bits), so it is taken
+/// only of the `kmax` values kept per point.
 pub fn k_distance_curves(data: &Matrix, ks: &[usize]) -> Vec<Vec<f64>> {
     let n = data.n_rows();
     let has_curve = |k: usize| k > 0 && k < n;
@@ -26,20 +31,28 @@ pub fn k_distance_curves(data: &Matrix, ks: &[usize]) -> Vec<Vec<f64>> {
     let Some(kmax) = ks.iter().copied().filter(|&k| has_curve(k)).max() else {
         return curves;
     };
-    let mut dists = Vec::with_capacity(n - 1);
+    // Row `i` of `nearest` holds point `i`'s smallest squared distances,
+    // ascending; `filled[i]` of them are set.
+    let mut nearest = vec![0.0f64; n * kmax];
+    let mut filled = vec![0usize; n];
     for i in 0..n {
-        dists.clear();
-        dists.extend(
-            (0..n)
-                .filter(|&j| j != i)
-                .map(|j| euclidean(data.row(i), data.row(j))),
-        );
-        dists.select_nth_unstable_by(kmax - 1, f64::total_cmp);
-        let head = &mut dists[..kmax];
-        head.sort_unstable_by(f64::total_cmp);
+        let (row_i, later) = nearest.split_at_mut((i + 1) * kmax);
+        let row_i = &mut row_i[i * kmax..];
+        for (j, row_j) in (i + 1..n).zip(later.chunks_exact_mut(kmax)) {
+            let d = sq_euclidean(data.row(i), data.row(j));
+            offer(row_i, &mut filled[i], d);
+            let reverse = if d.is_nan() {
+                sq_euclidean(data.row(j), data.row(i))
+            } else {
+                d
+            };
+            offer(row_j, &mut filled[j], reverse);
+        }
+    }
+    for row in nearest.chunks_exact(kmax) {
         for (curve, &k) in curves.iter_mut().zip(ks) {
             if has_curve(k) {
-                curve.push(head[k - 1]);
+                curve.push(row[k - 1].sqrt());
             }
         }
     }
@@ -47,6 +60,25 @@ pub fn k_distance_curves(data: &Matrix, ks: &[usize]) -> Vec<Vec<f64>> {
         curve.sort_unstable_by(|a, b| b.total_cmp(a));
     }
     curves
+}
+
+/// Inserts `d` into `row[..*filled]`, the ascending `total_cmp` list of the
+/// smallest values offered so far, keeping at most `row.len()` of them.
+fn offer(row: &mut [f64], filled: &mut usize, d: f64) {
+    let mut at = *filled;
+    if at == row.len() {
+        match row.last() {
+            Some(last) if d.total_cmp(last).is_lt() => at -= 1,
+            _ => return,
+        }
+    } else {
+        *filled += 1;
+    }
+    while at > 0 && d.total_cmp(&row[at - 1]).is_lt() {
+        row[at] = row[at - 1];
+        at -= 1;
+    }
+    row[at] = d;
 }
 
 /// The elbow of a descending k-distance curve: the point of maximum

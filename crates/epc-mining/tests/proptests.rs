@@ -279,6 +279,39 @@ fn k_distance_curve(data: &Matrix, k: usize) -> Vec<f64> {
     curve
 }
 
+/// The per-row kernel the pairwise one replaced: each point's full row
+/// of distances, a selection of its `kmax` smallest, a sort of that head.
+/// The oracle for `k_distance_curves`, NaN payloads included.
+fn k_distance_curves_by_rows(data: &Matrix, ks: &[usize]) -> Vec<Vec<f64>> {
+    let n = data.n_rows();
+    let has_curve = |k: usize| k > 0 && k < n;
+    let mut curves: Vec<Vec<f64>> = ks.iter().map(|_| Vec::new()).collect();
+    let Some(kmax) = ks.iter().copied().filter(|&k| has_curve(k)).max() else {
+        return curves;
+    };
+    let mut dists = Vec::with_capacity(n - 1);
+    for i in 0..n {
+        dists.clear();
+        dists.extend(
+            (0..n)
+                .filter(|&j| j != i)
+                .map(|j| euclidean(data.row(i), data.row(j))),
+        );
+        dists.select_nth_unstable_by(kmax - 1, f64::total_cmp);
+        let head = &mut dists[..kmax];
+        head.sort_unstable_by(f64::total_cmp);
+        for (curve, &k) in curves.iter_mut().zip(ks) {
+            if has_curve(k) {
+                curve.push(head[k - 1]);
+            }
+        }
+    }
+    for curve in &mut curves {
+        curve.sort_unstable_by(|a, b| b.total_cmp(a));
+    }
+    curves
+}
+
 /// The candidate-by-candidate parameter scan over oracle curves.
 fn estimate_oracle(data: &Matrix, candidates: &[usize], tol: f64) -> Option<DbscanConfig> {
     let mut prev: Option<(usize, Vec<f64>)> = None;
@@ -369,5 +402,46 @@ proptest! {
             key(estimate_dbscan_params(&m, &ks, tol)),
             key(estimate_oracle(&m, &ks, tol))
         );
+    }
+
+    /// The pairwise kernel equals the per-row one bit for bit on small
+    /// clouds, where `n ≤ kmax + 1` is common: duplicates and ties from the
+    /// lattice, NaNs of both signs and several payloads, ±∞, signed zeros,
+    /// `k = 0`, `k ≥ n` and unsorted, repeated `ks`.
+    #[test]
+    fn pairwise_k_distance_equals_the_per_row_selection(
+        seed in 0u64..u64::MAX,
+        d in 0usize..5,
+        n in 0usize..28,
+        ks in prop::collection::vec(0usize..32, 0..6),
+        specials in prop::collection::vec((0usize..200, 0usize..8), 0..6),
+    ) {
+        let (m, _) = hostile_cloud(seed, d.max(1), n);
+        let mut cells: Vec<f64> = (0..n).flat_map(|i| m.row(i).to_vec()).collect();
+        let special = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_dead_beef),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+        ];
+        if !cells.is_empty() {
+            for &(at, which) in &specials {
+                let len = cells.len();
+                cells[at % len] = special[which];
+            }
+        }
+        // `d = 0` is a matrix of zero-length rows: every distance is the
+        // empty sum.
+        let m = if d == 0 { Matrix::zeros(n, 0) } else { Matrix::from_vec(cells, n, d.max(1)) };
+        let curves = k_distance_curves(&m, &ks);
+        let oracle = k_distance_curves_by_rows(&m, &ks);
+        prop_assert_eq!(curves.len(), ks.len());
+        for ((curve, want), &k) in curves.iter().zip(&oracle).zip(&ks) {
+            prop_assert_eq!(bits(curve), bits(want), "k = {}, ks = {:?}", k, ks);
+        }
     }
 }

@@ -25,6 +25,10 @@
 //!    identical for any `threads`, including the sequential fallback at
 //!    `threads = 1`, because the operation tree never changes shape.
 //!
+//! [`overlap`] runs one independent task (hashing the input) on one worker
+//! of the budget while the caller's work runs on the others. Every thread
+//! the workspace starts is started here, so `threads` bounds them all.
+//!
 //! [`StageTimer`] and [`PipelineReport`] capture per-stage wall time and
 //! record counts so benches and the CLI can report where time goes.
 
@@ -216,6 +220,41 @@ where
     slots.into_iter().flatten().collect()
 }
 
+/// Runs `task` on one worker of the thread budget while `work` runs on
+/// the calling thread with the other `threads − 1`, and returns both
+/// results.
+///
+/// With `threads = 1` nothing is spawned: `task` runs first, inline, and
+/// then `work` with the unchanged one-thread configuration. Otherwise
+/// `work` receives `RuntimeConfig::new(threads − 1)`, so the task and the
+/// work together never use more than the budget. A panic on either side
+/// is passed on to the caller once both sides have finished; when both
+/// panic, the task's panic is the one passed on.
+pub fn overlap<T, W, FT, FW>(config: &RuntimeConfig, task: FT, work: FW) -> (T, W)
+where
+    T: Send,
+    FT: FnOnce() -> T + Send,
+    FW: FnOnce(&RuntimeConfig) -> W,
+{
+    if config.is_sequential() {
+        let t = task();
+        return (t, work(config));
+    }
+    let rest = RuntimeConfig {
+        threads: config.threads - 1,
+        ..*config
+    };
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(task);
+        let worked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(&rest)));
+        let t = join_worker(handle);
+        match worked {
+            Ok(w) => (t, w),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 /// Reduces `items` through fixed-size chunk partials combined in chunk
 /// order.
 ///
@@ -403,6 +442,101 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn overlap_at_one_thread_runs_the_task_first_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let order = std::sync::Mutex::new(Vec::new());
+        let log = |what: &'static str| order.lock().expect("no panic holds the log").push(what);
+        let (t, w) = overlap(
+            &RuntimeConfig::sequential(),
+            || {
+                log("task");
+                std::thread::current().id()
+            },
+            |rest| {
+                log("work");
+                rest.threads
+            },
+        );
+        assert_eq!(t, caller, "the task must not run on a spawned thread");
+        assert_eq!(w, 1);
+        assert_eq!(
+            *order.lock().expect("no panic holds the log"),
+            ["task", "work"]
+        );
+    }
+
+    #[test]
+    fn overlap_leaves_the_work_all_threads_but_one() {
+        let caller = std::thread::current().id();
+        for n in [2usize, 3, 8] {
+            let cfg = RuntimeConfig::new(n);
+            let (t, w) = overlap(
+                &cfg,
+                || (std::thread::current().id(), 40 + n),
+                |rest| (std::thread::current().id(), rest.threads),
+            );
+            assert_ne!(
+                t.0, caller,
+                "threads = {n}: the task runs on its own worker"
+            );
+            assert_eq!(w.0, caller, "threads = {n}: the work runs on the caller");
+            assert_eq!((t.1, w.1), (40 + n, n - 1), "threads = {n}");
+        }
+    }
+
+    /// A panic on either side reaches the caller only after the other
+    /// side has finished: the barrier makes both sides meet before the
+    /// panicking one panics, and the flag shows the other one ran to its
+    /// end.
+    #[test]
+    fn overlap_passes_on_a_panic_from_either_side_after_both_finished() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        let message = |payload: Box<dyn std::any::Any + Send>| match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default(),
+        };
+        for task_panics in [true, false] {
+            let barrier = Barrier::new(2);
+            let other_done = AtomicBool::new(false);
+            let side = |panics: bool, what: &'static str| {
+                barrier.wait();
+                if panics {
+                    panic!("{what}");
+                }
+                other_done.store(true, Ordering::SeqCst);
+            };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                overlap(
+                    &RuntimeConfig::new(2),
+                    || side(task_panics, "task"),
+                    |_| side(!task_panics, "work"),
+                )
+            }));
+            let expected = if task_panics { "task" } else { "work" };
+            assert_eq!(
+                message(result.expect_err("the panic is passed on")),
+                expected
+            );
+            assert!(
+                other_done.load(Ordering::SeqCst),
+                "{expected} panicked early"
+            );
+        }
+        let both = std::panic::catch_unwind(|| {
+            overlap(
+                &RuntimeConfig::new(2),
+                || panic!("task"),
+                |_| -> () { panic!("work") },
+            )
+        });
+        assert_eq!(message(both.expect_err("a panic is passed on")), "task");
     }
 
     #[test]

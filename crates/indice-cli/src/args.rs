@@ -51,7 +51,7 @@ pub enum Command {
         records: Vec<usize>,
         /// RNG seed for the synthetic collection.
         seed: u64,
-        /// Output path for the indice-bench/3 snapshot.
+        /// Output path for the indice-bench/4 snapshot.
         out: String,
     },
     /// Print the auto-configuration advice for a collection.
@@ -278,7 +278,9 @@ snapshot (per-stage wall milliseconds and records/sec, peak shard
 imbalance) to `--out`. Before each size's runs it renders the collection
 to CSV and times reading it back and hashing it as a durable run does
 (`csv_bytes`, `load_ms`, `input_hash_ms`); the command fails unless the
-text reads back to the same bytes.
+text reads back to the same bytes. After them it times one durable run
+of the collection into a temporary directory (`durable_wall_ms`), which
+must complete.
 
 `--fault-seed` / `--fault-rate` / `--geocode-fail-rate` attach a
 deterministic fault injector for chaos testing: the same seed and rates

@@ -599,6 +599,7 @@ struct BenchRun {
     threads: usize,
     total_ms: u64,
     records_per_sec: f64,
+    durable_ms: u64,
 }
 
 /// The synthetic collection `bench` measures at `records`.
@@ -657,8 +658,41 @@ fn bench_load(records: usize, seed: u64) -> Result<LoadRun, String> {
     })
 }
 
+/// Times one durable run of `indice` — the input identified, every stage
+/// checkpointed and journaled — into a fresh directory under the system
+/// temp dir, which it removes afterwards. Fails unless the run completes.
+fn bench_durable(indice: &Indice, records: usize) -> Result<u64, String> {
+    use epc_runtime::Clock;
+    let dir = std::env::temp_dir().join(format!("indice-bench-{}-{records}", std::process::id()));
+    let fresh = |dir: &Path| match fs::remove_dir_all(dir) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            Err(format!("bench: removing {}: {e}", dir.display()))
+        }
+        _ => Ok(()),
+    };
+    fresh(&dir)?;
+    let clock = epc_runtime::WallClock::new();
+    let start = clock.now_ms();
+    let output = indice.run_durable(
+        epc_query::Stakeholder::PublicAdministration,
+        &DurableOptions::new(&dir),
+    );
+    let wall_ms = clock.now_ms() - start;
+    fresh(&dir)?;
+    let outcome = output
+        .map_err(|e| format!("bench: the durable run at {records} records: {e}"))?
+        .outcome;
+    if !matches!(outcome, RunOutcome::Complete) {
+        return Err(format!(
+            "bench: the durable run at {records} records ended {outcome}"
+        ));
+    }
+    Ok(wall_ms)
+}
+
 /// Runs the observed pipeline once at `records` and formats its
-/// per-stage fields of the size block.
+/// per-stage fields of the size block, then times one durable run of the
+/// same collection ([`bench_durable`]).
 fn bench_one(records: usize, seed: u64) -> Result<BenchRun, String> {
     let runtime = epc_runtime::RuntimeConfig::try_from_env()?;
     let collection = bench_collection(records, seed);
@@ -731,25 +765,33 @@ fn bench_one(records: usize, seed: u64) -> Result<BenchRun, String> {
         outcome = output.outcome,
         quarantined = output.quarantine.len(),
     );
+    let exit_code = output.outcome.exit_code();
+    let threads = output.report.threads;
+    // The supervised run's products go before the durable run starts.
+    drop(output);
+    let durable_ms = bench_durable(&indice, records)?;
     let json = format!(
         "      \"stages\": [\n{stages}\n      ],\n\
          \x20     \"total_wall_ms\": {total_ms},\n\
          \x20     \"records_per_sec\": {records_per_sec:.1},\n\
          \x20     \"peak_shard_imbalance\": {peak_shard_imbalance:.4},\n\
+         \x20     \"durable_wall_ms\": {durable_ms},\n\
          \x20     \"deterministic\": {deterministic}",
     );
     Ok(BenchRun {
         json,
-        exit_code: output.outcome.exit_code(),
-        threads: output.report.threads,
+        exit_code,
+        threads,
         total_ms,
         records_per_sec,
+        durable_ms,
     })
 }
 
 /// Runs the full observed pipeline over in-memory synthetic collections —
 /// once per size, after timing the load of that size's CSV
-/// ([`bench_load`]) — and writes an indice-bench/3 snapshot.
+/// ([`bench_load`]), and then once more as a durable run — and writes an
+/// indice-bench/4 snapshot.
 fn bench(records_list: &[usize], seed: u64, out: &str) -> Result<ExitCode, String> {
     let mut worst_exit = 0u8;
     let mut threads = 0usize;
@@ -767,8 +809,9 @@ fn bench(records_list: &[usize], seed: u64, out: &str) -> Result<ExitCode, Strin
         threads = run.threads;
         worst_exit = worst_exit.max(run.exit_code);
         println!(
-            "bench: {records} records, {} threads, {} ms total ({:.1} records/sec)",
-            run.threads, run.total_ms, run.records_per_sec
+            "bench: {records} records, {} threads, {} ms total ({:.1} records/sec), \
+             durable run {} ms",
+            run.threads, run.total_ms, run.records_per_sec, run.durable_ms
         );
         runs.push_str(&format!(
             "    {{\n      \"records\": {records},\n      \"load\": {{\"csv_bytes\": {}, \
@@ -778,7 +821,7 @@ fn bench(records_list: &[usize], seed: u64, out: &str) -> Result<ExitCode, Strin
     }
     let snapshot = format!(
         "{{\n\
-         \x20 \"schema\": \"indice-bench/3\",\n\
+         \x20 \"schema\": \"indice-bench/4\",\n\
          \x20 \"seed\": {seed},\n\
          \x20 \"threads\": {threads},\n\
          \x20 \"runs\": [\n{runs}\n  ]\n\

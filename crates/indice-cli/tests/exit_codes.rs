@@ -208,7 +208,7 @@ fn bench_emits_snapshot_and_exits_by_outcome() {
     assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
     let snap = std::fs::read_to_string(&out).unwrap();
     for key in [
-        "\"schema\": \"indice-bench/3\"",
+        "\"schema\": \"indice-bench/4\"",
         "\"records\": 500",
         "\"load\": {\"csv_bytes\": ",
         "\"load_ms\": ",
@@ -220,6 +220,7 @@ fn bench_emits_snapshot_and_exits_by_outcome() {
         "\"total_wall_ms\":",
         "\"records_per_sec\":",
         "\"peak_shard_imbalance\":",
+        "\"durable_wall_ms\":",
         "\"kept_records\":",
         "\"outcome\": \"complete\"",
     ] {

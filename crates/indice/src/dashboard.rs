@@ -6,7 +6,7 @@ use crate::analytics::AnalyticsOutput;
 use crate::error::IndiceError;
 use epc_geo::point::GeoPoint;
 use epc_geo::region::RegionHierarchy;
-use epc_model::{wellknown as wk, Dataset, Granularity};
+use epc_model::{wellknown as wk, AttrId, Dataset, Granularity};
 use epc_query::aggregate::{group_by, AggFn};
 use epc_query::stakeholder::{default_report_spec, ReportKind, ReportSpec, Stakeholder};
 use epc_runtime::Engine;
@@ -85,7 +85,7 @@ pub(crate) fn build_dashboard_spec_core(
     let mut artifacts = BTreeMap::new();
     let mut n_markers = 0usize;
     let response_label = response_axis_label(dataset, &spec.response);
-    let points = certificate_points(dataset, &spec.response)?;
+    let (id_id, points) = certificate_points(dataset, &spec.response)?;
 
     for kind in &spec.reports {
         match kind {
@@ -134,14 +134,19 @@ pub(crate) fn build_dashboard_spec_core(
                 for region in hierarchy.regions_at(Granularity::District) {
                     map.add_outline(region.clone());
                 }
-                for (p, v, label) in &points {
+                let labels: Vec<String> = points
+                    .iter()
+                    .map(|&(_, v, row)| certificate_label(dataset, id_id, &spec.response, row, v))
+                    .collect();
+                for ((p, v, _), label) in points.iter().zip(&labels) {
                     map.add_point(*p, *v, label);
                 }
                 let svg = map.render();
                 artifacts.insert("scatter_units.svg".into(), svg.clone());
                 let geo_points: Vec<(GeoPoint, Map<String, serde_json::Value>)> = points
                     .iter()
-                    .map(|(p, v, label)| {
+                    .zip(&labels)
+                    .map(|((p, v, _), label)| {
                         let mut props = Map::new();
                         props.insert("label".into(), serde_json::json!(label));
                         props.insert(spec.response.clone(), serde_json::json!(v));
@@ -390,7 +395,7 @@ pub fn figure2_maps(
 ) -> Result<BTreeMap<String, String>, IndiceError> {
     let mut artifacts = BTreeMap::new();
     let label = response_axis_label(dataset, attribute);
-    let points = certificate_points(dataset, attribute)?;
+    let (id_id, points) = certificate_points(dataset, attribute)?;
 
     // Upper row: choropleth (neighbourhood) + scatter (single certificate).
     let rows = group_by(dataset, wk::NEIGHBOURHOOD, attribute, &[AggFn::Mean])?;
@@ -405,8 +410,8 @@ pub fn figure2_maps(
     artifacts.insert("fig2_choropleth_neighbourhood.svg".into(), choro.render());
 
     let mut scatter = ScatterMap::new(&format!("{attribute} per housing unit"), &label);
-    for (p, v, l) in &points {
-        scatter.add_point(*p, *v, l);
+    for &(p, v, row) in &points {
+        scatter.add_point(p, v, &certificate_label(dataset, id_id, attribute, row, v));
     }
     artifacts.insert("fig2_scatter_unit.svg".into(), scatter.render());
 
@@ -421,11 +426,15 @@ pub fn figure2_maps(
     Ok(artifacts)
 }
 
-/// `(point, value, popup label)` triples for every geolocated certificate.
+/// A geolocated certificate: its point, its value and its row.
+type CertificatePoint = (GeoPoint, Option<f64>, usize);
+
+/// Every geolocated certificate, with the id column its popup label names
+/// ([`certificate_label`]): labels are made only where a map shows them.
 fn certificate_points(
     dataset: &Dataset,
     attribute: &str,
-) -> Result<Vec<(GeoPoint, Option<f64>, String)>, IndiceError> {
+) -> Result<(AttrId, Vec<CertificatePoint>), IndiceError> {
     let lat_id = dataset.schema().require(wk::LATITUDE)?;
     let lon_id = dataset.schema().require(wk::LONGITUDE)?;
     let id_id = dataset.schema().require(wk::CERTIFICATE_ID)?;
@@ -439,15 +448,24 @@ fn certificate_points(
         if !p.is_valid() {
             continue;
         }
-        let v = dataset.num(r, attr_id);
-        let cert = dataset.cat(r, id_id).unwrap_or("(unknown)");
-        let label = match v {
-            Some(v) => format!("{cert}: {attribute} = {v:.1}"),
-            None => format!("{cert}: {attribute} missing"),
-        };
-        out.push((p, v, label));
+        out.push((p, dataset.num(r, attr_id), r));
     }
-    Ok(out)
+    Ok((id_id, out))
+}
+
+/// The popup label of the certificate in `row`.
+fn certificate_label(
+    dataset: &Dataset,
+    id_id: AttrId,
+    attribute: &str,
+    row: usize,
+    value: Option<f64>,
+) -> String {
+    let cert = dataset.cat(row, id_id).unwrap_or("(unknown)");
+    match value {
+        Some(v) => format!("{cert}: {attribute} = {v:.1}"),
+        None => format!("{cert}: {attribute} missing"),
+    }
 }
 
 fn response_axis_label(dataset: &Dataset, attribute: &str) -> String {

@@ -38,7 +38,6 @@ use epc_viz::dashboard::Dashboard;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -162,19 +161,54 @@ pub(crate) fn config_fingerprint(
     street_map: &StreetMap,
     hierarchy: &RegionHierarchy,
 ) -> Result<String, IndiceError> {
-    let mut hasher = Sha256::new();
-    dur(
-        write!(hasher, "{config:?}|{stakeholder:?}|"),
-        "hashing the configuration",
-    )?;
-    street_map
-        .write_text(&mut hasher)
-        .map_err(|e| IndiceError::Durability(format!("street map not serializable: {e}")))?;
-    let regions = serde_json::to_string(hierarchy)
-        .map_err(|e| IndiceError::Durability(format!("hierarchy not serializable: {e}")))?;
-    hasher.update(b"|");
-    hasher.update(regions.as_bytes());
-    Ok(hasher.finish_hex())
+    Fingerprint::prepare(config, stakeholder, street_map, hierarchy)?.finish()
+}
+
+fn street_map_not_serializable(e: std::io::Error) -> IndiceError {
+    IndiceError::Durability(format!("street map not serializable: {e}"))
+}
+
+/// A [`config_fingerprint`] whose every failure is behind it: the street
+/// map's separator check and the hierarchy's JSON are done, the street
+/// map's text is still to be hashed.
+struct Fingerprint<'a> {
+    /// `{config:?}|{stakeholder:?}|`.
+    head: String,
+    street_map: &'a StreetMap,
+    regions: String,
+}
+
+impl<'a> Fingerprint<'a> {
+    fn prepare(
+        config: &IndiceConfig,
+        stakeholder: Stakeholder,
+        street_map: &'a StreetMap,
+        hierarchy: &RegionHierarchy,
+    ) -> Result<Self, IndiceError> {
+        street_map
+            .check_text()
+            .map_err(street_map_not_serializable)?;
+        let regions = serde_json::to_string(hierarchy)
+            .map_err(|e| IndiceError::Durability(format!("hierarchy not serializable: {e}")))?;
+        Ok(Fingerprint {
+            head: format!("{config:?}|{stakeholder:?}|"),
+            street_map,
+            regions,
+        })
+    }
+
+    /// The digest. Writing into a hasher does not fail and the separator
+    /// check passed, so the error arm is never taken in practice.
+    fn finish(&self) -> Result<String, IndiceError> {
+        let mut hasher = Sha256::new();
+        hasher.update(self.head.as_bytes());
+        self.street_map
+            .write_text(&mut hasher)
+            .map_err(street_map_not_serializable)?;
+        hasher.update(b"|");
+        hasher.update(self.regions.as_bytes());
+        Ok(hasher.finish_hex())
+    }
 }
 
 /// SHA-256 of a dataset's CSV text ([`epc_model::csv::to_csv`]), streamed
@@ -377,8 +411,75 @@ fn write_run_file(run_dir: &Path, rel: &str, content: &str) -> Result<ArtifactRe
     })
 }
 
+/// How a stage ended before its journal line.
+enum Executed {
+    /// The stage succeeded or degraded, and the files holding its product
+    /// are written (`None`: no product); its journal line comes next.
+    Written {
+        reasons: Vec<String>,
+        checkpoints: Option<Vec<ArtifactRecord>>,
+    },
+    /// A required stage failed; nothing of it is committed.
+    Failed(IndiceError),
+}
+
+fn crash_error(stage: &str, spec: &CrashSpec) -> IndiceError {
+    IndiceError::CrashInjected {
+        stage: stage.to_owned(),
+        point: spec.point().to_owned(),
+    }
+}
+
+/// Runs `stage` under the supervisor and writes its files: the stage's
+/// commit up to its journal line, which is the first thing that needs the
+/// run's identity. An injected `before` crash stops it first.
+fn execute_and_write(
+    stage: Stage,
+    ctx: &mut PipelineContext<'_>,
+    report: &mut PipelineReport,
+    opts: &DurableOptions<'_>,
+    replayed: &mut Vec<String>,
+) -> Result<Executed, IndiceError> {
+    let name = stage.name();
+    if let Some(spec @ CrashSpec::Before { .. }) = opts.crash.filter(|spec| spec.stage() == name) {
+        return Err(crash_error(name, spec));
+    }
+    let exec = execute_stage_supervised(stage, stage.policy(), ctx, report, opts.deadline.as_ref());
+    replayed.push(name.to_owned());
+    if let Some(obs) = ctx.obs {
+        obs.metrics().inc("resume_replayed", 1);
+    }
+    let reasons = match exec {
+        StageExec::Succeeded => Vec::new(),
+        StageExec::Degraded(reason) => vec![reason],
+        // A failed required stage commits nothing; the journal keeps the
+        // prefix so a rerun replays from here.
+        StageExec::Failed(e) => return Ok(Executed::Failed(e)),
+    };
+    let checkpoints = stage_files(stage, ctx)
+        .map(|files| {
+            files
+                .iter()
+                .map(|(rel, content)| write_run_file(&opts.run_dir, rel, content))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .transpose()?;
+    Ok(Executed::Written {
+        reasons,
+        checkpoints,
+    })
+}
+
 /// Runs the stages over `ctx` durably into `opts.run_dir` (see the module
 /// docs); `ctx` carries the engine's inputs and effective configuration.
+///
+/// The run's identity — the config fingerprint and the input hash — is
+/// computed by one task beside the stages ([`epc_runtime::overlap`]) and
+/// joined where it is first needed: before resume validation, or on a
+/// fresh run before stage 1's journal line, so a fresh run's stage 1 and
+/// its checkpoint write run alongside it on the rest of the thread
+/// budget. Everything in the identity that can fail is checked before the
+/// task starts.
 pub(crate) fn run_durable_inner<'a>(
     mut ctx: PipelineContext<'a>,
     opts: &DurableOptions<'a>,
@@ -389,9 +490,10 @@ pub(crate) fn run_durable_inner<'a>(
         "creating run directory",
     )?;
 
-    let config_fp =
-        config_fingerprint(&ctx.config, ctx.stakeholder, ctx.street_map, ctx.hierarchy)?;
-    let input_hash = csv_hash(ctx.dataset)?;
+    let fingerprint =
+        Fingerprint::prepare(&ctx.config, ctx.stakeholder, ctx.street_map, ctx.hierarchy)?;
+    let dataset = ctx.dataset;
+    let identify = move || Ok::<_, IndiceError>((fingerprint.finish()?, csv_hash(dataset)?));
 
     let journal = Journal::at(run_dir);
     let loaded = dur(
@@ -405,30 +507,54 @@ pub(crate) fn run_durable_inner<'a>(
             obs.metrics().inc("journal_torn_tail_recovered", 1);
         }
     }
-    let (valid, resume_rejection) = if opts.resume {
-        validate_prefix(&entries, &config_fp, &input_hash, run_dir)
-    } else {
-        (0, None)
+    let keep_journal_prefix = |valid: usize| {
+        if valid < entries.len() {
+            dur(
+                journal.rewrite(&entries[..valid]),
+                &format!(
+                    "rewriting journal of run {} to drop entries from seq {valid}",
+                    run_dir.display()
+                ),
+            )?;
+        }
+        Ok::<_, IndiceError>(())
     };
-    if valid < entries.len() {
-        dur(
-            journal.rewrite(&entries[..valid]),
-            &format!(
-                "rewriting journal of run {} to drop entries from seq {valid}",
-                run_dir.display()
-            ),
-        )?;
-    }
 
     ctx.injector = opts.injector;
     if let Some(obs) = opts.obs {
         ctx = ctx.with_obs(obs);
     }
+    // The report records the configured budget, whatever stage 1 ran on.
     let mut report = PipelineReport::new(ctx.runtime.threads);
     let mut reasons: Vec<String> = Vec::new();
     let mut journal_hits = Vec::new();
     let mut replayed = Vec::new();
     let mut failure = None;
+
+    let mut first = None;
+    let ((config_fp, input_hash), valid, resume_rejection) = if opts.resume {
+        let (config_fp, input_hash) = identify()?;
+        let (valid, rejection) = validate_prefix(&entries, &config_fp, &input_hash, run_dir);
+        keep_journal_prefix(valid)?;
+        ((config_fp, input_hash), valid, rejection)
+    } else {
+        keep_journal_prefix(0)?;
+        let budget = ctx.runtime;
+        let (identity, executed) = epc_runtime::overlap(&budget, identify, |rest| {
+            ctx.runtime = *rest;
+            let executed = execute_and_write(
+                Stage::Preprocess,
+                &mut ctx,
+                &mut report,
+                opts,
+                &mut replayed,
+            );
+            ctx.runtime = budget;
+            executed
+        });
+        first = Some(executed?);
+        (identity?, 0, None)
+    };
 
     for (i, stage) in Stage::ALL.into_iter().enumerate() {
         let name = stage.name();
@@ -462,47 +588,25 @@ pub(crate) fn run_durable_inner<'a>(
             continue;
         }
 
-        let crash_here = opts.crash.filter(|spec| spec.stage() == name);
-        let crashed = |spec: &CrashSpec| IndiceError::CrashInjected {
-            stage: name.to_owned(),
-            point: spec.point().to_owned(),
+        // A fresh run's stage 1 ran beside the identity task.
+        let executed = match first.take() {
+            Some(executed) => executed,
+            None => execute_and_write(stage, &mut ctx, &mut report, opts, &mut replayed)?,
         };
-        if let Some(spec @ CrashSpec::Before { .. }) = crash_here {
-            return Err(crashed(spec));
-        }
-
-        let exec = execute_stage_supervised(
-            stage,
-            stage.policy(),
-            &mut ctx,
-            &mut report,
-            opts.deadline.as_ref(),
-        );
-        replayed.push(name.to_owned());
-        if let Some(obs) = ctx.obs {
-            obs.metrics().inc("resume_replayed", 1);
-        }
-        let stage_reasons = match exec {
-            StageExec::Succeeded => Vec::new(),
-            StageExec::Degraded(reason) => vec![reason],
-            StageExec::Failed(e) => {
-                // A failed required stage commits nothing; the journal
-                // keeps the prefix so a rerun replays from here.
+        let (stage_reasons, checkpoints) = match executed {
+            Executed::Written {
+                reasons,
+                checkpoints,
+            } => (reasons, checkpoints),
+            Executed::Failed(e) => {
                 failure = Some(e);
                 break;
             }
         };
         reasons.extend(stage_reasons.iter().cloned());
 
-        // Commit: checkpoint files first, then the journal line.
-        let checkpoints = stage_files(stage, &ctx)
-            .map(|files| {
-                files
-                    .iter()
-                    .map(|(rel, content)| write_run_file(run_dir, rel, content))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .transpose()?;
+        // Commit: checkpoint files first (written above), then the
+        // journal line.
         let entry = stage_entry(
             i,
             stage,
@@ -526,16 +630,17 @@ pub(crate) fn run_durable_inner<'a>(
             m.inc("checkpoint_files_total", entry.checkpoints.len() as u64);
             m.inc("checkpoint_bytes_total", bytes);
         }
+        let crash_here = opts.crash.filter(|spec| spec.stage() == name);
         if let Some(spec @ CrashSpec::Torn { .. }) = crash_here {
             if let Some(first) = entry.checkpoints.first() {
                 tear_checkpoint(run_dir, first)?;
             }
             dur(journal.append(&entry), "appending journal entry")?;
-            return Err(crashed(spec));
+            return Err(crash_error(name, spec));
         }
         dur(journal.append(&entry), "appending journal entry")?;
         if let Some(spec @ CrashSpec::After { .. }) = crash_here {
-            return Err(crashed(spec));
+            return Err(crash_error(name, spec));
         }
     }
 

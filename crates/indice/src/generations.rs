@@ -595,18 +595,29 @@ pub fn ingest(
                 let batch_offset: usize = phases.iter().map(|p| p.input_rows).sum();
                 CumulativeInput::fold(&mut cumulative_raw, &batch.dataset)?;
                 phases.push(phase);
-                let merged = merge_clean_phases(phases.clone())?;
-                let merged_input_rows = merged.input_rows;
-                let cumulative_input_hash = CumulativeInput::hash(&mut cumulative_raw)?;
+
+                // Rebuild the cumulative pipeline products — outliers and
+                // analytics are global, so they run over the merged data.
+                // The cumulative input hash, first needed by the journal
+                // after analytics, is computed beside the merge and the
+                // outlier phase on one worker of the budget.
+                let (hashed, outliers) = epc_runtime::overlap(
+                    &inputs.runtime,
+                    || CumulativeInput::hash(&mut cumulative_raw),
+                    |rest| {
+                        let merged = merge_clean_phases(phases.clone())?;
+                        let merged_input_rows = merged.input_rows;
+                        let (pre, quarantine) =
+                            outlier_phase(merged, &inputs.config, rest, opts.obs)?;
+                        Ok::<_, IndiceError>((merged_input_rows, pre, quarantine))
+                    },
+                );
+                let (merged_input_rows, pre, quarantine) = outliers?;
+                let cumulative_input_hash = hashed?;
                 let cum = cumulative_raw
                     .as_ref()
                     .map(|c| &c.data)
                     .ok_or_else(|| IndiceError::Internal("cumulative input missing".into()))?;
-
-                // Rebuild the cumulative pipeline products — outliers and
-                // analytics are global, so they run over the merged data.
-                let (pre, quarantine) =
-                    outlier_phase(merged, &inputs.config, &inputs.runtime, opts.obs)?;
                 let records_kept = pre
                     .kept_rows
                     .iter()

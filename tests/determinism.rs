@@ -412,3 +412,186 @@ fn pipeline_outputs_are_identical_across_thread_counts() {
         assert_outputs_identical(&reference, &parallel, threads);
     }
 }
+
+mod run_directories {
+    //! What a run leaves behind is thread-count-invariant too: the run
+    //! directory of a durable run (which hashes its input beside stage 1
+    //! when it has two or more threads), of a faulted run, of a 3-batch
+    //! ingest whose last batch is folded by a resumed call (which hashes
+    //! the cumulative input beside the outlier phase), and of a 2-city
+    //! fleet, byte for byte, with the logical trace of each run and each
+    //! ingest call. A fleet shard's observability lands in the tree as its
+    //! `metrics.json`.
+
+    use super::*;
+    use epc_coord::FleetOutcome;
+    use epc_faults::DeterministicInjector;
+    use epc_obs::Obs;
+    use epc_runtime::ManualClock;
+    use epc_synth::FleetConfig;
+    use indice::durable::DurableOptions;
+    use indice::fleet::{run_fleet, FleetRunOptions};
+    use indice::generations::{ingest, IngestBatch, IngestInputs, IngestOptions};
+    use std::collections::BTreeMap;
+    use std::fs;
+    use std::path::{Path, PathBuf};
+
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+    fn collection() -> SyntheticCollection {
+        let mut c = EpcGenerator::new(SynthConfig {
+            n_records: 700,
+            city: CityConfig {
+                n_districts: 4,
+                neighbourhoods_per_district: 2,
+                streets_per_neighbourhood: 3,
+                houses_per_street: 8,
+                ..CityConfig::default()
+            },
+            ..SynthConfig::default()
+        })
+        .generate();
+        apply_noise(&mut c, &NoiseConfig::default());
+        c
+    }
+
+    /// A fresh run directory under the system temp dir.
+    fn run_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("indice-determinism-{}-{tag}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Every file under `dir`, relative path → content bytes; the
+    /// directory is removed afterwards.
+    fn take_tree(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
+            for entry in fs::read_dir(dir).expect("read_dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    walk(root, &path, out);
+                } else {
+                    let rel = path
+                        .strip_prefix(root)
+                        .expect("under root")
+                        .to_string_lossy()
+                        .replace('\\', "/");
+                    out.insert(rel, fs::read(&path).expect("read file"));
+                }
+            }
+        }
+        let mut out = BTreeMap::new();
+        walk(dir, dir, &mut out);
+        let _ = fs::remove_dir_all(dir);
+        out
+    }
+
+    /// Runs `make` at every budget of [`THREADS`] and asserts each result
+    /// equals the sequential one.
+    fn assert_thread_invariant<T: PartialEq + std::fmt::Debug>(
+        what: &str,
+        make: impl Fn(usize) -> T,
+    ) {
+        let reference = make(1);
+        for threads in &THREADS[1..] {
+            // Compared without printing whole trees on a mismatch.
+            assert!(
+                make(*threads) == reference,
+                "{what}: the output at {threads} threads differs from the sequential one"
+            );
+        }
+    }
+
+    /// A durable run's tree and logical trace at `threads`.
+    fn durable(threads: usize, faulted: bool) -> (BTreeMap<String, Vec<u8>>, String) {
+        let engine = Indice::from_collection(collection(), IndiceConfig::default())
+            .with_runtime(RuntimeConfig::new(threads));
+        let clock = ManualClock::advancing(7);
+        let obs = Obs::new(&clock);
+        let injector = DeterministicInjector::new(7).with_record_rate(0.1);
+        let dir = run_dir(&format!("durable-{faulted}-{threads}"));
+        let mut opts = DurableOptions::new(&dir).with_obs(&obs);
+        if faulted {
+            opts = opts.with_injector(&injector);
+        }
+        let out = engine
+            .run_durable(Stakeholder::PublicAdministration, &opts)
+            .expect("durable run");
+        assert!(out.outcome.produced_output(), "{}", out.outcome);
+        assert_eq!(faulted, !out.quarantine.is_empty());
+        (take_tree(&dir), obs.tracer().logical_jsonl())
+    }
+
+    #[test]
+    fn durable_run_trees_and_traces_are_thread_invariant() {
+        assert_thread_invariant("durable run", |t| durable(t, false));
+        assert_thread_invariant("faulted durable run", |t| durable(t, true));
+    }
+
+    /// A 3-batch ingest at `threads`: the first two batches fresh, the
+    /// third folded by a resumed call over all three.
+    fn resumed_ingest(threads: usize) -> (BTreeMap<String, Vec<u8>>, String) {
+        let c = collection();
+        let rows = c.dataset.n_rows();
+        let batches: Vec<IngestBatch> = (0..3)
+            .map(|i| {
+                let indices: Vec<usize> = (i * rows / 3..(i + 1) * rows / 3).collect();
+                IngestBatch::new(
+                    format!("batch-{i}.csv"),
+                    c.dataset.select_rows(&indices).expect("rows in range"),
+                )
+            })
+            .collect();
+        let inputs = || IngestInputs {
+            street_map: &c.city.street_map,
+            hierarchy: &c.city.hierarchy,
+            config: IndiceConfig::default(),
+            runtime: RuntimeConfig::new(threads),
+        };
+        let clock = ManualClock::advancing(7);
+        let obs = Obs::new(&clock);
+        let dir = run_dir(&format!("ingest-{threads}"));
+        let first = ingest(
+            &batches[..2],
+            inputs(),
+            Stakeholder::PublicAdministration,
+            &IngestOptions::new(&dir).with_obs(&obs),
+        )
+        .expect("first ingest");
+        assert_eq!(first.processed.len(), 2);
+        let resumed = ingest(
+            &batches,
+            inputs(),
+            Stakeholder::PublicAdministration,
+            &IngestOptions::new(&dir).resuming().with_obs(&obs),
+        )
+        .expect("resumed ingest");
+        assert_eq!(resumed.sealed_skipped.len(), 2);
+        assert_eq!(resumed.processed, ["batch-2.csv"]);
+        (take_tree(&dir), obs.tracer().logical_jsonl())
+    }
+
+    #[test]
+    fn resumed_ingest_trees_and_traces_are_thread_invariant() {
+        assert_thread_invariant("resumed 3-batch ingest", resumed_ingest);
+    }
+
+    #[test]
+    fn fleet_trees_are_thread_invariant() {
+        assert_thread_invariant("2-city fleet", |threads| {
+            let clock = ManualClock::advancing(1_000);
+            let dir = run_dir(&format!("fleet-{threads}"));
+            let plan = FleetConfig {
+                n_cities: 2,
+                records_per_city: 300,
+                seed: 41,
+            };
+            let mut opts = FleetRunOptions::new(&dir, plan, &clock);
+            opts.runtime = RuntimeConfig::new(threads);
+            let out = run_fleet(&opts).expect("fleet run");
+            assert!(matches!(out.result.outcome, FleetOutcome::Complete));
+            take_tree(&dir)
+        });
+    }
+}

@@ -13,6 +13,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use epc_faults::CrashSpec;
+use epc_geo::streetmap::StreetMap;
 use epc_journal::{Journal, MANIFEST_FILE};
 use epc_query::Stakeholder;
 use epc_runtime::{ManualClock, RuntimeConfig};
@@ -231,9 +232,20 @@ fn crash_resume_matrix_restores_byte_identical_runs() {
     let _ = fs::remove_dir_all(&baseline);
 }
 
+/// Copies every file under `from` to the same relative path under `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    for (rel, bytes) in tree(from) {
+        let path = to.join(rel);
+        fs::create_dir_all(path.parent().expect("a file has a parent")).expect("mkdir");
+        fs::write(path, bytes).expect("copy file");
+    }
+}
+
 /// The config fingerprint deliberately excludes the thread budget, so a
 /// run crashed at one parallelism can resume at another — and still end
-/// byte-identical.
+/// byte-identical. A run at 2 threads hashes its input beside stage 1; a
+/// crash at each point of each stage, resumed at 1, 2 and 8 threads, ends
+/// at the tree of an uninterrupted sequential run.
 #[test]
 fn resume_is_byte_identical_across_thread_budgets() {
     let baseline = run_dir("threads-baseline");
@@ -244,30 +256,83 @@ fn resume_is_byte_identical_across_thread_budgets() {
         )
         .expect("baseline run");
 
-    let spec = CrashSpec::parse("analytics:before").expect("valid spec");
-    for resume_threads in [1usize, 2, 8] {
-        let dir = run_dir(&format!("threads-{resume_threads}"));
-        engine_at(2)
-            .run_durable(
-                Stakeholder::PublicAdministration,
-                &DurableOptions::new(&dir).with_crash(&spec),
-            )
-            .expect_err("crash aborts");
-        let out = engine_at(resume_threads)
-            .run_durable(
-                Stakeholder::PublicAdministration,
-                &DurableOptions::new(&dir).resuming(),
-            )
-            .expect("resume succeeds");
-        assert_eq!(out.journal_hits, vec!["preprocess"]);
-        assert_trees_identical(
-            &baseline,
-            &dir,
-            &format!("resume at {resume_threads} thread(s)"),
-        );
-        let _ = fs::remove_dir_all(&dir);
+    let resumers: Vec<(usize, Indice)> = [1usize, 2, 8].map(|t| (t, engine_at(t))).into();
+    let crasher = &resumers[1].1;
+    for (si, stage) in STAGES.iter().enumerate() {
+        for point in ["before", "after", "torn"] {
+            let spec = CrashSpec::parse(&format!("{stage}:{point}")).expect("valid spec");
+            let crashed = run_dir(&format!("threads-crash-{stage}-{point}"));
+            crasher
+                .run_durable(
+                    Stakeholder::PublicAdministration,
+                    &DurableOptions::new(&crashed).with_crash(&spec),
+                )
+                .expect_err("crash aborts");
+            let expect_hits = match point {
+                "after" => &STAGES[..=si],
+                _ => &STAGES[..si],
+            };
+            for (threads, engine) in &resumers {
+                let context = format!("{stage}:{point} resumed at {threads} thread(s)");
+                let dir = run_dir(&format!("threads-{stage}-{point}-{threads}"));
+                copy_tree(&crashed, &dir);
+                let out = engine
+                    .run_durable(
+                        Stakeholder::PublicAdministration,
+                        &DurableOptions::new(&dir).resuming(),
+                    )
+                    .expect("resume succeeds");
+                assert_eq!(out.journal_hits, expect_hits, "{context}");
+                assert_trees_identical(&baseline, &dir, &context);
+                let _ = fs::remove_dir_all(&dir);
+            }
+            let _ = fs::remove_dir_all(&crashed);
+        }
     }
     let _ = fs::remove_dir_all(&baseline);
+}
+
+/// A street map whose text cannot be written (a field holds the `;`
+/// separator) fails the run before any stage, at every thread budget, with
+/// the error the fingerprint has always reported: the check runs before
+/// the identity task starts. Nothing is journaled or checkpointed, and no
+/// stage span is recorded.
+#[test]
+fn a_street_map_with_a_separator_fails_before_any_stage() {
+    for threads in [1usize, 2, 8] {
+        let c = collection();
+        let mut entries = c.city.street_map.entries().to_vec();
+        let last = entries.last_mut().expect("the city has streets");
+        last.district = format!("{}; east", last.district);
+        let expected = format!(
+            "durability error: street map not serializable: field {:?} contains a separator",
+            last.district
+        );
+        let engine = Indice::new(
+            c.dataset,
+            StreetMap::from_entries(entries),
+            c.city.hierarchy,
+            IndiceConfig::default(),
+        )
+        .with_runtime(RuntimeConfig::new(threads));
+        let clock = ManualClock::advancing(7);
+        let obs = epc_obs::Obs::new(&clock);
+        let dir = run_dir(&format!("separator-{threads}"));
+        let err = engine
+            .run_durable(
+                Stakeholder::PublicAdministration,
+                &DurableOptions::new(&dir).with_obs(&obs),
+            )
+            .expect_err("the street map cannot be fingerprinted");
+        assert!(matches!(err, IndiceError::Durability(_)), "{err:?}");
+        assert_eq!(err.to_string(), expected, "threads = {threads}");
+        assert!(
+            tree(&dir).is_empty(),
+            "threads = {threads}: files were written"
+        );
+        assert_eq!(obs.tracer().logical_jsonl(), "", "threads = {threads}");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 /// Under an injected clock every stage overruns its budget by exactly the
