@@ -254,11 +254,13 @@ if want fleet; then
   cargo test -q --offline -p epc-coord
   cargo test -q --offline -p indice --test fleet
 
-  echo "== fleet: CLI kill/resume loop at two coordinator crash points =="
-  # Kill the coordinator between shard commits (exit 70), resume the
-  # fleet directory, and require the whole fleet tree — fleet journal,
-  # per-city run dirs, merged metrics, dashboard — to be byte-identical
-  # to an uninterrupted fleet's.
+  echo "== fleet: CLI kill/resume loop at three coordinator crash points =="
+  # Kill the coordinator at a city's commit (exit 70): after its journal
+  # line, before the city starts, and torn (its first checkpoint halved
+  # under a line that promises the full bytes). Resume the fleet
+  # directory and require the whole fleet tree — fleet journal, per-city
+  # run dirs, merged metrics, dashboard — to be byte-identical to an
+  # uninterrupted fleet's.
   cargo build -q --release --offline -p indice-cli
   INDICE="$(pwd)/target/release/indice"
   FLEET_DIR="$(mktemp -d)"
@@ -271,7 +273,7 @@ if want fleet; then
   baseline_hash="$(tree_hash "$FLEET_DIR/baseline")"
   baseline_metrics="$FLEET_DIR/baseline/fleet.metrics.json"
 
-  for point in 0:after 1:before; do
+  for point in 0:after 1:before 2:torn; do
     dir="$FLEET_DIR/run-${point//:/-}"
     set +e
     "$INDICE" "${fleet_args[@]}" --out-dir "$dir" --crash-at-city "$point" \

@@ -15,9 +15,9 @@
 //! canonical plan order so a resumed run's journal is byte-identical to
 //! an uninterrupted run's.
 
-use crate::backoff::RetryPolicy;
 use crate::journal::{FleetEvent, FleetJournal};
-use epc_journal::ArtifactRecord;
+use epc_journal::{ArtifactRecord, CommitPoint, CrashPoint};
+use epc_runtime::{fnv1a, Backoff};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -123,14 +123,23 @@ impl FleetOutcome {
     }
 }
 
-/// Deterministic coordinator crash injection point, for chaos tests of
-/// the fleet journal itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoordCrash {
-    /// Crash before the i-th city (plan order) is scheduled.
-    BeforeCity(usize),
-    /// Crash immediately after the i-th city's terminal journal line.
-    AfterCommit(usize),
+/// Retry budget and backoff schedule for shard supervision.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Maximum attempts per shard (1 = no retry). Must be ≥ 1.
+    pub max_attempts: u32,
+    /// Backoff schedule between failed attempts, keyed by the FNV-1a
+    /// hash of the city id.
+    pub backoff: Backoff,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_attempts: 2,
+            backoff: Backoff::default(),
+        }
+    }
 }
 
 /// Coordinator-level error.
@@ -138,19 +147,17 @@ pub enum CoordCrash {
 pub enum CoordError {
     /// Journal or filesystem failure (message names the path involved).
     Io(String),
-    /// An injected crash fired — the process should exit with the crash
-    /// exit code; the journal is positioned for resume.
-    CrashInjected {
-        /// Where the crash fired, e.g. `city 1:before`.
-        at: String,
-    },
+    /// An injected crash fired at the commit of the city with this plan
+    /// index — the process should exit with the crash exit code; the
+    /// journal is positioned for resume.
+    CrashInjected(CrashPoint<usize>),
 }
 
 impl std::fmt::Display for CoordError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CoordError::Io(msg) => write!(f, "fleet i/o error: {msg}"),
-            CoordError::CrashInjected { at } => write!(f, "injected coordinator crash at {at}"),
+            CoordError::CrashInjected(at) => write!(f, "injected coordinator crash at city {at}"),
         }
     }
 }
@@ -174,8 +181,9 @@ pub struct FleetOptions {
     /// outright. `None` tolerates any number as long as at least one
     /// city commits.
     pub max_failed: Option<usize>,
-    /// Injected coordinator crash point (chaos tests only).
-    pub crash: Option<CoordCrash>,
+    /// Injected crash at a city's commit, by plan index (durability
+    /// testing only); its terminal journal line is the commit.
+    pub crash: Option<CrashPoint<usize>>,
 }
 
 impl FleetOptions {
@@ -266,17 +274,39 @@ fn validate_group(
             return None;
         }
     }
-    Some(ShardReport {
+    Some(shard_report(city, terminal, backoff_ms, true))
+}
+
+/// The report of a city whose group ends in `terminal` (`committed` or
+/// `abandoned`) after the retries that drew `backoff_ms`.
+fn shard_report(
+    city: &str,
+    terminal: &FleetEvent,
+    backoff_ms: Vec<u64>,
+    from_journal: bool,
+) -> ShardReport {
+    let committed = terminal.kind == "committed";
+    ShardReport {
         city: city.to_owned(),
         attempts: terminal.attempt,
-        status: ShardStatus::Committed,
-        from_journal: true,
+        status: if committed {
+            ShardStatus::Committed
+        } else {
+            ShardStatus::Abandoned {
+                reason: terminal.reasons.concat(),
+            }
+        },
+        from_journal,
         backoff_ms,
         degraded: terminal.degraded,
-        reasons: terminal.reasons.clone(),
+        reasons: if committed {
+            terminal.reasons.clone()
+        } else {
+            Vec::new()
+        },
         summary: terminal.summary.clone(),
         checkpoints: terminal.checkpoints.clone(),
-    })
+    }
 }
 
 /// Partitions a loaded journal into per-city groups (order of first
@@ -356,36 +386,24 @@ pub fn run_fleet(
             shards.push(hit.report.clone());
             continue;
         }
-        if opts.crash == Some(CoordCrash::BeforeCity(index)) {
-            return Err(CoordError::CrashInjected {
-                at: format!("city {index}:before"),
-            });
+        if let Some(crash) = opts.crash.filter(|c| c.is_at(&index, CommitPoint::Before)) {
+            return Err(CoordError::CrashInjected(crash));
         }
         replayed.push(city.clone());
+        let fp = opts.fingerprint.as_str();
         let mut events = Vec::new();
-        let push = |journal: &FleetJournal,
-                    events: &mut Vec<FleetEvent>,
-                    event: FleetEvent|
-         -> Result<(), CoordError> {
+        let mut push = |event: FleetEvent| -> Result<(), CoordError> {
             journal.append(&event).map_err(io_err)?;
             events.push(event);
             Ok(())
         };
-        push(
-            &journal,
-            &mut events,
-            FleetEvent::scheduled(city, &opts.fingerprint),
-        )?;
+        push(FleetEvent::scheduled(city, fp))?;
 
         let mut backoff_ms = Vec::new();
-        let mut report: Option<ShardReport> = None;
         let max_attempts = opts.policy.max_attempts.max(1);
-        for attempt in 1..=max_attempts {
-            push(
-                &journal,
-                &mut events,
-                FleetEvent::started(city, &opts.fingerprint, attempt),
-            )?;
+        let mut attempt = 1;
+        let terminal = loop {
+            push(FleetEvent::started(city, fp, attempt))?;
             let outcome = catch_unwind(AssertUnwindSafe(|| runner.run_attempt(city, attempt)));
             let failure_reason = match outcome {
                 Ok(Ok(ShardAttempt::Committed {
@@ -394,85 +412,45 @@ pub fn run_fleet(
                     summary,
                     checkpoints,
                 })) => {
-                    push(
-                        &journal,
-                        &mut events,
-                        FleetEvent::committed(
-                            city,
-                            &opts.fingerprint,
-                            attempt,
-                            degraded,
-                            reasons.clone(),
-                            summary.clone(),
-                            checkpoints.clone(),
-                        ),
-                    )?;
-                    report = Some(ShardReport {
-                        city: city.clone(),
-                        attempts: attempt,
-                        status: ShardStatus::Committed,
-                        from_journal: false,
-                        backoff_ms: backoff_ms.clone(),
+                    break FleetEvent::committed(
+                        city,
+                        fp,
+                        attempt,
                         degraded,
                         reasons,
                         summary,
                         checkpoints,
-                    });
-                    break;
+                    )
                 }
                 Ok(Ok(ShardAttempt::Failed { reason })) => reason,
-                Ok(Err(crash @ CoordError::CrashInjected { .. })) => return Err(crash),
+                Ok(Err(crash @ CoordError::CrashInjected(_))) => return Err(crash),
                 Ok(Err(CoordError::Io(msg))) => msg,
                 Err(payload) => format!("shard panicked: {}", panic_message(payload)),
             };
-            if attempt < max_attempts {
-                let delay = opts.policy.backoff.delay_ms(city, attempt);
-                backoff_ms.push(delay);
-                push(
-                    &journal,
-                    &mut events,
-                    FleetEvent::retried(city, &opts.fingerprint, attempt, delay, &failure_reason),
-                )?;
-            } else {
-                push(
-                    &journal,
-                    &mut events,
-                    FleetEvent::abandoned(city, &opts.fingerprint, attempt, &failure_reason),
-                )?;
-                report = Some(ShardReport {
-                    city: city.clone(),
-                    attempts: attempt,
-                    status: ShardStatus::Abandoned {
-                        reason: failure_reason,
-                    },
-                    from_journal: false,
-                    backoff_ms: backoff_ms.clone(),
-                    degraded: false,
-                    reasons: Vec::new(),
-                    summary: BTreeMap::new(),
-                    checkpoints: Vec::new(),
-                });
+            if attempt == max_attempts {
+                break FleetEvent::abandoned(city, fp, attempt, &failure_reason);
             }
+            let delay = opts.policy.backoff.delay_ms(fnv1a(city.bytes()), attempt);
+            backoff_ms.push(delay);
+            push(FleetEvent::retried(
+                city,
+                fp,
+                attempt,
+                delay,
+                &failure_reason,
+            ))?;
+            attempt += 1;
+        };
+        // The terminal line is the city's commit.
+        let fired = journal
+            .commit(&terminal, &index, opts.crash.as_ref())
+            .map_err(io_err)?;
+        if let Some(point) = fired {
+            return Err(CoordError::CrashInjected(CrashPoint { at: index, point }));
         }
+        shards.push(shard_report(city, &terminal, backoff_ms, false));
+        events.push(terminal);
         fresh_events.insert(city.clone(), events);
-        shards.push(report.unwrap_or_else(|| ShardReport {
-            city: city.clone(),
-            attempts: 0,
-            status: ShardStatus::Abandoned {
-                reason: "retry budget was zero".to_owned(),
-            },
-            from_journal: false,
-            backoff_ms: Vec::new(),
-            degraded: false,
-            reasons: Vec::new(),
-            summary: BTreeMap::new(),
-            checkpoints: Vec::new(),
-        }));
-        if opts.crash == Some(CoordCrash::AfterCommit(index)) {
-            return Err(CoordError::CrashInjected {
-                at: format!("city {index}:after"),
-            });
-        }
     }
 
     // Canonicalize: rewrite the journal grouped per city in plan order,
@@ -710,9 +688,9 @@ mod tests {
         assert_eq!(baseline.outcome, FleetOutcome::Complete);
 
         let mut opts = FleetOptions::new(&crashed_dir, "fp");
-        opts.crash = Some(CoordCrash::AfterCommit(0));
+        opts.crash = Some("0:after".parse().unwrap());
         let err = run_fleet(&plan, &opts, &MockRunner::new(&crashed_dir)).unwrap_err();
-        assert!(matches!(err, CoordError::CrashInjected { .. }));
+        assert!(matches!(err, CoordError::CrashInjected(_)));
 
         let mut resume_opts = FleetOptions::new(&crashed_dir, "fp");
         resume_opts.resume = true;
@@ -734,13 +712,11 @@ mod tests {
         let dir = temp_dir();
         let plan = cities(&["a", "b"]);
         let mut opts = FleetOptions::new(&dir, "fp");
-        opts.crash = Some(CoordCrash::BeforeCity(1));
+        opts.crash = Some("1:before".parse().unwrap());
         let err = run_fleet(&plan, &opts, &MockRunner::new(&dir)).unwrap_err();
         assert_eq!(
-            err,
-            CoordError::CrashInjected {
-                at: "city 1:before".to_owned()
-            }
+            err.to_string(),
+            "injected coordinator crash at city 1:before"
         );
         let mut resume_opts = FleetOptions::new(&dir, "fp");
         resume_opts.resume = true;

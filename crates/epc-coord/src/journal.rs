@@ -117,6 +117,10 @@ impl FleetEvent {
 
 impl JournalEntry for FleetEvent {
     const FILE: &'static str = FLEET_MANIFEST_FILE;
+
+    fn files(&self) -> &[ArtifactRecord] {
+        &self.checkpoints
+    }
 }
 
 /// Handle to a fleet directory's journal file.

@@ -12,7 +12,7 @@
 //!   panicking shard becomes a failed attempt, never a crashed fleet.
 //! * **Bounded deterministic retry** — failed shards are retried up to a
 //!   budget ([`RetryPolicy`]); the backoff schedule is a pure function of
-//!   `(seed, city_id, attempt)` ([`Backoff::delay_ms`]), so chaos runs
+//!   `(seed, city_id, attempt)` ([`epc_runtime::Backoff`]), so chaos runs
 //!   replay bit-for-bit at any thread count or shard order. Delays are
 //!   *journaled, not slept*: in-process shards are deterministic, so
 //!   waiting changes nothing — a multi-process transport would honour the
@@ -29,13 +29,11 @@
 //! that executes one deterministic attempt of one city. The `indice`
 //! crate provides the EPC-pipeline runner and the cross-city dashboard.
 
-mod backoff;
 mod coordinator;
 mod journal;
 
-pub use backoff::{Backoff, RetryPolicy};
 pub use coordinator::{
-    run_fleet, CoordCrash, CoordError, FleetOptions, FleetOutcome, FleetResult, ShardAttempt,
+    run_fleet, CoordError, FleetOptions, FleetOutcome, FleetResult, RetryPolicy, ShardAttempt,
     ShardReport, ShardRunner, ShardStatus,
 };
 pub use journal::{FleetEvent, FleetJournal, FLEET_MANIFEST_FILE};

@@ -8,7 +8,8 @@
 //! from the fleet seed with the same SplitMix64 discipline as the record
 //! draws, so specs stay thread- and shard-order-invariant.
 
-use crate::injector::{fnv1a, splitmix64, Corruption, DeterministicInjector};
+use crate::injector::{Corruption, DeterministicInjector};
+use epc_runtime::{fnv1a, splitmix64};
 use std::collections::BTreeMap;
 
 /// Kill one stage of a city's shard.
@@ -70,7 +71,7 @@ impl FleetFaults {
     /// of the plan: the same arguments always yield an injector making
     /// the same decisions.
     pub fn injector_for(&self, city: &str, attempt: u32) -> DeterministicInjector {
-        let city_seed = splitmix64(self.seed ^ fnv1a(city));
+        let city_seed = splitmix64(self.seed ^ fnv1a(city.bytes()));
         let Some(spec) = self.cities.get(city) else {
             return DeterministicInjector::new(city_seed);
         };

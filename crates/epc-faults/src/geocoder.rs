@@ -74,8 +74,9 @@ impl<G: Geocoder> Geocoder for FaultyGeocoder<'_, G> {
 mod tests {
     use super::*;
     use crate::injector::{DeterministicInjector, NoFaults};
-    use epc_geo::geocode::{Backoff, RetryGeocoder, SimulatedGeocoder};
+    use epc_geo::geocode::{RetryGeocoder, SimulatedGeocoder};
     use epc_geo::{GeoPoint, StreetEntry, StreetMap};
+    use epc_runtime::Backoff;
 
     fn truth() -> StreetMap {
         StreetMap::from_entries(vec![StreetEntry {

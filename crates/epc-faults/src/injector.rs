@@ -1,6 +1,7 @@
 //! The injector trait and its deterministic implementation.
 
 use epc_geo::TransientKind;
+use epc_runtime::{fnv1a, splitmix64};
 use std::collections::BTreeMap;
 
 /// How a record gets corrupted at the ingestion boundary.
@@ -137,7 +138,8 @@ impl DeterministicInjector {
 
 impl FaultInjector for DeterministicInjector {
     fn corrupt_record(&self, key: &str) -> Option<Corruption> {
-        if self.record_rate > 0.0 && self.draw(DOMAIN_RECORD, fnv1a(key)) < self.record_rate {
+        if self.record_rate > 0.0 && self.draw(DOMAIN_RECORD, fnv1a(key.bytes())) < self.record_rate
+        {
             Some(self.corruption.clone())
         } else {
             None
@@ -168,24 +170,6 @@ impl FaultInjector for DeterministicInjector {
             _ => None,
         }
     }
-}
-
-/// FNV-1a over a record key string.
-pub(crate) fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// SplitMix64 avalanche mixer.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

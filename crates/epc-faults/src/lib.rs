@@ -31,7 +31,7 @@ mod geocoder;
 mod injector;
 
 pub use corrupt::corrupt_dataset;
-pub use crash::{BatchScope, CrashSpec, IngestCrash};
+pub use crash::BatchScope;
 pub use fleet::{CityFaultSpec, FleetFaults, StageKillSpec};
 pub use geocoder::FaultyGeocoder;
 pub use injector::{Corruption, DeterministicInjector, FaultInjector, NoFaults};

@@ -1071,7 +1071,7 @@ mod tests {
         let retry = RetryGeocoder::new(
             SimulatedGeocoder::new(&truth, 0.6, 0.0),
             3,
-            crate::geocode::Backoff::default(),
+            epc_runtime::Backoff::default(),
         );
         let q = AddressQuery {
             id: 0,

@@ -15,11 +15,12 @@
 //! misses ([`GeocodeFailure::NotFound`]) from transient provider failures
 //! ([`GeocodeFailure::Transient`]), and [`RetryGeocoder`] retries the
 //! latter up to a budget with a seedable, fully deterministic
-//! [`Backoff`] schedule.
+//! [`Backoff`] schedule (`epc-runtime`'s, keyed by [`query_hash`]).
 
 use crate::address::Address;
 use crate::point::GeoPoint;
 use crate::streetmap::StreetMap;
+use epc_runtime::{fnv1a, Backoff};
 use std::cell::Cell;
 
 /// A successful geocoding response.
@@ -101,16 +102,8 @@ pub trait Geocoder {
 /// FNV-1a hash of a query's street + house number; the deterministic key
 /// used by failure draws and backoff jitter.
 pub fn query_hash(query: &Address) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in query
-        .street
-        .bytes()
-        .chain(query.house_number.as_deref().unwrap_or("").bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let house_number = query.house_number.as_deref().unwrap_or("");
+    fnv1a(query.street.bytes().chain(house_number.bytes()))
 }
 
 /// Wraps a geocoder with a hard request quota (the free-tier limit the
@@ -170,73 +163,6 @@ impl<G: Geocoder> Geocoder for QuotaGeocoder<G> {
     fn retries_made(&self) -> usize {
         self.inner.retries_made()
     }
-}
-
-/// A deterministic, seedable exponential-backoff schedule with jitter.
-///
-/// Delays are a pure function of `(seed, key, attempt)` — no clocks, no
-/// RNG state — so a retried run reproduces the exact same schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Backoff {
-    /// Base delay of the first retry, in milliseconds. `0` disables
-    /// sleeping entirely (the schedule is still computed and reported).
-    pub base_ms: u64,
-    /// Multiplier applied per attempt.
-    pub factor: u64,
-    /// Upper bound on any single delay.
-    pub max_ms: u64,
-    /// Jitter seed.
-    pub seed: u64,
-}
-
-impl Default for Backoff {
-    /// 0ms base: schedules are computed (and testable) but never slept —
-    /// the right default for an offline reproduction.
-    fn default() -> Self {
-        Backoff {
-            base_ms: 0,
-            factor: 2,
-            max_ms: 10_000,
-            seed: 0x5eed,
-        }
-    }
-}
-
-impl Backoff {
-    /// The delay before retry number `attempt` (1-based) for `key`.
-    ///
-    /// Exponential growth capped at `max_ms`, with deterministic jitter in
-    /// `[half, full]` of the uncapped delay.
-    pub fn delay_ms(&self, key: u64, attempt: u32) -> u64 {
-        if self.base_ms == 0 {
-            return 0;
-        }
-        let exp = self
-            .base_ms
-            .saturating_mul(self.factor.saturating_pow(attempt.saturating_sub(1)))
-            .min(self.max_ms);
-        let h = splitmix64(
-            self.seed
-                .wrapping_add(key)
-                .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(attempt as u64)),
-        );
-        let half = exp / 2;
-        half + h % (exp - half + 1)
-    }
-
-    /// The full deterministic schedule for `key` over `retries` retries.
-    pub fn schedule(&self, key: u64, retries: u32) -> Vec<u64> {
-        (1..=retries).map(|a| self.delay_ms(key, a)).collect()
-    }
-}
-
-/// SplitMix64 — the avalanche mixer behind every deterministic draw in
-/// the fault-tolerance layer.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Environment variable overriding the geocoder retry budget, read by
@@ -588,30 +514,6 @@ mod tests {
             let err = parse_geocode_retries(Some(bad)).unwrap_err();
             assert!(err.contains(GEOCODE_RETRIES_ENV_VAR), "{err}");
         }
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_and_bounded() {
-        let b = Backoff {
-            base_ms: 100,
-            factor: 2,
-            max_ms: 1_000,
-            seed: 7,
-        };
-        let key = query_hash(&Address::new("via roma", Some("10"), None));
-        let s1 = b.schedule(key, 6);
-        let s2 = b.schedule(key, 6);
-        assert_eq!(s1, s2, "same seed and key → same schedule");
-        for (i, &d) in s1.iter().enumerate() {
-            let uncapped = (100u64 * 2u64.pow(i as u32)).min(1_000);
-            assert!(d >= uncapped / 2 && d <= uncapped, "delay {d} at retry {i}");
-        }
-        // A different seed gives a different schedule (with overwhelming
-        // probability on a 6-delay vector).
-        let other = Backoff { seed: 8, ..b };
-        assert_ne!(other.schedule(key, 6), s1);
-        // Zero base → never sleeps.
-        assert_eq!(Backoff::default().schedule(key, 4), vec![0, 0, 0, 0]);
     }
 
     #[test]

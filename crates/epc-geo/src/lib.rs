@@ -34,8 +34,8 @@ pub use cleaning::{
     DegradedFallback,
 };
 pub use geocode::{
-    Backoff, GeocodeFailure, GeocodeResult, Geocoder, QuotaGeocoder, RetryGeocoder,
-    SimulatedGeocoder, TransientKind,
+    GeocodeFailure, GeocodeResult, Geocoder, QuotaGeocoder, RetryGeocoder, SimulatedGeocoder,
+    TransientKind,
 };
 pub use levenshtein::{levenshtein, similarity};
 pub use point::GeoPoint;

@@ -4,7 +4,7 @@
 //! plus the hash-chain check of [`GenerationManifest::load_validated`].
 
 use crate::generation::{validate_chain, GenerationEntry};
-use epc_journal::{write_atomic_path, JournalEntry, Loaded, Log};
+use epc_journal::{write_atomic_path, ArtifactRecord, JournalEntry, Loaded, Log};
 use std::io;
 use std::ops::Deref;
 use std::path::Path;
@@ -14,6 +14,10 @@ pub const GENERATIONS_FILE: &str = "generations.manifest.jsonl";
 
 impl JournalEntry for GenerationEntry {
     const FILE: &'static str = GENERATIONS_FILE;
+
+    fn files(&self) -> &[ArtifactRecord] {
+        &self.checkpoints
+    }
 }
 
 /// Handle to an ingest run directory's generation manifest: the plain
@@ -54,7 +58,7 @@ impl GenerationManifest {
 /// re-exported convenience so runner code checkpointing generation deltas
 /// under `gens/gen-%05d/` does not need to depend on `epc-journal`
 /// directly.
-pub fn write_delta(path: &Path, contents: &[u8]) -> io::Result<epc_journal::ArtifactRecord> {
+pub fn write_delta(path: &Path, contents: &[u8]) -> io::Result<ArtifactRecord> {
     write_atomic_path(path, contents)
 }
 

@@ -10,8 +10,12 @@
 //!
 //! Entries carry no timestamps or host state, so the journal of a resumed
 //! run is byte-identical to the journal of an uninterrupted run.
+//!
+//! [`Log::commit`] is the commit step of every run mode, and the one
+//! place an injected [`CrashPoint`] tears a file or fires after the line.
 
 use crate::atomic::{sync_dir, write_atomic, ArtifactRecord};
+use crate::crash::{CommitPoint, CrashPoint};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -27,6 +31,9 @@ pub const MANIFEST_FILE: &str = "run.manifest.jsonl";
 pub trait JournalEntry: Serialize + Deserialize {
     /// File name of this entry type's journal inside its directory.
     const FILE: &'static str;
+
+    /// The files this entry commits, relative to the journal's directory.
+    fn files(&self) -> &[ArtifactRecord];
 }
 
 /// What [`Log::load`] recovered. A dropped torn tail is sound recovery,
@@ -112,6 +119,32 @@ impl<E: JournalEntry> Log<E> {
         };
         commit().map_err(|e| named("appending to", &path, e))?;
         sync_dir(&self.dir)
+    }
+
+    /// Appends `entry` as unit `unit`'s commit and plays `crash` out when
+    /// it names that unit: `Torn` first halves the entry's first file,
+    /// and once the line is durable `After` and `Torn` return the point
+    /// that fired. `Before` is checked where the unit starts.
+    pub fn commit<K: PartialEq>(
+        &self,
+        entry: &E,
+        unit: &K,
+        crash: Option<&CrashPoint<K>>,
+    ) -> io::Result<Option<CommitPoint>> {
+        let fired = crash
+            .filter(|c| c.at == *unit && c.point != CommitPoint::Before)
+            .map(|c| c.point);
+        if let (Some(CommitPoint::Torn), Some(first)) = (fired, entry.files().first()) {
+            let path = self.dir.join(&first.file);
+            let tear = || {
+                let f = OpenOptions::new().write(true).open(&path)?;
+                f.set_len(first.bytes / 2)?;
+                f.sync_all()
+            };
+            tear().map_err(|e| named("tearing", &path, e))?;
+        }
+        self.append(entry)?;
+        Ok(fired)
     }
 
     /// Atomically replaces the journal with exactly `entries` — used when
@@ -201,6 +234,10 @@ pub struct StageEntry {
 
 impl JournalEntry for StageEntry {
     const FILE: &'static str = MANIFEST_FILE;
+
+    fn files(&self) -> &[ArtifactRecord] {
+        &self.checkpoints
+    }
 }
 
 #[cfg(test)]
@@ -315,6 +352,38 @@ mod tests {
         );
         assert!(!healed.recovered_torn_tail);
         assert_eq!(fs::read(j.path()).unwrap(), clean);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn commit_plays_a_crash_out_only_at_its_unit() {
+        let dir = temp_dir();
+        let j = Journal::at(&dir);
+        let mut e = entry(0, "preprocess");
+        e.checkpoints[0] = write_atomic(&dir, "preprocess.json", b"{}").unwrap();
+        let crash = |raw: &str| raw.parse::<CrashPoint<usize>>().unwrap();
+
+        // No crash, a crash at another unit, and `before` (the runner's
+        // to check) all commit and fire nothing.
+        for c in [None, Some(crash("1:torn")), Some(crash("0:before"))] {
+            assert_eq!(j.commit(&e, &0, c.as_ref()).unwrap(), None, "{c:?}");
+        }
+        assert_eq!(j.load().unwrap().entries.len(), 3);
+        assert_eq!(fs::read(dir.join("preprocess.json")).unwrap(), b"{}");
+
+        // `after` fires once the line is durable, files untouched.
+        let fired = j.commit(&e, &0, Some(&crash("0:after"))).unwrap();
+        assert_eq!(fired, Some(CommitPoint::After));
+        assert_eq!(j.load().unwrap().entries.len(), 4);
+        assert_eq!(fs::read(dir.join("preprocess.json")).unwrap(), b"{}");
+
+        // `torn` halves the first file, then commits the full record.
+        assert!(e.checkpoints[0].read_verified(&dir).is_ok());
+        let fired = j.commit(&e, &0, Some(&crash("0:torn"))).unwrap();
+        assert_eq!(fired, Some(CommitPoint::Torn));
+        assert_eq!(j.load().unwrap().entries.last(), Some(&e));
+        assert_eq!(fs::read(dir.join("preprocess.json")).unwrap(), b"{");
+        assert!(e.checkpoints[0].read_verified(&dir).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 

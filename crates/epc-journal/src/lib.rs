@@ -5,7 +5,7 @@
 //! never the whole run, and a restarted run must produce artifacts
 //! byte-identical to an uninterrupted one.
 //!
-//! Two building blocks:
+//! Three building blocks:
 //!
 //! * **Atomic artifact writes** — [`write_atomic`] writes to `<name>.tmp`,
 //!   fsyncs, renames over the final path, and fsyncs the directory. A
@@ -24,15 +24,21 @@
 //!   skips every stage whose entry validates, and re-executes from the
 //!   first invalid entry onward. The fleet and ingest journals are the
 //!   same `Log` over their own entry types.
+//! * **Crash points** — [`CrashPoint`] names a unit's commit and a
+//!   [`CommitPoint`] in it (`analytics:torn`, `1:after`);
+//!   [`Log::commit`] is the one commit step of every run mode and the one
+//!   place an injected crash tears a file or fires after the append.
 //!
 //! Entries deliberately contain no timestamps or host state: the journal
 //! of a resumed run is byte-identical to the journal of an uninterrupted
 //! run, so the chaos gate can hash the whole run directory.
 
 mod atomic;
+mod crash;
 mod journal;
 mod sha256;
 
 pub use atomic::{write_atomic, write_atomic_path, ArtifactRecord};
+pub use crash::{CommitPoint, CrashPoint};
 pub use journal::{encode_lines, Journal, JournalEntry, Loaded, Log, StageEntry, MANIFEST_FILE};
 pub use sha256::{hash_hex, Sha256};

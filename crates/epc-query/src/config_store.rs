@@ -9,73 +9,86 @@
 //! The store is keyed by attribute name and generic over the configuration
 //! payload (the `indice` crate instantiates it with its outlier-method
 //! enum). It is thread-safe: dashboards record choices from interactive
-//! sessions while analytics pipelines read suggestions concurrently.
+//! sessions while analytics pipelines read suggestions concurrently. It
+//! is also deterministic: each attribute keeps its configurations in the
+//! order they were first recorded, so a tie in the vote goes to the first
+//! one — the same in every store fed the same history.
 
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// attribute name → (config, times chosen by an expert), configs in the
+/// order they were first recorded.
+type Choices<C> = BTreeMap<String, Vec<(C, usize)>>;
 
 /// A concurrent, frequency-ranked store of expert configurations.
 #[derive(Debug, Default)]
-pub struct ExpertConfigStore<C>
-where
-    C: Clone + Eq + Hash,
-{
-    // attribute name → (config → times chosen by an expert)
-    by_attribute: RwLock<HashMap<String, HashMap<C, usize>>>,
+pub struct ExpertConfigStore<C> {
+    by_attribute: RwLock<Choices<C>>,
 }
 
-impl<C> ExpertConfigStore<C>
-where
-    C: Clone + Eq + Hash,
-{
+impl<C: Clone + Eq> ExpertConfigStore<C> {
     /// An empty store.
     pub fn new() -> Self {
         ExpertConfigStore {
-            by_attribute: RwLock::new(HashMap::new()),
+            by_attribute: RwLock::new(BTreeMap::new()),
         }
+    }
+
+    // A writer that panicked mid-update can at worst have left one count
+    // unincremented, so a poisoned lock is still safe to use.
+    fn read(&self) -> RwLockReadGuard<'_, Choices<C>> {
+        self.by_attribute
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Choices<C>> {
+        self.by_attribute
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records that an expert chose `config` for `attribute`.
     pub fn record(&self, attribute: &str, config: C) {
-        let mut guard = self.by_attribute.write();
-        *guard
-            .entry(attribute.to_owned())
-            .or_default()
-            .entry(config)
-            .or_insert(0) += 1;
+        let mut guard = self.write();
+        let choices = guard.entry(attribute.to_owned()).or_default();
+        match choices.iter_mut().find(|(c, _)| *c == config) {
+            Some((_, n)) => *n += 1,
+            None => choices.push((config, 1)),
+        }
     }
 
     /// The configuration most frequently chosen by experts for
-    /// `attribute`, if any — what a non-expert is offered as default.
+    /// `attribute`, if any — what a non-expert is offered as default. A
+    /// tie goes to the configuration recorded first.
     pub fn suggest(&self, attribute: &str) -> Option<C> {
-        let guard = self.by_attribute.read();
-        let counts = guard.get(attribute)?;
-        counts
+        // `max_by_key` returns the last of several maxima, so scanning in
+        // reverse record order hands a tie to the first recorded.
+        self.read()
+            .get(attribute)?
             .iter()
-            .max_by_key(|&(_, n)| *n)
+            .rev()
+            .max_by_key(|(_, n)| *n)
             .map(|(c, _)| c.clone())
     }
 
     /// Number of recorded choices for `attribute`.
     pub fn n_records(&self, attribute: &str) -> usize {
-        self.by_attribute
-            .read()
+        self.read()
             .get(attribute)
-            .map(|m| m.values().sum())
+            .map(|choices| choices.iter().map(|(_, n)| n).sum())
             .unwrap_or(0)
     }
 
     /// Attributes with at least one recorded choice, sorted.
     pub fn attributes(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.by_attribute.read().keys().cloned().collect();
-        v.sort();
-        v
+        self.read().keys().cloned().collect()
     }
 
     /// Clears all recorded choices.
     pub fn clear(&self) {
-        self.by_attribute.write().clear();
+        self.write().clear();
     }
 }
 
@@ -83,7 +96,7 @@ where
 mod tests {
     use super::*;
 
-    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     enum Method {
         Boxplot,
         Gesd,
@@ -146,9 +159,38 @@ mod tests {
             }
         });
         assert_eq!(store.n_records("eph"), 800);
-        // 4 threads × 100 each → tie between Gesd and Mad broken by map
-        // iteration; either is acceptable, but the suggestion must exist.
+        // 4 threads × 100 each → a tie between Gesd and Mad, which goes to
+        // whichever thread recorded first; the suggestion must exist.
         assert!(store.suggest("eph").is_some());
+    }
+
+    #[test]
+    fn a_tie_goes_to_the_first_recorded_choice_in_every_store() {
+        // Each fresh store would draw its own hash seed if the choices
+        // lived in a `HashMap`; the winner must not depend on it.
+        for _ in 0..64 {
+            let store = ExpertConfigStore::new();
+            store.record("u_windows", Method::Mad);
+            store.record("u_windows", Method::Gesd);
+            assert_eq!(store.suggest("u_windows"), Some(Method::Mad));
+            store.record("u_windows", Method::Gesd);
+            store.record("u_windows", Method::Mad);
+            assert_eq!(store.suggest("u_windows"), Some(Method::Mad));
+        }
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_records_and_suggests() {
+        let store = ExpertConfigStore::new();
+        store.record("x", Method::Boxplot);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = store.by_attribute.write().unwrap();
+            panic!("a writer dies holding the lock");
+        }));
+        assert!(store.by_attribute.is_poisoned());
+        store.record("x", Method::Boxplot);
+        assert_eq!(store.suggest("x"), Some(Method::Boxplot));
+        assert_eq!(store.n_records("x"), 2);
     }
 
     #[test]

@@ -31,9 +31,14 @@
 //!
 //! [`StageTimer`] and [`PipelineReport`] capture per-stage wall time and
 //! record counts so benches and the CLI can report where time goes.
+//!
+//! [`splitmix64`], [`fnv1a`] and [`Backoff`] are the workspace's one copy
+//! of its deterministic mixers and retry schedule.
 
+mod backoff;
 mod report;
 
+pub use backoff::{fnv1a, splitmix64, Backoff};
 pub use report::{
     wall_clock, Clock, ManualClock, PipelineReport, StageReport, StageTimer, WallClock,
 };

@@ -51,7 +51,7 @@ impl Clock for WallClock {
 
 /// The process-wide shared [`WallClock`] (origin fixed at first use).
 ///
-/// Default time source for [`StageTimer::start`] — having one shared
+/// Default time source of a pipeline context — having one shared
 /// instance keeps every uninjected sample on a single origin, so readings
 /// from different call sites are mutually comparable.
 pub fn wall_clock() -> &'static WallClock {
@@ -115,10 +115,10 @@ pub struct StageReport {
 /// Running stopwatch for one stage; finish it into a [`StageReport`].
 ///
 /// Time is sampled exclusively through the [`Clock`] trait — once at
-/// start, once at finish. [`StageTimer::start`] uses the process-wide
-/// [`wall_clock`]; [`StageTimer::start_with`] injects any clock, so
-/// stage timing, the deadline watchdog, and trace events can share one
-/// scripted [`ManualClock`] in determinism tests.
+/// start, once at finish. [`StageTimer::start_with`] takes the clock
+/// (the process-wide [`wall_clock`] in production), so stage timing, the
+/// deadline watchdog, and trace events can share one scripted
+/// [`ManualClock`] in determinism tests.
 pub struct StageTimer<'a> {
     name: String,
     clock: &'a dyn Clock,
@@ -134,13 +134,6 @@ impl fmt::Debug for StageTimer<'_> {
     }
 }
 
-impl StageTimer<'static> {
-    /// Starts timing a stage against the process-wide wall clock.
-    pub fn start(name: impl Into<String>) -> Self {
-        StageTimer::start_with(name, wall_clock())
-    }
-}
-
 impl<'a> StageTimer<'a> {
     /// Starts timing a stage against an injected clock.
     pub fn start_with(name: impl Into<String>, clock: &'a dyn Clock) -> Self {
@@ -151,12 +144,7 @@ impl<'a> StageTimer<'a> {
         }
     }
 
-    /// Stops the clock and records throughput.
-    pub fn finish(self, records_in: usize, records_out: usize) -> StageReport {
-        self.finish_detailed(records_in, records_out, 0, BTreeMap::new())
-    }
-
-    /// Stops the clock, also recording quarantine accounting.
+    /// Stops the clock and records throughput and quarantine accounting.
     pub fn finish_detailed(
         self,
         records_in: usize,
@@ -213,17 +201,6 @@ impl PipelineReport {
     pub fn total_quarantined(&self) -> usize {
         self.stages.iter().map(|s| s.quarantined).sum()
     }
-
-    /// The merged fault histogram across all stages: fault kind → count.
-    pub fn fault_histogram(&self) -> BTreeMap<String, usize> {
-        let mut merged = BTreeMap::new();
-        for s in &self.stages {
-            for (kind, n) in &s.faults {
-                *merged.entry(kind.clone()).or_insert(0) += n;
-            }
-        }
-        merged
-    }
 }
 
 impl fmt::Display for PipelineReport {
@@ -262,9 +239,9 @@ mod tests {
 
     #[test]
     fn timer_produces_report() {
-        let t = StageTimer::start("preprocess");
+        let t = StageTimer::start_with("preprocess", wall_clock());
         std::thread::sleep(Duration::from_millis(2));
-        let r = t.finish(100, 90);
+        let r = t.finish_detailed(100, 90, 0, BTreeMap::new());
         assert_eq!(r.name, "preprocess");
         assert!(r.wall >= Duration::from_millis(2));
         assert_eq!((r.records_in, r.records_out), (100, 90));
@@ -302,24 +279,17 @@ mod tests {
 
     #[test]
     fn quarantine_accounting_shows_in_display_and_totals() {
-        let t = StageTimer::start("preprocess");
+        let t = StageTimer::start_with("preprocess", wall_clock());
         let mut faults = BTreeMap::new();
         faults.insert("non_finite".to_owned(), 3usize);
         faults.insert("csv_parse".to_owned(), 1usize);
         let mut rep = PipelineReport::new(2);
         rep.push(t.finish_detailed(100, 96, 4, faults));
         assert_eq!(rep.total_quarantined(), 4);
-        assert_eq!(rep.fault_histogram()["non_finite"], 3);
+        assert_eq!(rep.stage("preprocess").unwrap().faults["non_finite"], 3);
         let text = rep.to_string();
         assert!(text.contains("4 quarantined"), "{text}");
         assert!(text.contains("non_finite: 3"), "{text}");
-    }
-
-    #[test]
-    fn finish_is_finish_detailed_with_no_quarantine() {
-        let r = StageTimer::start("x").finish(5, 5);
-        assert_eq!(r.quarantined, 0);
-        assert!(r.faults.is_empty());
     }
 
     #[test]
@@ -337,7 +307,8 @@ mod tests {
     #[test]
     fn timer_reads_through_injected_clock() {
         let clock = ManualClock::advancing(125);
-        let r = StageTimer::start_with("analytics", &clock).finish(10, 10);
+        let r =
+            StageTimer::start_with("analytics", &clock).finish_detailed(10, 10, 0, BTreeMap::new());
         // advancing(125): start samples 0, finish samples 125.
         assert_eq!(r.wall, Duration::from_millis(125));
     }

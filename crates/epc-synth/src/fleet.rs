@@ -4,14 +4,15 @@
 //! fleet coordinator shards over.
 //!
 //! Everything is a pure function of `(fleet seed, city index)`: per-city
-//! seeds are derived with the same SplitMix64 discipline the fault
-//! injector uses, so city 3 of a 12-city fleet generates the same
+//! seeds are derived with `epc-runtime`'s SplitMix64, like the fault
+//! injector's, so city 3 of a 12-city fleet generates the same
 //! collection as city 3 of a 4-city fleet with the same seed — shard
 //! isolation is testable because the inputs are shard-invariant.
 
 use crate::city::CityConfig;
 use crate::epcgen::SynthConfig;
 use epc_geo::point::GeoPoint;
+use epc_runtime::splitmix64;
 
 /// Name bank: real northern/central Italian cities with their centres
 /// and a rough climate multiplier relative to Turin (coastal cities run
@@ -112,14 +113,6 @@ impl FleetConfig {
             },
         }
     }
-}
-
-/// SplitMix64 avalanche mixer (same constants as the fault injector's).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Dependency-free command-line argument parsing for the `indice` binary.
 
-use epc_faults::{BatchScope, CrashSpec, IngestCrash};
+use epc_faults::BatchScope;
+use epc_journal::CrashPoint;
 use epc_query::Stakeholder;
 use indice::pipeline::Stage;
 use std::collections::HashMap;
@@ -102,7 +103,7 @@ pub struct RunArgs {
     /// ends up quarantined.
     pub max_quarantine_frac: Option<f64>,
     /// Injected crash point for durability testing (`stage:point`).
-    pub crash_at: Option<CrashSpec>,
+    pub crash_at: Option<CrashPoint<Stage>>,
     /// Write a metrics snapshot here after the run (`.json` selects
     /// the JSON codec, anything else the Prometheus-style text).
     pub metrics_out: Option<String>,
@@ -128,7 +129,7 @@ pub struct IngestArgs {
     pub resume: bool,
     /// Injected crash at a batch boundary (`N:before|after|torn`, `N` an
     /// index into `append`).
-    pub crash_at_batch: Option<IngestCrash>,
+    pub crash_at_batch: Option<CrashPoint<usize>>,
     /// Seed of the deterministic fault injector (chaos testing).
     pub fault_seed: u64,
     /// Fraction of records the injector corrupts (0 disables).
@@ -161,8 +162,8 @@ pub struct FleetArgs {
     pub retry_budget: u32,
     /// Kill a stage of this city's shard (chaos testing).
     pub kill_city: Option<usize>,
-    /// Stage to kill (`preprocess`/`analytics`/`dashboard`).
-    pub kill_stage: String,
+    /// Stage to kill.
+    pub kill_stage: Stage,
     /// Kill only on this attempt (`1..=retry_budget`); `None` kills every
     /// attempt.
     pub kill_attempt: Option<u32>,
@@ -172,9 +173,9 @@ pub struct FleetArgs {
     pub fault_rate: f64,
     /// Fault-plan seed.
     pub fault_seed: u64,
-    /// Crash the coordinator at a city boundary
-    /// (`IDX:before` / `IDX:after`; durability testing, exit 70).
-    pub crash_at_city: Option<(usize, String)>,
+    /// Crash the coordinator at a city's commit
+    /// (`IDX:before|after|torn`; durability testing, exit 70).
+    pub crash_at_city: Option<CrashPoint<usize>>,
 }
 
 /// Usage text.
@@ -199,7 +200,7 @@ USAGE:
              [--max-failed-cities K] [--retry-budget N] \\
              [--kill-city IDX [--kill-stage STAGE] [--kill-attempt N|all]] \\
              [--corrupt-city IDX [--fault-rate R]] [--fault-seed S] \\
-             [--crash-at-city IDX:before|after]
+             [--crash-at-city IDX:before|after|torn]
   indice bench --records N[,M...] [--seed S] --out bench.json
   indice suggest-config --data epcs.csv
   indice clean --data epcs.csv --streets street_map.txt --out cleaned.csv
@@ -365,13 +366,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 "run directory; --resume continues from its journal",
             )?;
             let max_quarantine_frac = flags.rate("max-quarantine-frac")?;
-            let crash_at = flags
-                .get("crash-at")
-                .map(|raw| CrashSpec::parse(raw).map_err(|e| format!("--crash-at: {e}")))
-                .transpose()?;
-            if let Some(spec) = &crash_at {
-                check_stage("--crash-at", spec.stage())?;
-            }
+            let crash_at = flags.parsed("crash-at")?;
             Ok(Command::Run(RunArgs {
                 data: flags.required("data")?,
                 streets: flags.required("streets")?,
@@ -436,10 +431,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 "into",
                 "ingest directory; --resume folds onto its sealed generations",
             )?;
-            let crash_at_batch = flags
-                .get("crash-at-batch")
-                .map(|raw| IngestCrash::parse(raw).map_err(|e| format!("--crash-at-batch: {e}")))
-                .transpose()?;
+            let crash_at_batch = flags.parsed("crash-at-batch")?;
             let fault_seed = flags.parsed_or("fault-seed", DEFAULT_SEED)?;
             let corrupt_batches = flags
                 .get("corrupt-batches")
@@ -462,8 +454,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 corrupt_batches,
             };
             let batches = args.append.len();
-            if let Some(spec) = &args.crash_at_batch {
-                check_index("crash-at-batch", spec.batch(), "ingest", batches, "batches")?;
+            if let Some(crash) = &args.crash_at_batch {
+                check_index("crash-at-batch", crash.at, "ingest", batches, "batches")?;
             }
             if let Some(max) = args
                 .corrupt_batches
@@ -547,8 +539,7 @@ fn parse_fleet(args: &[String]) -> Result<Command, String> {
         return Err("--retry-budget must be at least 1".into());
     }
     let kill_city: Option<usize> = flags.parsed("kill-city")?;
-    let kill_stage = flags.get("kill-stage").unwrap_or("preprocess").to_owned();
-    check_stage("--kill-stage", &kill_stage)?;
+    let kill_stage = flags.parsed_or("kill-stage", Stage::Preprocess)?;
     let kill_attempt = match flags.get("kill-attempt") {
         None | Some("all") => None,
         Some(_) => flags.parsed("kill-attempt")?,
@@ -565,27 +556,11 @@ fn parse_fleet(args: &[String]) -> Result<Command, String> {
     let default_rate = if corrupt_city.is_some() { 0.2 } else { 0.0 };
     let fault_rate = flags.rate("fault-rate")?.unwrap_or(default_rate);
     let fault_seed = flags.parsed_or("fault-seed", DEFAULT_SEED)?;
-    let crash_at_city = flags
-        .get("crash-at-city")
-        .map(|raw| -> Result<(usize, String), String> {
-            let (idx, point) = raw.split_once(':').ok_or_else(|| {
-                format!("--crash-at-city: expected IDX:before|after, got {raw:?}")
-            })?;
-            let idx: usize = idx
-                .parse()
-                .map_err(|e| format!("--crash-at-city index: {e}"))?;
-            if !matches!(point, "before" | "after") {
-                return Err(format!(
-                    "--crash-at-city point must be before or after, got {point:?}"
-                ));
-            }
-            Ok((idx, point.to_owned()))
-        })
-        .transpose()?;
+    let crash_at_city: Option<CrashPoint<usize>> = flags.parsed("crash-at-city")?;
     for (flag, idx) in [
         ("kill-city", kill_city),
         ("corrupt-city", corrupt_city),
-        ("crash-at-city", crash_at_city.as_ref().map(|(i, _)| *i)),
+        ("crash-at-city", crash_at_city.map(|c| c.at)),
     ] {
         if let Some(i) = idx {
             check_index(flag, i, "fleet", cities, "cities")?;
@@ -646,19 +621,6 @@ pub fn parse_stage_deadline_ms(raw: Option<&str>) -> Result<Option<u64>, String>
             "{STAGE_DEADLINE_ENV_VAR} must be a positive integer (milliseconds), got {raw:?}"
         )),
     }
-}
-
-/// Checks a stage name given to `flag` against the pipeline's stage
-/// table; an unknown name is rejected with the list of valid ones.
-fn check_stage(flag: &str, stage: &str) -> Result<(), String> {
-    if Stage::from_name(stage).is_some() {
-        return Ok(());
-    }
-    let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-    Err(format!(
-        "{flag}: unknown stage {stage:?} (expected one of: {})",
-        names.join(", ")
-    ))
 }
 
 /// One command's `--flag value` pairs.
@@ -769,6 +731,7 @@ impl Flags {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epc_journal::CommitPoint;
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1153,8 +1116,9 @@ mod tests {
             Command::Run(RunArgs { crash_at, .. }) => {
                 assert_eq!(
                     crash_at,
-                    Some(CrashSpec::Torn {
-                        stage: "analytics".into()
+                    Some(CrashPoint {
+                        at: Stage::Analytics,
+                        point: CommitPoint::Torn
                     })
                 );
             }
@@ -1168,7 +1132,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--crash-at"), "{err}");
-        assert!(err.contains("invalid crash spec"), "{err}");
+        assert!(err.contains("invalid crash point"), "{err}");
     }
 
     #[test]
@@ -1194,6 +1158,30 @@ mod tests {
                 parse_args(&run_args(&["--out-dir", "o", "--crash-at", &spec])).is_ok(),
                 "{spec}"
             );
+        }
+    }
+
+    #[test]
+    fn every_crash_flag_shares_one_grammar_and_names_itself() {
+        let fleet = v(&["fleet", "run", "--cities", "3", "--out-dir", "f"]);
+        for (flag, base, valid) in [
+            ("crash-at", run_args(&["--out-dir", "o"]), "analytics:torn"),
+            ("crash-at-batch", ingest_args(&["--into", "x"]), "1:torn"),
+            ("crash-at-city", fleet, "1:torn"),
+        ] {
+            let with = |value: &str| {
+                let mut args = base.clone();
+                args.extend(v(&[&format!("--{flag}"), value]));
+                parse_args(&args)
+            };
+            assert!(with(valid).is_ok(), "--{flag} {valid}");
+            for bad in [
+                "", "1", ":before", "x:before", "1:during", "-1:torn", "1:torn:x",
+            ] {
+                let err = with(bad).unwrap_err();
+                let expected = format!("--{flag}: invalid crash point {bad:?}: ");
+                assert!(err.starts_with(&expected), "--{flag} {bad:?}: {err}");
+            }
         }
     }
 
@@ -1308,7 +1296,7 @@ mod tests {
                 max_failed_cities: None,
                 retry_budget: 2,
                 kill_city: None,
-                kill_stage: "preprocess".into(),
+                kill_stage: Stage::Preprocess,
                 kill_attempt: None,
                 corrupt_city: None,
                 fault_rate: 0.0,
@@ -1360,11 +1348,11 @@ mod tests {
                 assert_eq!(retry_budget, 3);
                 assert_eq!(max_failed_cities, Some(1));
                 assert_eq!(kill_city, Some(2));
-                assert_eq!(kill_stage, "analytics");
+                assert_eq!(kill_stage, Stage::Analytics);
                 assert_eq!(kill_attempt, Some(1));
                 assert_eq!(corrupt_city, Some(3));
                 assert_eq!(fault_rate, 0.2, "corrupt-city defaults the rate on");
-                assert_eq!(crash_at_city, Some((1, "after".into())));
+                assert_eq!(crash_at_city, Some("1:after".parse().unwrap()));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1390,9 +1378,16 @@ mod tests {
         assert!(f(&["--kill-city", "1", "--kill-stage", "geocode"]).is_err());
         assert!(f(&["--fault-rate", "0.5"]).is_err(), "needs corrupt-city");
         assert!(f(&["--kill-city", "7"]).is_err(), "index out of range");
-        assert!(f(&["--crash-at-city", "1"]).is_err());
-        assert!(f(&["--crash-at-city", "1:during"]).is_err());
-        assert!(f(&["--crash-at-city", "9:after"]).is_err());
+        for bad in ["1", "1:during", "x:after"] {
+            let err = f(&["--crash-at-city", bad]).unwrap_err();
+            let expected = format!("--crash-at-city: invalid crash point {bad:?}: ");
+            assert!(err.starts_with(&expected), "{err}");
+        }
+        assert_eq!(
+            f(&["--crash-at-city", "9:after"]).unwrap_err(),
+            "--crash-at-city index out of range (fleet has 3 cities, indices 0..2)"
+        );
+        assert!(f(&["--crash-at-city", "2:torn"]).is_ok());
     }
 
     fn ingest_args(extra: &[&str]) -> Vec<String> {
@@ -1449,7 +1444,13 @@ mod tests {
                 ..
             }) => {
                 assert!(resume);
-                assert_eq!(crash_at_batch, Some(IngestCrash::TornBatch { batch: 1 }));
+                assert_eq!(
+                    crash_at_batch,
+                    Some(CrashPoint {
+                        at: 1,
+                        point: CommitPoint::Torn
+                    })
+                );
                 assert_eq!(fault_rate, 0.2, "corrupt-batches defaults the rate on");
                 assert_eq!(corrupt_batches, Some(BatchScope::Only(vec![0..=1])));
             }

@@ -14,7 +14,7 @@ use args::{
     parse_args, parse_stage_deadline_ms, Command, FleetArgs, IngestArgs, NoisePreset, RunArgs,
     STAGE_DEADLINE_ENV_VAR, USAGE,
 };
-use epc_coord::{CoordCrash, RetryPolicy, ShardStatus};
+use epc_coord::{RetryPolicy, ShardStatus};
 use epc_faults::{CityFaultSpec, Corruption, DeterministicInjector, FleetFaults, StageKillSpec};
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
@@ -233,9 +233,9 @@ fn run(args: &RunArgs) -> Result<ExitCode, String> {
     }
     let output = match engine.run_durable(args.stakeholder, &opts) {
         Ok(output) => output,
-        Err(IndiceError::CrashInjected { stage, point }) => {
+        Err(IndiceError::CrashInjected { unit, point }) => {
             eprintln!(
-                "injected crash fired at stage '{stage}' ({point} commit); \
+                "injected crash fired at stage '{unit}' ({point} commit); \
                  resume with `indice run --resume {out_dir} ...`"
             );
             return Ok(ExitCode::from(CRASH_EXIT_CODE));
@@ -378,9 +378,9 @@ fn ingest(args: &IngestArgs) -> Result<ExitCode, String> {
     };
     let output = match indice::ingest(&batches, inputs, args.stakeholder, &opts) {
         Ok(output) => output,
-        Err(IndiceError::CrashInjected { stage, point }) => {
+        Err(IndiceError::CrashInjected { unit, point }) => {
             eprintln!(
-                "injected crash fired at '{stage}' ({point} commit); \
+                "injected crash fired at '{unit}' ({point} commit); \
                  resume with `indice ingest --resume {run_dir} ...`"
             );
             return Ok(ExitCode::from(CRASH_EXIT_CODE));
@@ -461,7 +461,7 @@ fn fleet(args: &FleetArgs) -> Result<ExitCode, String> {
         std::collections::BTreeMap::new();
     if let Some(idx) = args.kill_city {
         specs.entry(idx).or_default().kill = Some(StageKillSpec {
-            stage: args.kill_stage.clone(),
+            stage: args.kill_stage.name().to_owned(),
             attempt: args.kill_attempt,
         });
     }
@@ -478,14 +478,6 @@ fn fleet(args: &FleetArgs) -> Result<ExitCode, String> {
         Some(plan_faults)
     };
 
-    let crash = args.crash_at_city.as_ref().map(|(idx, point)| {
-        if point == "before" {
-            CoordCrash::BeforeCity(*idx)
-        } else {
-            CoordCrash::AfterCommit(*idx)
-        }
-    });
-
     let clock = epc_runtime::WallClock::new();
     let mut opts = indice::FleetRunOptions::new(out_dir, plan, &clock);
     opts.resume = args.resume;
@@ -496,14 +488,14 @@ fn fleet(args: &FleetArgs) -> Result<ExitCode, String> {
     };
     opts.max_failed = args.max_failed_cities;
     opts.faults = faults.as_ref();
-    opts.crash = crash;
+    opts.crash = args.crash_at_city;
     opts.runtime = runtime;
 
     let output = match indice::run_fleet(&opts) {
         Ok(output) => output,
-        Err(IndiceError::CrashInjected { point, .. }) => {
+        Err(IndiceError::CrashInjected { unit, point }) => {
             eprintln!(
-                "injected coordinator crash fired ({point}); resume with \
+                "injected coordinator crash fired ({unit}:{point}); resume with \
                  `indice fleet run --cities {cities} --resume {out_dir}`"
             );
             return Ok(ExitCode::from(CRASH_EXIT_CODE));

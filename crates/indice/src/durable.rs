@@ -15,22 +15,25 @@
 //! uninterrupted run's.
 //!
 //! The runner also hosts the stage deadline watchdog
-//! ([`crate::pipeline::StageDeadline`]) and honours injected crash points
-//! ([`epc_faults::CrashSpec`]) for durability testing.
+//! ([`crate::pipeline::StageDeadline`]) and honours an injected crash
+//! point ([`epc_journal::CrashPoint`] over [`Stage`]) for durability
+//! testing.
 
 use crate::analytics::AnalyticsOutput;
 use crate::checkpoint;
 use crate::config::IndiceConfig;
-use crate::error::IndiceError;
+use crate::error::{dur, IndiceError};
 use crate::pipeline::{
     execute_stage_supervised, finish_outcome, PipelineContext, RunOutcome, Stage, StageDeadline,
     StageExec,
 };
 use crate::preprocess::PreprocessOutput;
-use epc_faults::{CrashSpec, FaultInjector};
+use epc_faults::FaultInjector;
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
-use epc_journal::{write_atomic_path, ArtifactRecord, Journal, Sha256, StageEntry};
+use epc_journal::{
+    write_atomic_path, ArtifactRecord, CommitPoint, CrashPoint, Journal, Sha256, StageEntry,
+};
 use epc_model::{csv::write_csv, Dataset, Quarantine};
 use epc_query::stakeholder::Stakeholder;
 use epc_runtime::{PipelineReport, StageReport};
@@ -56,7 +59,7 @@ pub struct DurableOptions<'a> {
     /// Optional per-stage deadline watchdog.
     pub deadline: Option<StageDeadline<'a>>,
     /// Optional injected crash point (durability testing).
-    pub crash: Option<&'a CrashSpec>,
+    pub crash: Option<&'a CrashPoint<Stage>>,
     /// Optional fault injector (chaos testing).
     pub injector: Option<&'a dyn FaultInjector>,
     /// Optional observability bundle: stage spans, journal hit/commit
@@ -90,7 +93,7 @@ impl<'a> DurableOptions<'a> {
     }
 
     /// Attaches an injected crash point (builder style).
-    pub fn with_crash(mut self, crash: &'a CrashSpec) -> Self {
+    pub fn with_crash(mut self, crash: &'a CrashPoint<Stage>) -> Self {
         self.crash = Some(crash);
         self
     }
@@ -141,10 +144,6 @@ pub struct DurableOutput {
     /// replays from the last committed stage — but it is surfaced here so
     /// the CLI can warn instead of swallowing it.
     pub recovered_torn_tail: bool,
-}
-
-fn dur<T>(r: std::io::Result<T>, what: &str) -> Result<T, IndiceError> {
-    r.map_err(|e| IndiceError::Durability(format!("{what}: {e}")))
 }
 
 /// Fingerprint of the effective computation: configuration, stakeholder,
@@ -335,20 +334,6 @@ pub(crate) fn stage_entry(
     })
 }
 
-/// Truncates a committed checkpoint to half its recorded length — the torn
-/// write a [`CrashSpec::Torn`] leaves behind. The journal entry keeps the
-/// full-content hash, so resume validation must catch the mismatch.
-pub(crate) fn tear_checkpoint(run_dir: &Path, rec: &ArtifactRecord) -> Result<(), IndiceError> {
-    let path = run_dir.join(&rec.file);
-    let f = dur(
-        fs::OpenOptions::new().write(true).open(&path),
-        "opening checkpoint for torn-write injection",
-    )?;
-    dur(f.set_len(rec.bytes / 2), "truncating checkpoint")?;
-    dur(f.sync_all(), "syncing torn checkpoint")?;
-    Ok(())
-}
-
 /// Rehydrates a journal-hit stage's product into the context.
 fn rehydrate(
     stage: Stage,
@@ -423,13 +408,6 @@ enum Executed {
     Failed(IndiceError),
 }
 
-fn crash_error(stage: &str, spec: &CrashSpec) -> IndiceError {
-    IndiceError::CrashInjected {
-        stage: stage.to_owned(),
-        point: spec.point().to_owned(),
-    }
-}
-
 /// Runs `stage` under the supervisor and writes its files: the stage's
 /// commit up to its journal line, which is the first thing that needs the
 /// run's identity. An injected `before` crash stops it first.
@@ -441,8 +419,11 @@ fn execute_and_write(
     replayed: &mut Vec<String>,
 ) -> Result<Executed, IndiceError> {
     let name = stage.name();
-    if let Some(spec @ CrashSpec::Before { .. }) = opts.crash.filter(|spec| spec.stage() == name) {
-        return Err(crash_error(name, spec));
+    if opts
+        .crash
+        .is_some_and(|c| c.is_at(&stage, CommitPoint::Before))
+    {
+        return Err(IndiceError::crash(name, CommitPoint::Before));
     }
     let exec = execute_stage_supervised(stage, stage.policy(), ctx, report, opts.deadline.as_ref());
     replayed.push(name.to_owned());
@@ -630,17 +611,9 @@ pub(crate) fn run_durable_inner<'a>(
             m.inc("checkpoint_files_total", entry.checkpoints.len() as u64);
             m.inc("checkpoint_bytes_total", bytes);
         }
-        let crash_here = opts.crash.filter(|spec| spec.stage() == name);
-        if let Some(spec @ CrashSpec::Torn { .. }) = crash_here {
-            if let Some(first) = entry.checkpoints.first() {
-                tear_checkpoint(run_dir, first)?;
-            }
-            dur(journal.append(&entry), "appending journal entry")?;
-            return Err(crash_error(name, spec));
-        }
-        dur(journal.append(&entry), "appending journal entry")?;
-        if let Some(spec @ CrashSpec::After { .. }) = crash_here {
-            return Err(crash_error(name, spec));
+        let fired = journal.commit(&entry, &stage, opts.crash);
+        if let Some(point) = dur(fired, "appending journal entry")? {
+            return Err(IndiceError::crash(name, point));
         }
     }
 

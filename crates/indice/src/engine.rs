@@ -178,7 +178,7 @@ impl Indice {
     pub fn run(&self, stakeholder: Stakeholder) -> Result<IndiceOutput, IndiceError> {
         let mut ctx = self.context(stakeholder);
         let strict = Stage::ALL.map(|s| (s, StagePolicy::Required));
-        let (outcome, report) = run_pipeline_supervised(&strict, &mut ctx, None);
+        let (outcome, report) = run_pipeline_supervised(&strict, &mut ctx);
         if let RunOutcome::Failed(e) = outcome {
             return Err(e);
         }
@@ -216,7 +216,7 @@ impl Indice {
             ctx = ctx.with_obs(obs);
         }
         let policies = Stage::ALL.map(|s| (s, s.policy()));
-        let (outcome, report) = run_pipeline_supervised(&policies, &mut ctx, None);
+        let (outcome, report) = run_pipeline_supervised(&policies, &mut ctx);
         SupervisedOutput {
             outcome,
             report,

@@ -1,5 +1,6 @@
 //! Errors of the INDICE pipeline.
 
+use epc_journal::CommitPoint;
 use epc_model::ModelError;
 use epc_query::QueryError;
 use std::fmt;
@@ -31,14 +32,31 @@ pub enum IndiceError {
     },
     /// A durable run's journal, checkpoint, or artifact I/O failed.
     Durability(String),
-    /// An injected crash point fired ([`epc_faults::CrashSpec`]); the run
-    /// "died" here and is expected to be resumed.
+    /// An injected crash point ([`epc_journal::CrashPoint`]) fired; the
+    /// run "died" here and is expected to be resumed.
     CrashInjected {
-        /// Stage whose commit the crash targeted.
-        stage: String,
-        /// Crash point (`before`, `after`, `torn`).
-        point: String,
+        /// The unit whose commit the crash cut: a stage name,
+        /// `ingest batch N` or `city N`.
+        unit: String,
+        /// Where in that commit it fired.
+        point: CommitPoint,
     },
+}
+
+impl IndiceError {
+    /// The error of an injected crash that fired at `point` of `unit`.
+    pub(crate) fn crash(unit: impl fmt::Display, point: CommitPoint) -> Self {
+        IndiceError::CrashInjected {
+            unit: unit.to_string(),
+            point,
+        }
+    }
+}
+
+/// `r` with its I/O error turned into [`IndiceError::Durability`],
+/// prefixed by `what`.
+pub(crate) fn dur<T>(r: std::io::Result<T>, what: &str) -> Result<T, IndiceError> {
+    r.map_err(|e| IndiceError::Durability(format!("{what}: {e}")))
 }
 
 impl fmt::Display for IndiceError {
@@ -56,11 +74,8 @@ impl fmt::Display for IndiceError {
                 write!(f, "stage '{stage}' panicked: {message}")
             }
             IndiceError::Durability(msg) => write!(f, "durability error: {msg}"),
-            IndiceError::CrashInjected { stage, point } => {
-                write!(
-                    f,
-                    "injected crash fired at stage '{stage}' ({point} commit)"
-                )
+            IndiceError::CrashInjected { unit, point } => {
+                write!(f, "injected crash fired at stage '{unit}' ({point} commit)")
             }
         }
     }

@@ -19,14 +19,14 @@
 use crate::config::IndiceConfig;
 use crate::durable::DurableOptions;
 use crate::engine::Indice;
-use crate::error::IndiceError;
+use crate::error::{dur, IndiceError};
 use crate::pipeline::RunOutcome;
 use epc_coord::{
-    CoordCrash, CoordError, FleetOptions, FleetResult, RetryPolicy, ShardAttempt, ShardReport,
-    ShardRunner, ShardStatus,
+    CoordError, FleetOptions, FleetResult, RetryPolicy, ShardAttempt, ShardReport, ShardRunner,
+    ShardStatus,
 };
 use epc_faults::FleetFaults;
-use epc_journal::{hash_hex, write_atomic, ArtifactRecord};
+use epc_journal::{hash_hex, write_atomic, ArtifactRecord, CrashPoint};
 use epc_obs::{Histogram, MetricsRegistry, MetricsSnapshot, Obs};
 use epc_query::stakeholder::Stakeholder;
 use epc_runtime::{Clock, RuntimeConfig};
@@ -66,8 +66,9 @@ pub struct FleetRunOptions<'a> {
     pub max_failed: Option<usize>,
     /// Per-city fault plan (chaos testing).
     pub faults: Option<&'a FleetFaults>,
-    /// Injected coordinator crash point (chaos testing).
-    pub crash: Option<CoordCrash>,
+    /// Injected crash at a city's commit, by plan index (durability
+    /// testing).
+    pub crash: Option<CrashPoint<usize>>,
     /// Clock for shard observability (tests pass a manual clock).
     pub clock: &'a dyn Clock,
     /// Intra-shard thread budget; fleet outputs are bitwise invariant to
@@ -119,10 +120,6 @@ fn fleet_fingerprint(opts: &FleetRunOptions<'_>) -> String {
         opts.stakeholder, opts.fleet, opts.policy
     );
     hash_hex(text.as_bytes())
-}
-
-fn dur_io(what: String, e: std::io::Error) -> IndiceError {
-    IndiceError::Durability(format!("{what}: {e}"))
 }
 
 /// Hashes an existing file under the fleet directory into an
@@ -313,8 +310,10 @@ fn merge_fleet_metrics(
             ShardStatus::Committed => {
                 committed += 1;
                 let rel = format!("{CITIES_DIR}/{}/{CITY_METRICS_FILE}", shard.city);
-                let text = fs::read_to_string(fleet_dir.join(&rel))
-                    .map_err(|e| dur_io(format!("reading shard metrics {rel}"), e))?;
+                let text = dur(
+                    fs::read_to_string(fleet_dir.join(&rel)),
+                    &format!("reading shard metrics {rel}"),
+                )?;
                 registry.merge(&parse_metrics(&text, &rel)?);
             }
             ShardStatus::Abandoned { .. } => abandoned += 1,
@@ -424,17 +423,16 @@ pub fn run_fleet(opts: &FleetRunOptions<'_>) -> Result<FleetRunOutput, IndiceErr
     let runner = PipelineShardRunner { opts, specs };
     let result = epc_coord::run_fleet(&cities, &coord_opts, &runner).map_err(|e| match e {
         CoordError::Io(msg) => IndiceError::Durability(msg),
-        CoordError::CrashInjected { at } => IndiceError::CrashInjected {
-            stage: "fleet".to_owned(),
-            point: at,
-        },
+        CoordError::CrashInjected(c) => IndiceError::crash(format_args!("city {}", c.at), c.point),
     })?;
 
     let metrics = merge_fleet_metrics(&opts.dir, &result.shards)?;
     let registry = MetricsRegistry::new();
     registry.merge(&metrics);
-    write_atomic(&opts.dir, FLEET_METRICS_FILE, registry.to_json().as_bytes())
-        .map_err(|e| dur_io(format!("writing {FLEET_METRICS_FILE}"), e))?;
+    dur(
+        write_atomic(&opts.dir, FLEET_METRICS_FILE, registry.to_json().as_bytes()),
+        &format!("writing {FLEET_METRICS_FILE}"),
+    )?;
 
     let outcome_line = match &result.outcome {
         epc_coord::FleetOutcome::Complete => {
@@ -449,8 +447,10 @@ pub fn run_fleet(opts: &FleetRunOptions<'_>) -> Result<FleetRunOutput, IndiceErr
         epc_coord::FleetOutcome::Failed(reason) => format!("failed: {reason}"),
     };
     let html = render_fleet_dashboard(&result.shards, &outcome_line);
-    write_atomic(&opts.dir, FLEET_DASHBOARD_FILE, html.as_bytes())
-        .map_err(|e| dur_io(format!("writing {FLEET_DASHBOARD_FILE}"), e))?;
+    dur(
+        write_atomic(&opts.dir, FLEET_DASHBOARD_FILE, html.as_bytes()),
+        &format!("writing {FLEET_DASHBOARD_FILE}"),
+    )?;
 
     Ok(FleetRunOutput { result, metrics })
 }

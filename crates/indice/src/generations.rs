@@ -18,30 +18,30 @@
 //! - the generation's manifest line is appended **last** — it is the
 //!   commit point, mirroring `epc-journal`'s discipline.
 //!
-//! Crash points ([`epc_faults::IngestCrash`]) fire at every batch
-//! boundary; a killed ingest resumed with [`IngestOptions::resume`]
-//! finishes with a manifest and a `current/` tree byte-identical to an
-//! uninterrupted ingest.
+//! Crash points ([`epc_journal::CrashPoint`] over the batch index) fire
+//! at every batch boundary; a killed ingest resumed with
+//! [`IngestOptions::resume`] finishes with a manifest and a `current/`
+//! tree byte-identical to an uninterrupted ingest.
 
 use crate::checkpoint;
 use crate::config::IndiceConfig;
-use crate::durable::{
-    config_fingerprint, csv_hash, stage_entry, stage_files, tear_checkpoint, CHECKPOINT_DIR,
-};
-use crate::error::IndiceError;
+use crate::durable::{config_fingerprint, csv_hash, stage_entry, stage_files, CHECKPOINT_DIR};
+use crate::error::{dur, IndiceError};
 use crate::pipeline::{
     execute_stage_supervised, finish_outcome, select_category, PipelineContext, RunOutcome, Stage,
     StageExec,
 };
 use crate::preprocess::{clean_phase, merge_clean_phases, outlier_phase, CleanPhase};
-use epc_faults::{BatchScope, FaultInjector, IngestCrash};
+use epc_faults::{BatchScope, FaultInjector};
 use epc_geo::region::RegionHierarchy;
 use epc_geo::streetmap::StreetMap;
 use epc_ingest::{
     gen_dir_name, write_delta, GenerationEntry, GenerationManifest, GenerationOutcome, CURRENT_DIR,
     GENESIS, GENS_DIR,
 };
-use epc_journal::{encode_lines, hash_hex, ArtifactRecord, Sha256, MANIFEST_FILE};
+use epc_journal::{
+    encode_lines, hash_hex, ArtifactRecord, CommitPoint, CrashPoint, Sha256, MANIFEST_FILE,
+};
 use epc_model::csv::{write_csv, write_csv_rows};
 use epc_model::Dataset;
 use epc_query::stakeholder::Stakeholder;
@@ -162,7 +162,7 @@ pub struct IngestOptions<'a> {
     /// requiring it to be fresh.
     pub resume: bool,
     /// Injected crash point, honoured at the matching batch boundary.
-    pub crash: Option<&'a IngestCrash>,
+    pub crash: Option<&'a CrashPoint<usize>>,
     /// Fault injector consulted while processing batches [`BatchScope`]
     /// selects (`None`: production run).
     pub injector: Option<&'a dyn FaultInjector>,
@@ -193,7 +193,7 @@ impl<'a> IngestOptions<'a> {
     }
 
     /// Injects a crash at a batch boundary.
-    pub fn with_crash(mut self, crash: &'a IngestCrash) -> Self {
+    pub fn with_crash(mut self, crash: &'a CrashPoint<usize>) -> Self {
         self.crash = Some(crash);
         self
     }
@@ -264,10 +264,6 @@ pub struct IngestOutput {
     pub artifacts_written: usize,
     /// `current/` files carried byte-identical without rewriting.
     pub artifacts_carried: usize,
-}
-
-fn dur<T>(r: std::io::Result<T>, what: &str) -> Result<T, IndiceError> {
-    r.map_err(|e| IndiceError::Durability(format!("{what}: {e}")))
 }
 
 /// The outcome of removing the leftover `path`. Already absent is fine;
@@ -506,12 +502,11 @@ pub fn ingest(
     let mut carried_total = 0usize;
 
     for (i, batch) in batches.iter().enumerate().skip(valid) {
-        let crash_here = opts.crash.filter(|c| c.batch() == i);
-        if let Some(c @ IngestCrash::BeforeBatch { .. }) = crash_here {
-            return Err(IndiceError::CrashInjected {
-                stage: format!("ingest batch {i}"),
-                point: c.point().to_owned(),
-            });
+        if opts.crash.is_some_and(|c| c.is_at(&i, CommitPoint::Before)) {
+            return Err(IndiceError::crash(
+                format_args!("ingest batch {i}"),
+                CommitPoint::Before,
+            ));
         }
 
         let injector: Option<&dyn FaultInjector> = opts
@@ -792,17 +787,10 @@ pub fn ingest(
 
         // Commit point: everything the entry references is durable; the
         // manifest line seals the generation.
-        if let Some(c @ IngestCrash::TornBatch { .. }) = crash_here {
-            if let Some(first) = entry.checkpoints.first() {
-                tear_checkpoint(run_dir, first)?;
-            }
-            dur(manifest.append(&entry), "appending generation entry")?;
-            return Err(IndiceError::CrashInjected {
-                stage: format!("ingest batch {i}"),
-                point: c.point().to_owned(),
-            });
+        let fired = manifest.commit(&entry, &i, opts.crash);
+        if let Some(point) = dur(fired, "appending generation entry")? {
+            return Err(IndiceError::crash(format_args!("ingest batch {i}"), point));
         }
-        dur(manifest.append(&entry), "appending generation entry")?;
         if let Some(obs) = opts.obs {
             obs.metrics().inc("ingest_generations_sealed", 1);
         }
@@ -810,12 +798,6 @@ pub fn ingest(
         parent = entry.chain_hash();
         prev_current = entry.current.clone();
         entries.push(entry);
-        if let Some(c @ IngestCrash::AfterCommit { .. }) = crash_here {
-            return Err(IndiceError::CrashInjected {
-                stage: format!("ingest batch {i}"),
-                point: c.point().to_owned(),
-            });
-        }
     }
 
     // The worst outcome across generations, with reasons in sequence

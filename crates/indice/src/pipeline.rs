@@ -153,6 +153,31 @@ pub enum Stage {
     Dashboard,
 }
 
+impl std::str::FromStr for Stage {
+    type Err = String;
+
+    /// The stage called `name`; an unknown name is rejected with the
+    /// list of valid ones.
+    fn from_str(name: &str) -> Result<Self, String> {
+        Stage::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
+                format!(
+                    "unknown stage {name:?} (expected one of: {})",
+                    names.join(", ")
+                )
+            })
+    }
+}
+
+impl std::fmt::Display for Stage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 impl Stage {
     /// Every stage, in execution order.
     pub const ALL: [Stage; 3] = [Stage::Preprocess, Stage::Analytics, Stage::Dashboard];
@@ -164,11 +189,6 @@ impl Stage {
             Stage::Analytics => "analytics",
             Stage::Dashboard => "dashboard",
         }
-    }
-
-    /// The stage called `name`, if there is one.
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| s.name() == name)
     }
 
     /// The supervisor's failure policy: preprocessing and the dashboard
@@ -559,19 +579,19 @@ pub(crate) fn finish_outcome(ctx: &PipelineContext<'_>, mut reasons: Vec<String>
 
 /// Runs `stages` in order under the supervisor, each with its policy:
 /// stage panics are caught, failures of [`StagePolicy::Degradable`] stages
-/// turn into degradation reasons instead of aborting, per-stage quarantine
-/// deltas land in the report, and — with a `deadline` — overrunning stages
-/// degrade (see [`StageDeadline`]). Never returns `Err` — failure is the
-/// [`RunOutcome::Failed`] variant, paired with the partial report.
+/// turn into degradation reasons instead of aborting, and per-stage
+/// quarantine deltas land in the report. Stage deadlines apply only to
+/// durable runs ([`crate::durable::DurableOptions::with_deadline`]).
+/// Never returns `Err` — failure is the [`RunOutcome::Failed`] variant,
+/// paired with the partial report.
 pub fn run_pipeline_supervised(
     stages: &[(Stage, StagePolicy)],
     ctx: &mut PipelineContext<'_>,
-    deadline: Option<&StageDeadline<'_>>,
 ) -> (RunOutcome, PipelineReport) {
     let mut report = PipelineReport::new(ctx.runtime.threads);
     let mut reasons: Vec<String> = Vec::new();
     for &(stage, policy) in stages {
-        match execute_stage_supervised(stage, policy, ctx, &mut report, deadline) {
+        match execute_stage_supervised(stage, policy, ctx, &mut report, None) {
             StageExec::Succeeded => {}
             StageExec::Degraded(reason) => reasons.push(reason),
             StageExec::Failed(e) => return (RunOutcome::Failed(e), report),
@@ -627,7 +647,7 @@ mod tests {
             RuntimeConfig::sequential(),
         );
         let strict = Stage::ALL.map(|s| (s, StagePolicy::Required));
-        let (outcome, report) = run_pipeline_supervised(&strict, &mut ctx, None);
+        let (outcome, report) = run_pipeline_supervised(&strict, &mut ctx);
         assert!(outcome.produced_output(), "{outcome}");
         assert_eq!(report.stages.len(), 3);
         assert_eq!(report.stages[0].name, "preprocess");
@@ -640,6 +660,68 @@ mod tests {
         assert!(!ctx.artifacts.is_empty());
         // The drill-down pages ride along as artifacts.
         assert!(ctx.artifacts.contains_key("dashboard_district.html"));
+    }
+
+    /// `--crash-at`, `--crash-at-batch` and `--crash-at-city` share one
+    /// grammar: a stage or an index, a colon, and a commit point.
+    #[test]
+    fn crash_points_share_one_grammar_over_stages_and_indices() {
+        use epc_journal::{CommitPoint, CrashPoint};
+        let points = [CommitPoint::Before, CommitPoint::After, CommitPoint::Torn];
+        for at in Stage::ALL {
+            for point in points {
+                let crash = CrashPoint { at, point };
+                let text = crash.to_string();
+                assert_eq!(text, format!("{}:{point}", at.name()));
+                assert_eq!(text.parse::<CrashPoint<Stage>>(), Ok(crash), "{text}");
+            }
+        }
+        for at in [0usize, 1, 12, usize::MAX] {
+            for point in points {
+                let crash = CrashPoint { at, point };
+                let text = crash.to_string();
+                assert_eq!(text.parse::<CrashPoint<usize>>(), Ok(crash), "{text}");
+            }
+        }
+        for (raw, canonical) in [
+            (" analytics : torn ", "analytics:torn"),
+            ("dashboard:after", "dashboard:after"),
+        ] {
+            let crash: CrashPoint<Stage> = raw.parse().unwrap();
+            assert_eq!(crash.to_string(), canonical, "{raw:?}");
+        }
+        assert_eq!(
+            " 07 :before"
+                .parse::<CrashPoint<usize>>()
+                .unwrap()
+                .to_string(),
+            "7:before"
+        );
+
+        let grammar = "expected <unit>:<before|after|torn>";
+        let unknown_stage =
+            "unknown stage \"analytcs\" (expected one of: preprocess, analytics, dashboard)";
+        for (raw, why) in [
+            ("analytics", grammar),
+            ("analytics:", grammar),
+            (":before", grammar),
+            (" :torn", grammar),
+            ("analytics:during", grammar),
+            ("analytics:torn:x", grammar),
+            ("analytcs:before", unknown_stage),
+        ] {
+            let err = raw.parse::<CrashPoint<Stage>>().unwrap_err();
+            assert_eq!(err, format!("invalid crash point {raw:?}: {why}"));
+        }
+        for raw in [
+            "1", "1:", ":after", "x:after", "-1:torn", "1.5:torn", "1:during",
+        ] {
+            let err = raw.parse::<CrashPoint<usize>>().unwrap_err();
+            assert!(
+                err.starts_with(&format!("invalid crash point {raw:?}: ")),
+                "{raw:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -669,7 +751,7 @@ mod tests {
             RuntimeConfig::sequential(),
         );
         let strict = Stage::ALL.map(|s| (s, StagePolicy::Required));
-        let (outcome, _) = run_pipeline_supervised(&strict, &mut ctx, None);
+        let (outcome, _) = run_pipeline_supervised(&strict, &mut ctx);
         assert!(outcome.produced_output(), "{outcome}");
         let first_k = ctx.analytics.as_ref().unwrap().chosen_k;
 

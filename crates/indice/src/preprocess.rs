@@ -18,7 +18,7 @@ use epc_geo::address::Address;
 use epc_geo::cleaning::{
     clean_addresses, AddressQuery, CleaningOutcome, CleaningReport, DegradedFallback,
 };
-use epc_geo::geocode::{Backoff, Geocoder, QuotaGeocoder, RetryGeocoder, SimulatedGeocoder};
+use epc_geo::geocode::{Geocoder, QuotaGeocoder, RetryGeocoder, SimulatedGeocoder};
 use epc_geo::point::GeoPoint;
 use epc_geo::streetmap::StreetMap;
 use epc_mining::dbscan::{dbscan_noise, DbscanConfig};
@@ -528,7 +528,7 @@ fn clean_geospatial(
             let retry = RetryGeocoder::new(
                 FaultyGeocoder::new(geocoder, inj),
                 config.fault_tolerance.geocode_retries,
-                Backoff::default(),
+                epc_runtime::Backoff::default(),
             );
             let geocoder_ref: Option<&dyn Geocoder> = if config.geocoder_quota > 0 {
                 Some(&retry)

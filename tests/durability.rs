@@ -12,9 +12,8 @@
 // Test/demo code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_faults::CrashSpec;
 use epc_geo::streetmap::StreetMap;
-use epc_journal::{Journal, MANIFEST_FILE};
+use epc_journal::{CrashPoint, Journal, MANIFEST_FILE};
 use epc_query::Stakeholder;
 use epc_runtime::{ManualClock, RuntimeConfig};
 use epc_synth::city::CityConfig;
@@ -23,7 +22,7 @@ use epc_synth::noise::{apply_noise, NoiseConfig};
 use indice::config::IndiceConfig;
 use indice::durable::{DurableOptions, CHECKPOINT_DIR};
 use indice::engine::Indice;
-use indice::pipeline::{RunOutcome, StageDeadline};
+use indice::pipeline::{RunOutcome, Stage, StageDeadline};
 use indice::IndiceError;
 use std::collections::BTreeMap;
 use std::fs;
@@ -164,7 +163,7 @@ fn crash_resume_matrix_restores_byte_identical_runs() {
     for (si, stage) in STAGES.iter().enumerate() {
         for point in ["before", "after", "torn"] {
             let context = format!("{stage}:{point}");
-            let spec = CrashSpec::parse(&context).expect("valid spec");
+            let spec: CrashPoint<Stage> = context.parse().expect("valid spec");
             let dir = run_dir(&format!("crash-{stage}-{point}"));
 
             // The "process" dies at the injected crash point...
@@ -175,8 +174,12 @@ fn crash_resume_matrix_restores_byte_identical_runs() {
                 )
                 .expect_err("crash spec must abort the run");
             match &err {
-                IndiceError::CrashInjected { stage: s, point: p } => {
-                    assert_eq!((s.as_str(), p.as_str()), (*stage, point), "{context}");
+                IndiceError::CrashInjected { unit, point: p } => {
+                    assert_eq!(
+                        (unit.as_str(), p.to_string()),
+                        (*stage, point.into()),
+                        "{context}"
+                    );
                 }
                 other => panic!("{context}: unexpected error {other}"),
             }
@@ -260,7 +263,7 @@ fn resume_is_byte_identical_across_thread_budgets() {
     let crasher = &resumers[1].1;
     for (si, stage) in STAGES.iter().enumerate() {
         for point in ["before", "after", "torn"] {
-            let spec = CrashSpec::parse(&format!("{stage}:{point}")).expect("valid spec");
+            let spec: CrashPoint<Stage> = format!("{stage}:{point}").parse().expect("valid spec");
             let crashed = run_dir(&format!("threads-crash-{stage}-{point}"));
             crasher
                 .run_durable(

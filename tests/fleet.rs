@@ -11,8 +11,9 @@
 // Test/demo code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_coord::{CoordCrash, FleetOutcome, RetryPolicy, ShardStatus, FLEET_MANIFEST_FILE};
+use epc_coord::{FleetOutcome, RetryPolicy, ShardStatus, FLEET_MANIFEST_FILE};
 use epc_faults::{CityFaultSpec, FleetFaults, StageKillSpec};
+use epc_journal::CrashPoint;
 use epc_runtime::{ManualClock, RuntimeConfig};
 use epc_synth::FleetConfig;
 use indice::fleet::{run_fleet, FleetRunOptions, FleetRunOutput, CITIES_DIR};
@@ -79,7 +80,7 @@ fn run_with(
     threads: usize,
     resume: bool,
     faults: Option<&FleetFaults>,
-    crash: Option<CoordCrash>,
+    crash: Option<CrashPoint<usize>>,
     max_attempts: u32,
 ) -> Result<FleetRunOutput, IndiceError> {
     let clock = ManualClock::advancing(1_000);
@@ -248,13 +249,16 @@ fn city_corruption_is_isolated_to_its_city() {
 /// Runs the crash → resume loop for one crash point and asserts the
 /// resumed fleet is byte-identical to an uninterrupted one, with the
 /// journal-verified hit/replay split.
-fn assert_crash_resume(tag: &str, crash: CoordCrash, expect_hits: &[usize], threads: usize) {
+fn assert_crash_resume(tag: &str, crash: &str, expect_hits: &[usize], threads: usize) {
     let (base_dir, _) = baseline(&format!("{tag}-base"), threads);
     let dir = fleet_dir(tag);
+    let crash: CrashPoint<usize> = crash.parse().expect("valid crash point");
     let err = run_with(&dir, threads, false, None, Some(crash), 2)
         .expect_err("injected coordinator crash must surface as an error");
     match err {
-        IndiceError::CrashInjected { ref stage, .. } => assert_eq!(stage, "fleet"),
+        IndiceError::CrashInjected { unit, point } => {
+            assert_eq!((unit, point), (format!("city {}", crash.at), crash.point))
+        }
         other => panic!("expected CrashInjected, got {other:?}"),
     }
 
@@ -287,7 +291,7 @@ fn coordinator_crash_between_shard_commits_resumes_byte_identically() {
     for threads in THREAD_MATRIX {
         assert_crash_resume(
             &format!("crash-after0-t{threads}"),
-            CoordCrash::AfterCommit(0),
+            "0:after",
             &[0],
             threads,
         );
@@ -296,7 +300,18 @@ fn coordinator_crash_between_shard_commits_resumes_byte_identically() {
 
 #[test]
 fn coordinator_crash_before_last_city_resumes_byte_identically() {
-    assert_crash_resume("crash-before2", CoordCrash::BeforeCity(2), &[0, 1], 2);
+    assert_crash_resume("crash-before2", "2:before", &[0, 1], 2);
+}
+
+/// A torn commit leaves city 1's first checkpoint half-written under a
+/// `committed` line that promises the full bytes: resume must reject the
+/// city's group, replay it, and end byte-identical — city 0 stays a
+/// journal hit.
+#[test]
+fn coordinator_torn_commit_replays_the_city_byte_identically() {
+    for threads in THREAD_MATRIX {
+        assert_crash_resume(&format!("crash-torn1-t{threads}"), "1:torn", &[0], threads);
+    }
 }
 
 #[test]
@@ -304,7 +319,7 @@ fn torn_fleet_journal_tail_is_reported_and_healed_on_resume() {
     let (base_dir, base) = baseline("torn-base", 2);
     assert!(!base.result.recovered_torn_tail);
     let dir = fleet_dir("torn");
-    run_with(&dir, 2, false, None, Some(CoordCrash::AfterCommit(0)), 2)
+    run_with(&dir, 2, false, None, Some("0:after".parse().unwrap()), 2)
         .expect_err("injected coordinator crash must surface as an error");
     // A crash mid-append leaves half of the next city's first line.
     let journal = dir.join(FLEET_MANIFEST_FILE);

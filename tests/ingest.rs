@@ -13,8 +13,9 @@
 // Test code: panicking on malformed setup is the desired behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use epc_faults::{BatchScope, DeterministicInjector, IngestCrash};
+use epc_faults::{BatchScope, DeterministicInjector};
 use epc_ingest::{GenerationEntry, GenerationManifest, GENESIS};
+use epc_journal::CrashPoint;
 use epc_model::value::Value;
 use epc_model::wellknown as wk;
 use epc_model::{Dataset, Record};
@@ -206,7 +207,7 @@ fn killed_ingest_resumes_byte_identical_at_every_crash_point() {
     .expect("uninterrupted ingest");
 
     for spec in ["1:before", "1:after", "1:torn"] {
-        let crash = IngestCrash::parse(spec).unwrap();
+        let crash: CrashPoint<usize> = spec.parse().unwrap();
         let dir = run_dir("crashed");
         let died = ingest(
             &batches,
@@ -215,8 +216,12 @@ fn killed_ingest_resumes_byte_identical_at_every_crash_point() {
             &IngestOptions::new(&dir).with_crash(&crash),
         );
         match died {
-            Err(IndiceError::CrashInjected { stage, .. }) => {
-                assert_eq!(stage, "ingest batch 1", "crash at {spec}")
+            Err(IndiceError::CrashInjected { unit, point }) => {
+                assert_eq!(
+                    (unit.as_str(), point),
+                    ("ingest batch 1", crash.point),
+                    "crash at {spec}"
+                )
             }
             other => panic!("{spec}: expected injected crash, got {other:?}"),
         }
@@ -379,7 +384,7 @@ fn cumulative_input_hashes_equal_the_hash_of_the_concatenated_input() {
     // Resumed at every batch boundary, the running hash restarts from the
     // sealed prefix and still lands on the same hashes.
     for boundary in 1..batches.len() {
-        let crash = IngestCrash::parse(&format!("{boundary}:before")).unwrap();
+        let crash: CrashPoint<usize> = format!("{boundary}:before").parse().unwrap();
         let dir = run_dir("cumhash-resume");
         let died = ingest(
             &batches,
